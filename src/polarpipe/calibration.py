@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels as kernels
 from .corpus import DataError
 from .metrics import f1_from_counts
-from .probs import ProbabilityMatrix
+from .probs import ProbabilityMatrix, check_unit_interval
 
 PROVENANCES = ("default", "coarse_only", "tuned", "oracle")
 
@@ -84,12 +84,11 @@ class ThresholdVector:
             raise DataError(
                 f"theta shape {theta.shape} does not match {len(self.label_names)} labels"
             )
-        if theta.size and (theta.min() < 0.0 or theta.max() > 1.0):
-            raise DataError("thresholds must lie in [0, 1]")
+        check_unit_interval(theta, "thresholds")
         if self.provenance not in PROVENANCES:
             raise DataError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
-        if self.base_theta is not None and not 0.0 <= self.base_theta <= 1.0:
-            raise DataError("base_theta must lie in [0, 1]")
+        if self.base_theta is not None:
+            check_unit_interval(self.base_theta, "base_theta")
         object.__setattr__(self, "theta", theta)
 
 
@@ -124,10 +123,7 @@ def apply_thresholds(pm: ProbabilityMatrix, tv: ThresholdVector) -> np.ndarray:
 
 def _f1_per_candidate(probs_col: np.ndarray, gold_col: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     counts = kernels.sweep_confusion(probs_col, gold_col, thetas)
-    denom = 2 * counts[:, 0] + counts[:, 1] + counts[:, 2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f1 = np.where(denom > 0, 2 * counts[:, 0] / np.maximum(denom, 1), 0.0)
-    return f1
+    return np.array([f1_from_counts(*row) for row in counts.tolist()], dtype=np.float64)
 
 
 def coarse_search(pm: ProbabilityMatrix, gold: np.ndarray, grid: GridSpec | None = None) -> float:
@@ -203,19 +199,6 @@ def tune(
     return tv
 
 
-def macro_f1_at(pm: ProbabilityMatrix, gold: np.ndarray, tv: ThresholdVector) -> float:
-    """Macro-F1 of the thresholded predictions against a gold bit matrix."""
-    gold = _check_shapes(pm, gold)
-    pred = apply_thresholds(pm, tv)
-    scores = []
-    for l in range(pm.n_labels):
-        tp = int(np.sum((pred[:, l] == 1) & (gold[:, l] == 1)))
-        fp = int(np.sum((pred[:, l] == 1) & (gold[:, l] == 0)))
-        fn = int(np.sum((pred[:, l] == 0) & (gold[:, l] == 1)))
-        scores.append(f1_from_counts(tp, fp, fn))
-    return sum(scores) / len(scores)
-
-
 def oracle_best_thresholds(
     pm: ProbabilityMatrix, gold: np.ndarray
 ) -> tuple[ThresholdVector, float]:
@@ -281,22 +264,25 @@ def load_thresholds(path: str | Path) -> ThresholdVector:
             if len(parts) != 2:
                 raise DataError(f"{path}: malformed line {lineno}")
             key, value = parts
-            if key == "__provenance__":
-                provenance = value
-            elif key == "__base__":
-                base_seen = True
-                base = None if value == "none" else float(value)
-            else:
-                names.append(key)
-                try:
+            try:
+                if key == "__provenance__":
+                    provenance = value
+                elif key == "__base__":
+                    base_seen = True
+                    base = None if value == "none" else float(value)
+                else:
+                    names.append(key)
                     thetas.append(float(value))
-                except ValueError:
-                    raise DataError(f"{path}: bad threshold at line {lineno}") from None
+            except ValueError:
+                raise DataError(f"{path}: bad threshold at line {lineno}") from None
     if provenance is None or not base_seen:
         raise DataError(f"{path}: missing __provenance__ or __base__ line")
-    return ThresholdVector(
-        label_names=tuple(names),
-        theta=np.array(thetas, dtype=np.float64),
-        base_theta=base,
-        provenance=provenance,
-    )
+    try:
+        return ThresholdVector(
+            label_names=tuple(names),
+            theta=np.array(thetas, dtype=np.float64),
+            base_theta=base,
+            provenance=provenance,
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

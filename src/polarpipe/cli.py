@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -145,6 +145,17 @@ def _gold_matrix(pm: ProbabilityMatrix, ds: Dataset) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def _tune(pm: ProbabilityMatrix, gold_ds: Dataset, refine_passes: int):
+    """Tuned thresholds, plus the macro-F1 the tuner maximizes at 0.5 and at them."""
+    gold = _gold_matrix(pm, gold_ds)
+    tv = calibration.tune(pm, gold, refine_passes=refine_passes)
+    before, after = (
+        metrics.score(pm.values, gold, thetas, pm.label_names, "positive-f1").macro_f1
+        for thetas in (np.full(pm.n_labels, 0.5), tv.theta)
+    )
+    return tv, before, after
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -235,12 +246,7 @@ def _cmd_tune(cfg: RunConfig) -> int:
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
     gold_ds = load_dataset(o["gold"], schema)
-    gold = _gold_matrix(pm, gold_ds)
-    before = calibration.macro_f1_at(
-        pm, gold, calibration.default_thresholds(tuple(pm.label_names))
-    )
-    tv = calibration.tune(pm, gold, refine_passes=o["refine_passes"])
-    after = calibration.macro_f1_at(pm, gold, tv)
+    tv, before, after = _tune(pm, gold_ds, o["refine_passes"])
     calibration.save_thresholds(tv, o["out"])
     print(f"macro_f1_before\t{before:.6f}")
     print(f"macro_f1_after\t{after:.6f}")
@@ -365,24 +371,7 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
     stages.append(
         _stage(
             "train",
-            {
-                "weighting": o["weighting"],
-                "learning_rate": tcfg.learning_rate,
-                "weight_decay": tcfg.weight_decay,
-                "max_epochs": tcfg.max_epochs,
-                "batch_size": tcfg.batch_size,
-                "accumulation_steps": tcfg.accumulation_steps,
-                "warmup_ratio": tcfg.warmup_ratio,
-                "warmup_steps": tcfg.warmup_steps,
-                "max_grad_norm": tcfg.max_grad_norm,
-                "label_smoothing": tcfg.label_smoothing,
-                "patience": tcfg.patience,
-                "seed": tcfg.seed,
-                "hash_dim": fcfg.hash_dim,
-                "ngram_orders": list(fcfg.ngram_orders),
-                "tf_mode": fcfg.tf_mode,
-                "l2_normalize": fcfg.l2_normalize,
-            },
+            {"weighting": o["weighting"], **asdict(tcfg), **asdict(fcfg)},
             {"train.jsonl": train_path, "val.jsonl": val_path},
             {"model.bin": model_path, "history.tsv": history_path},
             {
@@ -406,12 +395,7 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
         )
     )
 
-    gold_val = _gold_matrix(val_probs, split.val)
-    before = calibration.macro_f1_at(
-        val_probs, gold_val, calibration.default_thresholds(tuple(val_probs.label_names))
-    )
-    tv = calibration.tune(val_probs, gold_val, refine_passes=o["refine_passes"])
-    after = calibration.macro_f1_at(val_probs, gold_val, tv)
+    tv, before, after = _tune(val_probs, split.val, o["refine_passes"])
     thresholds_path = outdir / "thresholds.tsv"
     calibration.save_thresholds(tv, thresholds_path)
     stages.append(

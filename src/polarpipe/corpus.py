@@ -22,6 +22,20 @@ class DataError(ValueError):
     """Malformed input data (bad record, unknown label, duplicate id, ...)."""
 
 
+def read_field(record: dict, name: str, path: Path, build):
+    """``build(record[name])`` for a JSON header, a missing or malformed field raised as DataError."""
+    try:
+        value = record[name]
+    except KeyError:
+        raise DataError(f"{path}: missing field {name!r}") from None
+    try:
+        return build(value)
+    except KeyError as exc:
+        raise DataError(f"{path}: field {name!r} has no {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad field {name!r}: {exc}") from None
+
+
 _BUNDLED_EMOJI_TABLE = "emoji_table.tsv"
 
 # Codepoint ranges treated as emoji when deleting glyphs that have no entry

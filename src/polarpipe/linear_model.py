@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import _kernels as kernels
-from .corpus import DataError, Dataset, Instance, LabelSchema
-from .metrics import binary_two_class_counts, confusion, macro_f1
+from . import _kernels as kernels, metrics
+from .corpus import DataError, Dataset, Instance, LabelSchema, read_field
 from .probs import ProbabilityMatrix
 from .weighting import ClassWeights, PosWeights, class_weights, pos_weights
 
@@ -304,15 +304,6 @@ def loss_and_grad(
     )
 
 
-def _val_macro_f1_at_half(probs: np.ndarray, gold: np.ndarray, schema: LabelSchema) -> float:
-    pred = (probs >= 0.5).astype(np.int64)
-    if schema.is_binary:
-        counts = binary_two_class_counts(pred, gold, schema.names[0])
-    else:
-        counts = confusion(pred, gold, schema.names)
-    return macro_f1(counts)
-
-
 def train(
     train_ds: Dataset,
     val_ds: Dataset,
@@ -425,7 +416,7 @@ def train(
         val_probs = _sigmoid(
             kernels.csr_logits(fm_val.indptr, fm_val.indices, fm_val.data, W, b)
         )
-        score = _val_macro_f1_at_half(val_probs, y_val, schema)
+        score = metrics.score(val_probs, y_val, np.full(n_labels, 0.5), schema.names).macro_f1
         val_scores.append(score)
         if score > best_score:
             best_score = score
@@ -470,12 +461,7 @@ def save_model(model: LinearModel, path: str | Path) -> None:
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
         "schema": list(model.schema.names),
-        "featurizer": {
-            "hash_dim": model.featurizer.hash_dim,
-            "ngram_orders": list(model.featurizer.ngram_orders),
-            "tf_mode": model.featurizer.tf_mode,
-            "l2_normalize": model.featurizer.l2_normalize,
-        },
+        "featurizer": asdict(model.featurizer),
         "shape": list(model.weights.shape),
     }
     with Path(path).open("wb") as fh:
@@ -484,33 +470,37 @@ def save_model(model: LinearModel, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
 
 
+def _featurizer_from_json(fz: dict) -> FeaturizerConfig:
+    # every field is required: a default must not stand in for a lost one
+    return FeaturizerConfig(**{f.name: fz[f.name] for f in fields(FeaturizerConfig)})
+
+
+def _shape_from_json(value) -> tuple[int, int]:
+    d, n_labels = map(operator.index, value)
+    return d, n_labels
+
+
 def load_model(path: str | Path) -> LinearModel:
     path = Path(path)
     with path.open("rb") as fh:
         header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise DataError(f"{path}: not a model file") from None
-        if header.get("format") != _MODEL_FORMAT:
-            raise DataError(f"{path}: not a model file")
-        if header.get("version") != _MODEL_VERSION:
-            raise DataError(f"{path}: unsupported model version {header.get('version')!r}")
-        d, n_labels = header["shape"]
         body = fh.read()
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise DataError(f"{path}: not a model file") from None
+    if not isinstance(header, dict) or header.get("format") != _MODEL_FORMAT:
+        raise DataError(f"{path}: not a model file")
+    if header.get("version") != _MODEL_VERSION:
+        raise DataError(f"{path}: unsupported model version {header.get('version')!r}")
+    d, n_labels = read_field(header, "shape", path, _shape_from_json)
+    fcfg = read_field(header, "featurizer", path, _featurizer_from_json)
+    schema = read_field(header, "schema", path, lambda v: LabelSchema(names=tuple(v)))
     expected = (d * n_labels + n_labels) * 8
-    if len(body) != expected:
+    if min(d, n_labels) < 0 or len(body) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, found {len(body)}")
     weights = np.frombuffer(body[: d * n_labels * 8], dtype="<f8").reshape(d, n_labels)
     bias = np.frombuffer(body[d * n_labels * 8 :], dtype="<f8")
-    fz = header["featurizer"]
-    fcfg = FeaturizerConfig(
-        hash_dim=fz["hash_dim"],
-        ngram_orders=tuple(fz["ngram_orders"]),
-        tf_mode=fz["tf_mode"],
-        l2_normalize=fz["l2_normalize"],
-    )
-    schema = LabelSchema(names=tuple(header["schema"]))
     return LinearModel(
         weights=weights.astype(np.float64),
         bias=bias.astype(np.float64),

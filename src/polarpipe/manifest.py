@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import DataError
+from .corpus import DataError, read_field
 
 _MANIFEST_FORMAT = "polarpipe-manifest"
 _MANIFEST_VERSION = 1
@@ -75,30 +76,30 @@ def save_manifest(manifest: PipelineManifest, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _stage_from_json(record: dict) -> StageRecord:
+    stage = StageRecord(
+        name=record["name"],
+        config=record["config"],
+        inputs=record["inputs"],
+        outputs=record["outputs"],
+        metrics=record["metrics"],
+    )
+    if record["config_sha256"] != stage.config_sha256:
+        raise DataError(f"stage {stage.name!r} config digest mismatch")
+    return stage
+
+
 def load_manifest(path: str | Path) -> PipelineManifest:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+    except (UnicodeDecodeError, json.JSONDecodeError):
         raise DataError(f"{path}: not a manifest file") from None
-    if payload.get("format") != _MANIFEST_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != _MANIFEST_FORMAT:
         raise DataError(f"{path}: not a manifest file")
     if payload.get("version") != _MANIFEST_VERSION:
         raise DataError(f"{path}: unsupported manifest version {payload.get('version')!r}")
-    stages = []
-    for record in payload["stages"]:
-        expected = config_digest(record["config"])
-        if record["config_sha256"] != expected:
-            raise DataError(
-                f"{path}: stage {record['name']!r} config digest mismatch"
-            )
-        stages.append(
-            StageRecord(
-                name=record["name"],
-                config=record["config"],
-                inputs=record["inputs"],
-                outputs=record["outputs"],
-                metrics=record["metrics"],
-            )
-        )
-    return PipelineManifest(seed=payload["seed"], stages=tuple(stages))
+    return PipelineManifest(
+        seed=read_field(payload, "seed", path, operator.index),
+        stages=read_field(payload, "stages", path, lambda v: tuple(map(_stage_from_json, v))),
+    )

@@ -1,10 +1,11 @@
 """Confusion counts and F1 metrics for multi-label predictions.
 
-Macro-F1 averages per-label F1 scores without weighting; micro-F1 pools the
-counts first. Any F1 with an empty denominator is defined as 0. For the
-binary task the default view scores the negative and the positive class as
-two separate rows ("two-class macro"); ``positive-f1`` scores only the
-positive class.
+Every count comes from the threshold-sweep kernel, one call per label at that
+label's threshold. Macro-F1 averages per-label F1 scores without weighting;
+micro-F1 pools the counts first. Any F1 with an empty denominator is defined
+as 0. For the binary task the default view scores the negative and the
+positive class as two separate rows ("two-class macro"); ``positive-f1``
+scores only the positive class, which is what threshold tuning maximizes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels as kernels
 from .corpus import DataError, Dataset
 from .probs import ProbabilityMatrix
 
@@ -39,8 +41,7 @@ class ConfusionCounts:
 
     @property
     def f1(self) -> float:
-        denom = 2 * self.tp + self.fp + self.fn
-        return 2 * self.tp / denom if denom else 0.0
+        return f1_from_counts(self.tp, self.fp, self.fn)
 
 
 @dataclass(frozen=True)
@@ -58,26 +59,35 @@ def f1_from_counts(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
+def _check_matrices(values, gold, width: int) -> tuple[np.ndarray, np.ndarray]:
+    values = np.asarray(values, dtype=np.float64)
+    gold = np.asarray(gold)
+    if values.shape != gold.shape:
+        raise DataError(f"shape mismatch: pred {values.shape} vs gold {gold.shape}")
+    if values.ndim != 2 or values.shape[1] != width:
+        raise DataError(f"expected shape (n, {width}), got {values.shape}")
+    if not np.isin(gold, (0, 1)).all():
+        raise DataError("gold matrix must be 0/1")
+    return values, gold
+
+
+def _counts(probs, gold, thetas, label_names: Sequence[str]) -> tuple[ConfusionCounts, ...]:
+    """Per-label counts of ``probs >= theta`` against gold; tn is the remainder."""
+    n = probs.shape[0]
+    rows = []
+    for l, name in enumerate(label_names):
+        swept = kernels.sweep_confusion(probs[:, l], gold[:, l], thetas[l : l + 1])
+        tp, fp, fn = swept[0].tolist()
+        rows.append(ConfusionCounts(label=name, tp=tp, fp=fp, fn=fn, tn=n - tp - fp - fn))
+    return tuple(rows)
+
+
 def confusion(pred: np.ndarray, gold: np.ndarray, label_names: Sequence[str]) -> tuple[ConfusionCounts, ...]:
     """Per-label confusion counts for 0/1 matrices of shape (n, L)."""
-    pred = np.asarray(pred, dtype=np.int64)
-    gold = np.asarray(gold, dtype=np.int64)
-    if pred.shape != gold.shape:
-        raise DataError(f"shape mismatch: pred {pred.shape} vs gold {gold.shape}")
-    if pred.ndim != 2 or pred.shape[1] != len(label_names):
-        raise DataError(
-            f"expected shape (n, {len(label_names)}), got {pred.shape}"
-        )
-    counts = []
-    for l, name in enumerate(label_names):
-        p = pred[:, l]
-        g = gold[:, l]
-        tp = int(np.sum((p == 1) & (g == 1)))
-        fp = int(np.sum((p == 1) & (g == 0)))
-        fn = int(np.sum((p == 0) & (g == 1)))
-        tn = int(np.sum((p == 0) & (g == 0)))
-        counts.append(ConfusionCounts(label=name, tp=tp, fp=fp, fn=fn, tn=tn))
-    return tuple(counts)
+    pred, gold = _check_matrices(pred, gold, len(label_names))
+    if not np.isin(pred, (0, 1)).all():
+        raise DataError("pred matrix must be 0/1")
+    return _counts(pred, gold, np.full(len(label_names), 0.5), label_names)
 
 
 def macro_f1(counts: Sequence[ConfusionCounts]) -> float:
@@ -97,18 +107,38 @@ def micro_f1(counts: Sequence[ConfusionCounts]) -> float:
     return f1_from_counts(tp, fp, fn)
 
 
-def binary_two_class_counts(pred: np.ndarray, gold: np.ndarray, name: str) -> tuple[ConfusionCounts, ...]:
-    """Score a binary task as two one-vs-rest rows, one per class."""
-    rows = []
-    for cls in (0, 1):
-        p = (pred[:, 0] == cls).astype(np.int64)
-        g = (gold[:, 0] == cls).astype(np.int64)
-        tp = int(np.sum((p == 1) & (g == 1)))
-        fp = int(np.sum((p == 1) & (g == 0)))
-        fn = int(np.sum((p == 0) & (g == 1)))
-        tn = int(np.sum((p == 0) & (g == 0)))
-        rows.append(ConfusionCounts(label=f"{name}={cls}", tp=tp, fp=fp, fn=fn, tn=tn))
-    return tuple(rows)
+def score(
+    probs: np.ndarray,
+    gold: np.ndarray,
+    thresholds: Sequence[float],
+    label_names: Sequence[str],
+    binary_mode: str = "two-class-macro",
+) -> MetricsReport:
+    """Score ``probs >= theta`` per label against row-aligned 0/1 gold.
+
+    ``binary_mode`` only applies to a single label.
+    """
+    if binary_mode not in BINARY_MODES:
+        raise DataError(f"binary_mode must be one of {BINARY_MODES}, got {binary_mode!r}")
+    probs, gold = _check_matrices(probs, gold, len(label_names))
+    thetas = np.asarray(thresholds, dtype=np.float64)
+    if thetas.shape != (len(label_names),):
+        raise DataError(f"expected {len(label_names)} thresholds, got shape {thetas.shape}")
+    counts = _counts(probs, gold, thetas, label_names)
+    binary = len(label_names) == 1
+    if binary and binary_mode == "two-class-macro":
+        (c,) = counts  # class 0's row is class 1's mirrored
+        counts = (
+            ConfusionCounts(label=f"{c.label}=0", tp=c.tn, fp=c.fn, fn=c.fp, tn=c.tp),
+            ConfusionCounts(label=f"{c.label}=1", tp=c.tp, fp=c.fp, fn=c.fn, tn=c.tn),
+        )
+    return MetricsReport(
+        per_label=counts,
+        macro_f1=macro_f1(counts),
+        micro_f1=micro_f1(counts),
+        n_instances=probs.shape[0],
+        mode=binary_mode if binary else "multi-label",
+    )
 
 
 def evaluate(
@@ -117,17 +147,11 @@ def evaluate(
     thresholds: Sequence[float],
     binary_mode: str = "two-class-macro",
 ) -> MetricsReport:
-    """Threshold probabilities, align to gold labels by id, and score.
+    """Align probabilities to gold labels by id, then :func:`score` them.
 
     Every dataset id must appear in the probability matrix (extra probability
     rows are ignored). ``binary_mode`` only applies to single-label schemas.
     """
-    if binary_mode not in BINARY_MODES:
-        raise DataError(f"binary_mode must be one of {BINARY_MODES}, got {binary_mode!r}")
-    thetas = np.asarray(thresholds, dtype=np.float64)
-    width = ds.schema.n_labels
-    if thetas.shape != (width,):
-        raise DataError(f"expected {width} thresholds, got shape {thetas.shape}")
     if tuple(pm.label_names) != tuple(ds.schema.names):
         raise DataError(
             f"label mismatch: probabilities {pm.label_names} vs schema {ds.schema.names}"
@@ -138,21 +162,8 @@ def evaluate(
         if inst.id not in index:
             raise DataError(f"probabilities missing id {inst.id!r}")
         rows.append(index[inst.id])
-    probs = pm.values[rows]
     gold = np.array([inst.labels for inst in ds.instances], dtype=np.int64)
-    pred = (probs >= thetas).astype(np.int64)
-
-    if ds.schema.is_binary and binary_mode == "two-class-macro":
-        counts = binary_two_class_counts(pred, gold, ds.schema.names[0])
-    else:
-        counts = confusion(pred, gold, ds.schema.names)
-    return MetricsReport(
-        per_label=counts,
-        macro_f1=macro_f1(counts),
-        micro_f1=micro_f1(counts),
-        n_instances=len(ds),
-        mode="multi-label" if not ds.schema.is_binary else binary_mode,
-    )
+    return score(pm.values[rows], gold, thresholds, ds.schema.names, binary_mode)
 
 
 def format_report(report: MetricsReport) -> str:

@@ -14,6 +14,13 @@ import numpy as np
 from .corpus import DataError
 
 
+def check_unit_interval(values, what: str) -> None:
+    """Reject any value that is not a finite number in [0, 1], NaN included."""
+    values = np.asarray(values, dtype=np.float64)
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        raise DataError(f"{what} must lie in [0, 1] and not be NaN")
+
+
 @dataclass(frozen=True)
 class ProbabilityMatrix:
     ids: tuple[str, ...]
@@ -31,8 +38,7 @@ class ProbabilityMatrix:
             )
         if len(set(self.ids)) != len(self.ids):
             raise DataError("duplicate ids in probability matrix")
-        if values.size and (np.min(values) < 0.0 or np.max(values) > 1.0):
-            raise DataError("probabilities must lie in [0, 1]")
+        check_unit_interval(values, "probabilities")
         object.__setattr__(self, "values", values)
 
     @property
@@ -85,4 +91,7 @@ def load_probabilities(path: str | Path) -> ProbabilityMatrix:
         if rows
         else np.zeros((0, len(label_names)), dtype=np.float64)
     )
-    return ProbabilityMatrix(ids=tuple(ids), label_names=label_names, values=values)
+    try:
+        return ProbabilityMatrix(ids=tuple(ids), label_names=label_names, values=values)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

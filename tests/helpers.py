@@ -6,6 +6,7 @@ import numpy as np
 
 from polarpipe.corpus import Dataset, Instance, LabelSchema
 from polarpipe.linear_model import FeatureMatrix, _loss_and_grad_csr
+from polarpipe.metrics import score
 
 
 def mk_dataset(label_rows, names=None, texts=None) -> Dataset:
@@ -20,6 +21,11 @@ def mk_dataset(label_rows, names=None, texts=None) -> Dataset:
         text = texts[i] if texts is not None else f"tok{i} filler"
         instances.append(Instance(id=f"i{i:04d}", raw_text=text, text=text, labels=row))
     return Dataset(schema=schema, instances=tuple(instances))
+
+
+def tuned_macro_f1(pm, gold, tv) -> float:
+    """The macro-F1 threshold tuning maximizes: per-label F1, the positive class on binary."""
+    return score(pm.values, gold, tv.theta, pm.label_names, "positive-f1").macro_f1
 
 
 def random_prob_matrix_values(rng: np.random.RandomState, n: int, width: int, distinct: int):

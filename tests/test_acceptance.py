@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from polarpipe import cli
-from polarpipe.calibration import macro_f1_at, oracle_best_thresholds, tune
+from polarpipe.calibration import oracle_best_thresholds, tune
 from polarpipe.corpus import preprocess, save_dataset
 from polarpipe.linear_model import TrainConfig, predict_proba, train
 from polarpipe.metrics import confusion, evaluate, macro_f1, micro_f1
@@ -21,7 +21,7 @@ from polarpipe.probs import ProbabilityMatrix
 from polarpipe.splitter import SplitConfig, balanced_merge, iterative_stratified_split, stratified_split
 from polarpipe.synth import generate_synthetic
 
-from helpers import fd_max_rel_err, random_fd_case
+from helpers import fd_max_rel_err, random_fd_case, tuned_macro_f1
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "preprocess_golden.jsonl"
 
@@ -55,7 +55,7 @@ def test_criterion_01_tuned_thresholds_near_exhaustive_oracle():
         rates = np.clip(0.5 + 2.0 * (values - 0.5), 0.0, 1.0)
         gold = (rng.rand(50, 3) < rates).astype(int)
         pm = _mk_pm(values)
-        tuned = macro_f1_at(pm, gold, tune(pm, gold))
+        tuned = tuned_macro_f1(pm, gold, tune(pm, gold))
         _, best = oracle_best_thresholds(pm, gold)
         worst_ratio = min(worst_ratio, tuned / best if best > 0 else 1.0)
         equal += abs(tuned - best) <= 1e-12

@@ -11,7 +11,6 @@ from polarpipe.calibration import (
     coarse_search,
     default_thresholds,
     load_thresholds,
-    macro_f1_at,
     oracle_best_thresholds,
     refine_per_label,
     save_thresholds,
@@ -20,7 +19,7 @@ from polarpipe.calibration import (
 from polarpipe.corpus import DataError
 from polarpipe.probs import ProbabilityMatrix
 
-from helpers import random_prob_matrix_values
+from helpers import random_prob_matrix_values, tuned_macro_f1
 
 
 def mk_pm(values, names=None):
@@ -102,6 +101,12 @@ class TestThresholdVector:
             ThresholdVector(("a",), np.array([0.5]), 0.5, "guessed")
         with pytest.raises(DataError, match="base_theta"):
             ThresholdVector(("a",), np.array([0.5]), -0.1, "tuned")
+
+    def test_nan_rejected(self):
+        with pytest.raises(DataError, match="thresholds must lie in"):
+            ThresholdVector(("a", "b"), np.array([0.5, np.nan]), 0.5, "tuned")
+        with pytest.raises(DataError, match="base_theta must lie in"):
+            ThresholdVector(("a",), np.array([0.5]), float("nan"), "tuned")
 
     def test_defaults(self):
         tv = default_thresholds(("a", "b"))
@@ -259,7 +264,7 @@ class TestTune:
                 tv.base_theta,
                 "coarse_only",
             )
-            assert macro_f1_at(pm, gold, tv) >= macro_f1_at(pm, gold, uniform)
+            assert tuned_macro_f1(pm, gold, tv) >= tuned_macro_f1(pm, gold, uniform)
 
     def test_window_containment(self):
         rng = np.random.RandomState(21)
@@ -298,7 +303,7 @@ class TestTune:
         assert tv.base_theta == 0.45
         assert tv.theta[0] == tv.theta[1] == pytest.approx(0.45)
         assert tv.theta[2] == pytest.approx(0.30)
-        assert macro_f1_at(mk_pm(values), gold, tv) == 1.0
+        assert tuned_macro_f1(mk_pm(values), gold, tv) == 1.0
 
     def test_matches_cartesian_oracle(self):
         # joint exhaustive search over every stage-2 combination reachable
@@ -336,7 +341,7 @@ class TestTune:
                 f1 = np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0)
                 macro += f1
             macro /= 3
-            assert abs(macro_f1_at(pm, gold, tv) - macro.max()) <= 1e-12
+            assert abs(tuned_macro_f1(pm, gold, tv) - macro.max()) <= 1e-12
 
 
 class TestOracle:
@@ -362,7 +367,7 @@ class TestOracle:
             pm = mk_pm(values)
             tv = tune(pm, gold)
             _, best = oracle_best_thresholds(pm, gold)
-            assert best >= macro_f1_at(pm, gold, tv) - 1e-12
+            assert best >= tuned_macro_f1(pm, gold, tv) - 1e-12
 
     def test_beats_every_lattice_vector(self):
         rng = np.random.RandomState(23)
@@ -376,7 +381,7 @@ class TestOracle:
                 tv = ThresholdVector(
                     pm.label_names, np.array([t0, t1]), None, "oracle"
                 )
-                assert macro_f1_at(pm, gold, tv) <= best + 1e-12
+                assert tuned_macro_f1(pm, gold, tv) <= best + 1e-12
 
     def test_guard(self):
         big = ProbabilityMatrix(
@@ -422,6 +427,18 @@ class TestThresholdsFile:
         assert lines[1] == "__base__\t0.350000"
         assert lines[2] == "x\t0.350000"
         assert lines[3] == "y\t0.400000"
+
+    def test_nan_and_bad_base_name_the_path(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        for text, message in (
+            ("__provenance__\ttuned\n__base__\t0.5\nx\tnan\n", "NaN"),
+            ("__provenance__\ttuned\n__base__\tnan\nx\t0.5\n", "NaN"),
+            ("__provenance__\ttuned\n__base__\thalf\nx\t0.5\n", "bad threshold at line 2"),
+        ):
+            path.write_text(text)
+            with pytest.raises(DataError, match=message) as info:
+                load_thresholds(path)
+            assert str(path) in str(info.value)
 
     def test_malformed_files(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -3,10 +3,11 @@ import subprocess
 
 import pytest
 
-from polarpipe.calibration import load_thresholds
+from polarpipe.calibration import default_thresholds, load_thresholds
 from polarpipe.cli import SCHEMA_PRESETS, run
 from polarpipe.corpus import LabelSchema, load_dataset
 from polarpipe.manifest import load_manifest
+from polarpipe.metrics import evaluate
 from polarpipe.probs import load_probabilities
 from polarpipe.synth import generate_synthetic
 from polarpipe.corpus import save_dataset
@@ -354,6 +355,75 @@ class TestPipeline:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes(), name
+
+
+class TestTunedMetricIsEvaluated:
+    """``tune`` reports the same macro-F1 that ``eval`` computes on the same rows."""
+
+    @pytest.mark.parametrize(
+        "rates, names, binary_mode",
+        [([0.3], "label0", "positive-f1"), ([0.4, 0.15, 0.05], "a,b,c", "two-class-macro")],
+    )
+    def test_pipeline_tune_stage_matches_evaluate(self, tmp_path, capsys, rates, names, binary_mode):
+        data = synth_file(tmp_path, "d.jsonl", 200, rates, noise=0.1, seed=21, label_names=names.split(","))
+        outdir = tmp_path / "run"
+        status = run([
+            "pipeline", "--data", str(data), "--labels", names,
+            "--outdir", str(outdir), "--max-epochs", "2", "--hash-dim", "4096",
+        ])
+        assert status == 0
+        tune_stage = next(s for s in load_manifest(outdir / "manifest.json").stages if s.name == "tune")
+        pm = load_probabilities(outdir / "val.probs")
+        val = load_dataset(outdir / "val.jsonl", LabelSchema(names=tuple(names.split(","))))
+        tuned = load_thresholds(outdir / "thresholds.tsv")
+        after = evaluate(pm, val, tuned.theta, binary_mode=binary_mode).macro_f1
+        before = evaluate(pm, val, default_thresholds(pm.label_names).theta, binary_mode=binary_mode).macro_f1
+        assert tune_stage.metrics["macro_f1_after"] == after
+        assert tune_stage.metrics["macro_f1_before"] == before
+
+        capsys.readouterr()
+        status = run([
+            "tune", "--probs", str(outdir / "val.probs"), "--gold", str(outdir / "val.jsonl"),
+            "--labels", names, "--out", str(tmp_path / "th.tsv"),
+        ])
+        assert status == 0
+        assert f"macro_f1_after\t{after:.6f}" in out_lines(capsys)
+
+
+class TestNonFiniteInputs:
+    @pytest.fixture()
+    def files(self, tmp_path):
+        gold = synth_file(tmp_path, "gold.jsonl", 4, [0.5], seed=3)
+        ids = load_dataset(gold, LabelSchema(names=("label0",))).ids
+        probs = tmp_path / "p.probs"
+        probs.write_text("id\tlabel0\n" + "".join(f"{i}\t0.25\n" for i in ids))
+        return gold, probs
+
+    def _eval(self, gold, probs, *extra):
+        return run([
+            "eval", "--probs", str(probs), "--gold", str(gold), "--labels", "label0",
+            "--out", str(gold.with_name("r.tsv")), *extra,
+        ])
+
+    def test_nan_probability_exits_1(self, files, capsys):
+        gold, probs = files
+        assert self._eval(gold, probs) == 0
+        lines = probs.read_text().splitlines()
+        lines[2] = lines[2].split("\t")[0] + "\tnan"
+        probs.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert self._eval(gold, probs) == 1
+        err = capsys.readouterr().err
+        assert str(probs) in err and "NaN" in err
+
+    def test_nan_threshold_exits_1(self, files, capsys):
+        gold, probs = files
+        th = gold.with_name("th.tsv")
+        th.write_text("__provenance__\ttuned\n__base__\t0.5\nlabel0\tnan\n")
+        capsys.readouterr()
+        assert self._eval(gold, probs, "--thresholds", str(th)) == 1
+        err = capsys.readouterr().err
+        assert str(th) in err and "NaN" in err
 
 
 @pytest.mark.skipif(shutil.which("polarpipe") is None, reason="entry point not on PATH")

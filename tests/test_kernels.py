@@ -222,6 +222,8 @@ COMPILED_PARITY_CASES = (
     "test_csr_logits_matches_dense[cython]",
     "test_csr_grad_weights_matches_dense[cython]",
     "test_sweep_confusion_matches_naive[cython]",
+    "test_binary_views_match_oracles[cython]",
+    "test_multilabel_score_matches_oracle[cython]",
 )
 
 
@@ -278,9 +280,10 @@ def test_compiled_backend_present(tmp_path):
     assert tuple(backends) == ("cython", "python")
     assert active == "cython"
 
-    # the parity tests above, run against the build
+    # the parity tests above and the scoring oracles, run against the build
+    oracles = str(Path(__file__).with_name("test_scoring_oracles.py"))
     run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", __file__],
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", __file__, oracles],
         env=env,
         cwd=tmp_path,
         capture_output=True,

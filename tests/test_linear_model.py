@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -479,6 +480,80 @@ class TestModelFile:
         path.write_bytes(header)
         with pytest.raises(DataError, match="version"):
             load_model(path)
+
+
+class TestModelHeader:
+    """Every header field is required; a lost or malformed one is a DataError."""
+
+    def _header_and_body(self, tmp_path):
+        model = zero_model(FeaturizerConfig(hash_dim=2**10), LabelSchema(names=("a", "b")))
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        line, body = path.read_bytes().split(b"\n", 1)
+        return json.loads(line), body
+
+    def _load(self, tmp_path, header, body):
+        path = tmp_path / "edited.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        return path, lambda: load_model(path)
+
+    def test_featurizer_written_from_dataclass(self, tmp_path):
+        header, _ = self._header_and_body(tmp_path)
+        assert header["featurizer"] == {
+            "hash_dim": 1024, "ngram_orders": [1, 2], "tf_mode": "count", "l2_normalize": True,
+        }
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("format", "not a model file"),
+            ("version", "version"),
+            ("shape", "missing field 'shape'"),
+            ("featurizer", "missing field 'featurizer'"),
+            ("schema", "missing field 'schema'"),
+        ],
+    )
+    def test_each_top_level_field_required(self, tmp_path, field, message):
+        header, body = self._header_and_body(tmp_path)
+        del header[field]
+        path, load = self._load(tmp_path, header, body)
+        with pytest.raises(DataError, match=message) as info:
+            load()
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("field", ["hash_dim", "ngram_orders", "tf_mode", "l2_normalize"])
+    def test_each_featurizer_field_required(self, tmp_path, field):
+        header, body = self._header_and_body(tmp_path)
+        del header["featurizer"][field]
+        _, load = self._load(tmp_path, header, body)
+        with pytest.raises(DataError, match=f"'featurizer' has no '{field}'"):
+            load()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shape", [1024]),
+            ("shape", "1024x2"),
+            ("shape", [1024.0, 2]),
+            ("shape", [-1, -1]),
+            ("featurizer", [1, 2]),
+            ("featurizer", {"hash_dim": "big", "ngram_orders": [1], "tf_mode": "count", "l2_normalize": True}),
+            ("featurizer", {"hash_dim": 1000, "ngram_orders": [1], "tf_mode": "count", "l2_normalize": True}),
+            ("schema", 7),
+        ],
+    )
+    def test_malformed_fields_rejected(self, tmp_path, field, value):
+        header, body = self._header_and_body(tmp_path)
+        header[field] = value
+        _, load = self._load(tmp_path, header, body)
+        with pytest.raises(DataError):
+            load()
+
+    def test_non_object_header_rejected(self, tmp_path):
+        _, body = self._header_and_body(tmp_path)
+        _, load = self._load(tmp_path, [1, 2], body)
+        with pytest.raises(DataError, match="not a model file"):
+            load()
 
 
 class TestHistoryFile:

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from polarpipe.corpus import DataError, Dataset, Instance, LabelSchema
 from polarpipe.metrics import (
     BINARY_MODES,
-    binary_two_class_counts,
     confusion,
     evaluate,
     f1_from_counts,
@@ -13,6 +12,7 @@ from polarpipe.metrics import (
     format_report,
     macro_f1,
     micro_f1,
+    score,
 )
 from polarpipe.probs import ProbabilityMatrix
 
@@ -47,6 +47,19 @@ class TestConfusion:
             confusion(np.zeros((3, 2)), np.zeros((4, 2)), ("a", "b"))
         with pytest.raises(DataError, match="expected shape"):
             confusion(np.zeros((3, 2)), np.zeros((3, 2)), ("a", "b", "c"))
+
+
+    def test_entries_must_be_bits(self):
+        # a non-0/1 entry used to drop out of all four counts
+        for bad in (2, -1, 0.5):
+            pred = PRED_4X2.astype(float)
+            pred[0, 0] = bad
+            with pytest.raises(DataError, match="pred matrix must be 0/1"):
+                confusion(pred, GOLD_4X2, ("a", "b"))
+            gold = GOLD_4X2.astype(float)
+            gold[1, 1] = bad
+            with pytest.raises(DataError, match="gold matrix must be 0/1"):
+                confusion(PRED_4X2, gold, ("a", "b"))
 
 
 class TestF1:
@@ -130,7 +143,7 @@ class TestBinaryTwoClass:
     def test_rows_cover_both_classes(self):
         pred = np.array([[1], [0], [1], [0]])
         gold = np.array([[1], [1], [0], [0]])
-        rows = binary_two_class_counts(pred, gold, "hate")
+        rows = score(pred, gold, [0.5], ("hate",)).per_label
         assert rows[0].label == "hate=0"
         assert rows[1].label == "hate=1"
         # class 1: tp=1 (row0), fp=1 (row2), fn=1 (row1), tn=1
@@ -142,7 +155,7 @@ class TestBinaryTwoClass:
         # all-positive prediction: positive recall 1, negative row scores 0
         pred = np.ones((4, 1), dtype=int)
         gold = np.array([[1], [1], [1], [0]])
-        rows = binary_two_class_counts(pred, gold, "hate")
+        rows = score(pred, gold, [0.5], ("hate",)).per_label
         assert rows[0].f1 == 0.0
         assert rows[1].f1 == pytest.approx(6 / 7)
         assert macro_f1(rows) == pytest.approx(3 / 7)

@@ -54,6 +54,20 @@ def test_validation():
         ProbabilityMatrix(ids=("a",), label_names=("x",), values=np.array([[1.5]]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(DataError, match=r"\[0, 1\] and not be NaN"):
+        ProbabilityMatrix(ids=("a", "b"), label_names=("x",), values=np.array([[0.5], [bad]]))
+
+
+def test_load_names_path_of_nan_cell(tmp_path):
+    p = tmp_path / "nan.probs"
+    p.write_text("id\ta\nr1\t0.5\nr2\tnan\n", encoding="utf-8")
+    with pytest.raises(DataError, match="NaN") as info:
+        load_probabilities(p)
+    assert str(p) in str(info.value)
+
+
 def test_load_errors(tmp_path):
     p = tmp_path / "bad.probs"
     p.write_text("nope\n", encoding="utf-8")
