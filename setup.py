@@ -1,40 +1,3 @@
-"""Build script for the compiled kernels.
+from setuptools import setup
 
-The extension is compiled from the C source shipped in the repository,
-``src/polarpipe/_kernels/_ckernels.c``, so a C compiler is all the build
-needs. Cython is used only when it is importable, to regenerate that C file
-from ``_ckernels.pyx``; after editing the ``.pyx``, commit the regenerated
-``.c`` with it.
-
-The package works without the extension (a numpy fallback is selected at
-import time), so the extension is marked optional: a missing compiler
-degrades the install instead of failing it.
-"""
-
-import numpy as np
-from setuptools import Extension, setup
-
-KERNELS = "src/polarpipe/_kernels/_ckernels"
-
-
-def kernels_extension(source: str) -> Extension:
-    return Extension(
-        "polarpipe._kernels._ckernels",
-        [source],
-        include_dirs=[np.get_include()],
-        extra_compile_args=["-O3"],
-        define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-        optional=True,
-    )
-
-
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    pass
-else:
-    # Rewrites _ckernels.c when the .pyx is newer. The extension it returns
-    # is not used: cythonize drops ``optional``.
-    cythonize([kernels_extension(KERNELS + ".pyx")], compiler_directives={"language_level": "3"})
-
-setup(ext_modules=[kernels_extension(KERNELS + ".c")])
+setup()

@@ -6,7 +6,7 @@ decision thresholds in two stages, and score with macro/micro F1. Every
 stage is seeded and file-based; the `polarpipe` executable chains them.
 """
 
-from ._kernels import active_backend, available_backends, use_backend
+from ._kernels import active_backend
 from .calibration import (
     GridSpec,
     ThresholdVector,
@@ -91,7 +91,6 @@ __all__ = [
     "TrainReport",
     "active_backend",
     "apply_thresholds",
-    "available_backends",
     "balanced_merge",
     "class_weights",
     "coarse_search",
@@ -123,5 +122,4 @@ __all__ = [
     "train",
     "truncate",
     "tune",
-    "use_backend",
 ]

@@ -1,12 +1,13 @@
-"""Numpy/scipy reference implementations of the hot kernels.
+"""The hot-loop kernels: token hashing, sparse products and threshold sweeps.
 
-Always importable; the compiled extension in ``_ckernels`` implements the
-same functions with the same contracts. Integer-valued results (hashes,
-confusion counts) are bit-identical across the two backends; float results
-agree to rounding because the accumulation orders differ.
+One numpy/scipy implementation; the modules that use a kernel call it through
+this module's namespace (``kernels.hash_ngrams(...)``), so a profiler can wrap
+the names here.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import sparse
@@ -16,28 +17,43 @@ FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a over a byte string."""
-    h = FNV_BASIS
+def active_backend() -> str:
+    """Name of the kernel implementation, recorded by benchmark environments."""
+    return "python"
+
+
+def _fnv_update(h: int, data: bytes) -> int:
     for byte in data:
         h = ((h ^ byte) * FNV_PRIME) & _MASK64
     return h
+
+
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a over a byte string."""
+    return _fnv_update(FNV_BASIS, data)
+
+
+@functools.lru_cache(maxsize=2**16)
+def _token_state(token: str) -> int:
+    """FNV-1a state after the token's UTF-8 bytes; repeated tokens are cache hits."""
+    return _fnv_update(FNV_BASIS, token.encode("utf-8"))
 
 
 def hash_ngrams(tokens: list[str], unigrams: bool, bigrams: bool, hash_dim: int) -> np.ndarray:
     """Hashed feature indices for a token sequence: unigrams, then bigrams.
 
     Bigrams hash the two tokens' UTF-8 bytes joined by a single space, so the
-    bigram of ("a", "b") and the unigram "a b" collide by construction.
+    bigram of ("a", "b") and the unigram "a b" collide by construction. A
+    bigram's hash continues from its first token's state through the space.
     """
-    encoded = [t.encode("utf-8") for t in tokens]
+    states = [_token_state(t) for t in tokens]
     out: list[int] = []
     if unigrams:
-        for tok in encoded:
-            out.append(fnv1a64(tok) % hash_dim)
+        out.extend(h % hash_dim for h in states)
     if bigrams:
-        for a, b in zip(encoded, encoded[1:]):
-            out.append(fnv1a64(a + b" " + b) % hash_dim)
+        for h, second in zip(states, tokens[1:]):
+            h = ((h ^ 0x20) * FNV_PRIME) & _MASK64
+            out.append(_fnv_update(h, second.encode("utf-8")) % hash_dim)
     return np.asarray(out, dtype=np.int64)
 
 

@@ -130,24 +130,9 @@ def _split_dataset(ds: Dataset, fraction: float, seed: int, strategy: str):
     return iterative_stratified_split(ds, cfg)
 
 
-def _gold_matrix(pm: ProbabilityMatrix, ds: Dataset) -> np.ndarray:
-    """Gold bits row-aligned to the probability matrix."""
-    if tuple(pm.label_names) != tuple(ds.schema.names):
-        raise DataError(
-            f"label mismatch: probabilities {pm.label_names} vs schema {ds.schema.names}"
-        )
-    by_id = {inst.id: inst for inst in ds.instances}
-    rows = []
-    for ident in pm.ids:
-        if ident not in by_id:
-            raise DataError(f"gold data missing id {ident!r}")
-        rows.append(by_id[ident].labels)
-    return np.array(rows, dtype=np.int64)
-
-
 def _tune(pm: ProbabilityMatrix, gold_ds: Dataset, refine_passes: int):
     """Tuned thresholds, plus the macro-F1 the tuner maximizes at 0.5 and at them."""
-    gold = _gold_matrix(pm, gold_ds)
+    pm, gold = metrics.align(pm, gold_ds)
     tv = calibration.tune(pm, gold, refine_passes=refine_passes)
     before, after = (
         metrics.score(pm.values, gold, thetas, pm.label_names, "positive-f1").macro_f1

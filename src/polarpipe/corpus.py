@@ -342,39 +342,42 @@ def load_dataset(
     """Read a JSONL dataset, normalizing text and mapping labels to the schema.
 
     Raw text is preserved on each instance; ``text`` holds the normalized,
-    truncated form. Line order is preserved. Raises :class:`DataError` with
-    the offending line number on malformed records, unknown label names, or
-    duplicate ids.
+    truncated form. Line order is preserved. Raises :class:`DataError` naming
+    the file and the offending line on malformed records, unknown label
+    names, or duplicate ids.
     """
     if cfg is None:
         cfg = PreprocessConfig()
     path = Path(path)
     instances: list[Instance] = []
     seen_ids: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"malformed record at line {lineno}: {exc.msg}") from None
-            if not isinstance(record, dict):
-                raise DataError(f"record at line {lineno} is not an object")
-            if "id" not in record:
-                raise DataError(f"missing 'id' at line {lineno}")
-            if not isinstance(record["id"], str):
-                raise DataError(f"'id' must be a string at line {lineno}")
-            if "text" not in record or not isinstance(record["text"], str):
-                raise DataError(f"missing or non-string 'text' at line {lineno}")
-            ident = record["id"]
-            if ident in seen_ids:
-                raise DataError(f"duplicate id {ident!r} at line {lineno}")
-            seen_ids.add(ident)
-            raw = record["text"]
-            labels = _labels_from_record(record, schema, lineno)
-            text = truncate(preprocess(raw, cfg), cfg.max_tokens)
-            instances.append(Instance(id=ident, raw_text=raw, text=text, labels=labels))
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"malformed record at line {lineno}: {exc.msg}") from None
+                if not isinstance(record, dict):
+                    raise DataError(f"record at line {lineno} is not an object")
+                if "id" not in record:
+                    raise DataError(f"missing 'id' at line {lineno}")
+                if not isinstance(record["id"], str):
+                    raise DataError(f"'id' must be a string at line {lineno}")
+                if "text" not in record or not isinstance(record["text"], str):
+                    raise DataError(f"missing or non-string 'text' at line {lineno}")
+                ident = record["id"]
+                if ident in seen_ids:
+                    raise DataError(f"duplicate id {ident!r} at line {lineno}")
+                seen_ids.add(ident)
+                raw = record["text"]
+                labels = _labels_from_record(record, schema, lineno)
+                text = truncate(preprocess(raw, cfg), cfg.max_tokens)
+                instances.append(Instance(id=ident, raw_text=raw, text=text, labels=labels))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return Dataset(schema=schema, instances=tuple(instances))
 
 

@@ -28,6 +28,7 @@ from .weighting import ClassWeights, PosWeights, class_weights, pos_weights
 _MODEL_FORMAT = "polarpipe-model"
 _MODEL_VERSION = 1
 _PROB_FLOOR = 1e-15  # keeps predict_proba inside the open interval (0, 1)
+_SCALE_FLOOR = 1e-9  # the weight scale is folded into the weights below this
 
 
 @dataclass(frozen=True)
@@ -82,16 +83,18 @@ class FeatureMatrix:
     def take(self, rows: np.ndarray) -> "FeatureMatrix":
         """Sub-matrix with the given rows, in the given order."""
         rows = np.asarray(rows, dtype=np.int64)
-        lengths = self.indptr[rows + 1] - self.indptr[rows]
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        data = np.empty(int(indptr[-1]), dtype=np.float64)
-        for k, r in enumerate(rows):
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            indices[indptr[k] : indptr[k + 1]] = self.indices[lo:hi]
-            data[indptr[k] : indptr[k + 1]] = self.data[lo:hi]
-        return FeatureMatrix(indptr=indptr, indices=indices, data=data, n_features=self.n_features)
+        # source position of each output entry: its row's start plus its offset
+        positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return FeatureMatrix(
+            indptr=indptr,
+            indices=self.indices[positions],
+            data=self.data[positions],
+            n_features=self.n_features,
+        )
 
 
 def featurize(text: str, cfg: FeaturizerConfig | None = None) -> SparseVector:
@@ -353,7 +356,11 @@ def train(
             weights_used = pws
             pw_arr = np.asarray(pws.weights, dtype=np.float64)
 
-    W = np.zeros((fcfg.hash_dim, n_labels), dtype=np.float64)
+    # W = scale * V: decay multiplies the scalar, and each update writes only
+    # the rows its features touch (Bottou, "Stochastic Gradient Descent
+    # Tricks", 2012). The scale is folded back into V at every epoch end.
+    V = np.zeros((fcfg.hash_dim, n_labels), dtype=np.float64)
+    scale = 1.0
     b = np.zeros(n_labels, dtype=np.float64)
 
     batches_per_epoch = max(1, -(-n // tcfg.batch_size))
@@ -363,13 +370,14 @@ def train(
         warmup = min(tcfg.warmup_steps, total_updates)
     else:
         warmup = int(round(tcfg.warmup_ratio * total_updates))
+    update_size = tcfg.batch_size * tcfg.accumulation_steps
 
     rng = np.random.RandomState(tcfg.seed)
     losses: list[float] = []
     val_scores: list[float] = []
     best_epoch = 0
     best_score = -1.0
-    best_W = W.copy()
+    best_W = V.copy()
     best_b = b.copy()
     stopped_early = False
     step = 0
@@ -377,27 +385,32 @@ def train(
     for epoch in range(1, tcfg.max_epochs + 1):
         order = rng.permutation(n)
         epoch_losses: list[float] = []
-        start = 0
-        while start < n:
-            # one optimizer update: accumulate up to accumulation_steps micro-batches
-            acc_w = np.zeros_like(W)
+        for start in range(0, n, update_size):
+            # one optimizer update: accumulate up to accumulation_steps
+            # micro-batches on the weight rows they touch, in local column ids
+            rows = order[start : start + update_size]
+            update = fm.take(rows)
+            touched, local = np.unique(update.indices, return_inverse=True)
+            update = FeatureMatrix(update.indptr, local, update.data, touched.size)
+            W_rows = scale * V[touched]
+            acc_w = np.zeros_like(W_rows)
             acc_b = np.zeros_like(b)
             acc_loss = 0.0
-            n_micro = 0
-            while n_micro < tcfg.accumulation_steps and start < n:
-                rows = order[start : start + tcfg.batch_size]
-                start += tcfg.batch_size
-                sw = None if sample_w is None else sample_w[rows]
+            micro_starts = range(0, rows.size, tcfg.batch_size)
+            for lo in micro_starts:
+                batch = np.arange(lo, min(lo + tcfg.batch_size, rows.size))
+                sw = None if sample_w is None else sample_w[rows[batch]]
                 loss, gw, gb = _loss_and_grad_csr(
-                    fm.take(rows), y[rows], W, b, pw_arr, smoothing, 0.0, sw
+                    update.take(batch), y[rows[batch]], W_rows, b, pw_arr, smoothing, 0.0, sw
                 )
                 acc_w += gw
                 acc_b += gb
                 acc_loss += loss
-                n_micro += 1
+            n_micro = len(micro_starts)
             acc_w /= n_micro
             acc_b /= n_micro
             epoch_losses.append(acc_loss / n_micro)
+            # untouched rows have zero gradient, so this is the full norm
             norm = math.sqrt(float(np.sum(acc_w * acc_w)) + float(np.sum(acc_b * acc_b)))
             if norm > tcfg.max_grad_norm:
                 clip = tcfg.max_grad_norm / norm
@@ -405,23 +418,28 @@ def train(
                 acc_b *= clip
             step += 1
             lr = lr_at_step(step, total_updates, warmup, tcfg.learning_rate)
-            if tcfg.weight_decay:
-                W *= 1.0 - lr * tcfg.weight_decay
-            W -= lr * acc_w
+            scale *= 1.0 - lr * tcfg.weight_decay
+            if scale < _SCALE_FLOOR:
+                # also taken when lr * weight_decay >= 1 makes the factor <= 0
+                V *= scale
+                scale = 1.0
+            V[touched] -= lr * acc_w / scale
             b -= lr * acc_b
 
+        V *= scale
+        scale = 1.0
         # epoch train loss reported without the decay penalty; the data term
         # alone is what the curves are read for
         losses.append(float(np.mean(epoch_losses)))
         val_probs = _sigmoid(
-            kernels.csr_logits(fm_val.indptr, fm_val.indices, fm_val.data, W, b)
+            kernels.csr_logits(fm_val.indptr, fm_val.indices, fm_val.data, V, b)
         )
         score = metrics.score(val_probs, y_val, np.full(n_labels, 0.5), schema.names).macro_f1
         val_scores.append(score)
         if score > best_score:
             best_score = score
             best_epoch = epoch
-            best_W = W.copy()
+            best_W = V.copy()
             best_b = b.copy()
         elif epoch - best_epoch >= tcfg.patience:
             stopped_early = True

@@ -141,16 +141,11 @@ def score(
     )
 
 
-def evaluate(
-    pm: ProbabilityMatrix,
-    ds: Dataset,
-    thresholds: Sequence[float],
-    binary_mode: str = "two-class-macro",
-) -> MetricsReport:
-    """Align probabilities to gold labels by id, then :func:`score` them.
+def align(pm: ProbabilityMatrix, ds: Dataset) -> tuple[ProbabilityMatrix, np.ndarray]:
+    """Probabilities in the dataset's row order, and the dataset's gold bits.
 
-    Every dataset id must appear in the probability matrix (extra probability
-    rows are ignored). ``binary_mode`` only applies to single-label schemas.
+    The dataset's ids set the rows: each must appear in the probability
+    matrix, and extra probability rows are ignored.
     """
     if tuple(pm.label_names) != tuple(ds.schema.names):
         raise DataError(
@@ -162,8 +157,23 @@ def evaluate(
         if inst.id not in index:
             raise DataError(f"probabilities missing id {inst.id!r}")
         rows.append(index[inst.id])
+    aligned = ProbabilityMatrix(ids=tuple(ds.ids), label_names=pm.label_names, values=pm.values[rows])
     gold = np.array([inst.labels for inst in ds.instances], dtype=np.int64)
-    return score(pm.values[rows], gold, thresholds, ds.schema.names, binary_mode)
+    return aligned, gold
+
+
+def evaluate(
+    pm: ProbabilityMatrix,
+    ds: Dataset,
+    thresholds: Sequence[float],
+    binary_mode: str = "two-class-macro",
+) -> MetricsReport:
+    """:func:`align` probabilities to gold labels by id, then :func:`score` them.
+
+    ``binary_mode`` only applies to single-label schemas.
+    """
+    aligned, gold = align(pm, ds)
+    return score(aligned.values, gold, thresholds, ds.schema.names, binary_mode)
 
 
 def format_report(report: MetricsReport) -> str:

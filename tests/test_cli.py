@@ -1,5 +1,6 @@
 import shutil
 import subprocess
+from dataclasses import replace
 
 import pytest
 
@@ -126,6 +127,18 @@ class TestMerge:
         assert sum(i.labels[0] for i in merged.instances) == 60
         assert out_lines(capsys)[0].startswith("merged\t120\tpositives\t60")
 
+    def test_malformed_donor_is_named(self, tmp_path, capsys):
+        primary = synth_file(tmp_path, "p.jsonl", 20, [0.2], seed=4)
+        donor = tmp_path / "donor.jsonl"
+        donor.write_text('{"id": "d1", "text": "x", "label": "yes"}\n')
+        status = run([
+            "merge", "--primary", str(primary), "--donor", str(donor),
+            "--labels", "label0", "--out", str(tmp_path / "merged.jsonl"),
+        ])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert f"{donor}: label must be 0 or 1 at line 1" in err
+
 
 class TestTrainPredictTuneEval:
     @pytest.fixture()
@@ -225,6 +238,28 @@ class TestTrainPredictTuneEval:
         ])
         assert status == 1
         assert "label mismatch" in capsys.readouterr().err
+
+
+class TestIdAlignment:
+    # tune and eval align by the same rule: the gold ids set the rows, extra
+    # probability rows are ignored, and a gold id without probabilities is an error
+    @pytest.mark.parametrize(
+        "prob_rows, gold_rows, expected",
+        [((0, 1, 2), (1, 2), 0), ((0, 1), (0, 1, 2, 3), 1)],
+    )
+    def test_tune_and_eval_exit_alike(self, tmp_path, capsys, prob_rows, gold_rows, expected):
+        ds = generate_synthetic(4, [0.5], seed=3)
+        gold = tmp_path / "gold.jsonl"
+        save_dataset(replace(ds, instances=tuple(ds.instances[i] for i in gold_rows)), gold)
+        probs = tmp_path / "p.probs"
+        probs.write_text(
+            "id\tlabel0\n" + "".join(f"{ds.instances[i].id}\t0.{i + 2}\n" for i in prob_rows)
+        )
+        common = ["--probs", str(probs), "--gold", str(gold), "--labels", "label0"]
+        for command, out in (("tune", "th.tsv"), ("eval", "r.tsv")):
+            assert run([command, *common, "--out", str(tmp_path / out)]) == expected
+            if expected:
+                assert "probabilities missing id" in capsys.readouterr().err
 
 
 class TestSynthCommand:

@@ -5,11 +5,10 @@ names: ``metrics.confusion``, ``metrics.binary_two_class_counts``,
 ``calibration.macro_f1_at``, ``calibration._f1_per_candidate`` and the
 trainer's ``_val_macro_f1_at_half``. Each counted tp/fp/fn on its own; the
 library now takes every count from the sweep kernel. Counts must match as
-Python ints and F1 values as the identical Python floats, on every backend.
+Python ints and F1 values as the identical Python floats.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,16 +17,6 @@ from polarpipe.calibration import ThresholdVector, _f1_per_candidate
 from polarpipe.corpus import LabelSchema
 from polarpipe.metrics import ConfusionCounts, confusion, score
 from polarpipe.probs import ProbabilityMatrix
-
-
-BACKENDS = kernels.available_backends()
-
-
-@pytest.fixture(autouse=True)
-def restore_backend():
-    before = kernels.active_backend()
-    yield
-    kernels.use_backend(before)
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +125,16 @@ def assert_same_float(got, expected):
     assert got == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(cases())
-def test_confusion_matches_oracle(backend, case):
-    kernels.use_backend(backend)
+def test_confusion_matches_oracle(case):
     probs, gold, thetas, names = case
     pred = (probs >= thetas).astype(np.int64)
     got = confusion(pred, gold, names)
     assert_same_rows(got, oracle_confusion(pred, gold, names))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(cases(min_labels=1, max_labels=1))
-def test_binary_views_match_oracles(backend, case):
-    kernels.use_backend(backend)
+def test_binary_views_match_oracles(case):
     probs, gold, thetas, names = case
     pred = (probs >= thetas).astype(np.int64)
 
@@ -167,10 +152,8 @@ def test_binary_views_match_oracles(backend, case):
     assert pos.mode == "positive-f1"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(cases(min_labels=2))
-def test_multilabel_score_matches_oracle(backend, case):
-    kernels.use_backend(backend)
+def test_multilabel_score_matches_oracle(case):
     probs, gold, thetas, names = case
     pred = (probs >= thetas).astype(np.int64)
     expected = oracle_confusion(pred, gold, names)
@@ -183,10 +166,8 @@ def test_multilabel_score_matches_oracle(backend, case):
         assert report.n_instances == probs.shape[0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(cases())
-def test_tuning_metric_matches_macro_f1_at(backend, case):
-    kernels.use_backend(backend)
+def test_tuning_metric_matches_macro_f1_at(case):
     probs, gold, thetas, names = case
     pm = ProbabilityMatrix(ids=tuple(f"i{k}" for k in range(len(probs))), label_names=names, values=probs)
     tv = ThresholdVector(label_names=names, theta=thetas, base_theta=None, provenance="oracle")
@@ -194,19 +175,15 @@ def test_tuning_metric_matches_macro_f1_at(backend, case):
     assert_same_float(got, oracle_macro_f1_at(pm, gold, tv))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(cases())
-def test_early_stopping_metric_matches_oracle(backend, case):
-    kernels.use_backend(backend)
+def test_early_stopping_metric_matches_oracle(case):
     probs, gold, _, names = case
     got = score(probs, gold, np.full(len(names), 0.5), names).macro_f1
     assert_same_float(got, oracle_val_macro_f1_at_half(probs, gold, LabelSchema(names=names)))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(cases())
-def test_f1_per_candidate_matches_oracle(backend, case):
-    kernels.use_backend(backend)
+def test_f1_per_candidate_matches_oracle(case):
     probs, gold, _, names = case
     candidates = np.arange(0, 21) / 20.0
     for l in range(len(names)):

@@ -1,0 +1,304 @@
+"""Differential tests: the row-sparse trainer against the dense one it replaced.
+
+``dense_train`` is the earlier training loop, kept verbatim apart from names
+and the input checks. Every update built a gradient over all ``hash_dim``
+rows, clipped by its global norm, decayed every weight and subtracted. The
+library now touches only the rows an update's features hit and keeps the
+decay in a scalar, so the two agree to rounding, and bit for bit when there
+is neither decay to fold nor a clip. ``loop_take`` is ``FeatureMatrix.take`` before it was
+vectorized.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from polarpipe import _kernels as kernels, metrics
+from polarpipe.linear_model import (
+    _SCALE_FLOOR,
+    FeatureMatrix,
+    FeaturizerConfig,
+    TrainConfig,
+    _loss_and_grad_csr,
+    _sigmoid,
+    featurize_all,
+    lr_at_step,
+    train,
+)
+from polarpipe.synth import generate_synthetic
+from polarpipe.weighting import class_weights, pos_weights
+
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def dense_train(train_ds, val_ds, tcfg, fcfg, weighting_mode="balanced"):
+    schema = train_ds.schema
+    n = len(train_ds)
+    n_labels = schema.n_labels
+    smoothing = tcfg.resolve_smoothing(schema)
+
+    fm = featurize_all([inst.text for inst in train_ds.instances], fcfg)
+    y = np.array([inst.labels for inst in train_ds.instances], dtype=np.float64)
+    fm_val = featurize_all([inst.text for inst in val_ds.instances], fcfg)
+    y_val = np.array([inst.labels for inst in val_ds.instances], dtype=np.int64)
+
+    pw_arr = np.ones(n_labels, dtype=np.float64)
+    sample_w = None
+    if weighting_mode == "balanced":
+        if schema.is_binary:
+            sample_w = class_weights(train_ds).per_example(y[:, 0])
+        else:
+            pw_arr = np.asarray(pos_weights(train_ds).weights, dtype=np.float64)
+
+    W = np.zeros((fcfg.hash_dim, n_labels), dtype=np.float64)
+    b = np.zeros(n_labels, dtype=np.float64)
+
+    batches_per_epoch = max(1, -(-n // tcfg.batch_size))
+    updates_per_epoch = -(-batches_per_epoch // tcfg.accumulation_steps)
+    total_updates = tcfg.max_epochs * updates_per_epoch
+    if tcfg.warmup_steps is not None:
+        warmup = min(tcfg.warmup_steps, total_updates)
+    else:
+        warmup = int(round(tcfg.warmup_ratio * total_updates))
+
+    rng = np.random.RandomState(tcfg.seed)
+    losses = []
+    val_scores = []
+    best_epoch = 0
+    best_score = -1.0
+    best_W = W.copy()
+    best_b = b.copy()
+    stopped_early = False
+    step = 0
+
+    for epoch in range(1, tcfg.max_epochs + 1):
+        order = rng.permutation(n)
+        epoch_losses = []
+        start = 0
+        while start < n:
+            acc_w = np.zeros_like(W)
+            acc_b = np.zeros_like(b)
+            acc_loss = 0.0
+            n_micro = 0
+            while n_micro < tcfg.accumulation_steps and start < n:
+                rows = order[start : start + tcfg.batch_size]
+                start += tcfg.batch_size
+                sw = None if sample_w is None else sample_w[rows]
+                loss, gw, gb = _loss_and_grad_csr(
+                    fm.take(rows), y[rows], W, b, pw_arr, smoothing, 0.0, sw
+                )
+                acc_w += gw
+                acc_b += gb
+                acc_loss += loss
+                n_micro += 1
+            acc_w /= n_micro
+            acc_b /= n_micro
+            epoch_losses.append(acc_loss / n_micro)
+            norm = math.sqrt(float(np.sum(acc_w * acc_w)) + float(np.sum(acc_b * acc_b)))
+            if norm > tcfg.max_grad_norm:
+                clip = tcfg.max_grad_norm / norm
+                acc_w *= clip
+                acc_b *= clip
+            step += 1
+            lr = lr_at_step(step, total_updates, warmup, tcfg.learning_rate)
+            if tcfg.weight_decay:
+                W *= 1.0 - lr * tcfg.weight_decay
+            W -= lr * acc_w
+            b -= lr * acc_b
+
+        losses.append(float(np.mean(epoch_losses)))
+        val_probs = _sigmoid(
+            kernels.csr_logits(fm_val.indptr, fm_val.indices, fm_val.data, W, b)
+        )
+        score = metrics.score(val_probs, y_val, np.full(n_labels, 0.5), schema.names).macro_f1
+        val_scores.append(score)
+        if score > best_score:
+            best_score = score
+            best_epoch = epoch
+            best_W = W.copy()
+            best_b = b.copy()
+        elif epoch - best_epoch >= tcfg.patience:
+            stopped_early = True
+            break
+
+    return best_W, best_b, tuple(losses), tuple(val_scores), best_epoch, stopped_early
+
+
+def loop_take(fm, rows):
+    rows = np.asarray(rows, dtype=np.int64)
+    lengths = fm.indptr[rows + 1] - fm.indptr[rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    data = np.empty(int(indptr[-1]), dtype=np.float64)
+    for k, r in enumerate(rows):
+        lo, hi = fm.indptr[r], fm.indptr[r + 1]
+        indices[indptr[k] : indptr[k + 1]] = fm.indices[lo:hi]
+        data[indptr[k] : indptr[k + 1]] = fm.data[lo:hi]
+    return FeatureMatrix(indptr=indptr, indices=indices, data=data, n_features=fm.n_features)
+
+
+# ---------------------------------------------------------------------------
+# Trainer
+
+
+def assert_close(got, expected, rel=1e-10):
+    got = np.asarray(got, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert got.shape == expected.shape
+    scale = max(float(np.max(np.abs(expected), initial=0.0)), np.finfo(float).tiny)
+    assert float(np.max(np.abs(got - expected), initial=0.0)) <= rel * scale
+
+
+def run_both(train_ds, val_ds, tcfg, hash_dim=2**10, weighting_mode="balanced"):
+    fcfg = FeaturizerConfig(hash_dim=hash_dim)
+    model, report = train(train_ds, val_ds, tcfg, fcfg, weighting_mode)
+    got = (
+        model.weights,
+        model.bias,
+        report.epoch_train_loss,
+        report.epoch_val_macro_f1,
+        report.best_epoch,
+        report.stopped_early,
+    )
+    return got, dense_train(train_ds, val_ds, tcfg, fcfg, weighting_mode)
+
+
+BINARY = generate_synthetic(90, [0.15], noise=0.05, seed=5)
+BINARY_VAL = generate_synthetic(40, [0.15], noise=0.05, seed=6)
+MULTI = generate_synthetic(90, [0.4, 0.12, 0.05], noise=0.05, seed=7)
+MULTI_VAL = generate_synthetic(40, [0.4, 0.12, 0.05], noise=0.05, seed=8)
+
+CASES = {
+    # class weights per example, smoothing 0.1 resolved for the binary task
+    "binary-class-weights": (BINARY, BINARY_VAL, TrainConfig(max_epochs=4, batch_size=8)),
+    "multilabel-pos-weights": (MULTI, MULTI_VAL, TrainConfig(max_epochs=4, batch_size=8)),
+    # 90 rows in micro-batches of 7, three per update: the last update is ragged
+    "accumulation-ragged": (
+        MULTI,
+        MULTI_VAL,
+        TrainConfig(max_epochs=3, batch_size=7, accumulation_steps=3),
+    ),
+    "learning-rate-2": (MULTI, MULTI_VAL, TrainConfig(max_epochs=4, learning_rate=2.0, batch_size=8)),
+    # a clip bound low enough to engage
+    "clipped": (BINARY, BINARY_VAL, TrainConfig(max_epochs=3, batch_size=8, max_grad_norm=0.05)),
+    # lr * wd reaches 0.8: the scale drops below the floor inside an epoch
+    "renormalization": (
+        BINARY,
+        BINARY_VAL,
+        TrainConfig(max_epochs=2, learning_rate=2.0, weight_decay=0.4, batch_size=4, warmup_steps=0),
+    ),
+    # lr * wd = 1 on the first update zeroes the old weights; > 1 flips their sign
+    "lr-wd-one": (
+        MULTI,
+        MULTI_VAL,
+        TrainConfig(max_epochs=2, learning_rate=2.0, weight_decay=0.5, batch_size=8, warmup_steps=0),
+    ),
+    "lr-wd-above-one": (
+        MULTI,
+        MULTI_VAL,
+        TrainConfig(max_epochs=2, learning_rate=2.0, weight_decay=0.8, batch_size=8, warmup_steps=0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("weight_decay", ["config", 0.0])
+def test_trainer_matches_dense_oracle(name, weight_decay):
+    train_ds, val_ds, tcfg = CASES[name]
+    if weight_decay == 0.0:
+        tcfg = dataclasses.replace(tcfg, weight_decay=0.0)
+    got, expected = run_both(train_ds, val_ds, tcfg)
+    W, b, losses, scores, best_epoch, stopped = got
+    W_d, b_d, losses_d, scores_d, best_epoch_d, stopped_d = expected
+    assert (best_epoch, stopped, len(losses)) == (best_epoch_d, stopped_d, len(losses_d))
+    if weight_decay == 0.0 and name != "clipped":
+        # no decay to fold and no clip: the same arithmetic on the same values.
+        # A clip norm summed over the touched rows alone pairs its terms
+        # differently from one summed over all rows, so it may differ by an ulp.
+        assert W.tobytes() == W_d.tobytes()
+        assert b.tobytes() == b_d.tobytes()
+        assert losses == losses_d
+        assert scores == scores_d
+    else:
+        assert_close(W, W_d)
+        assert_close(b, b_d)
+        assert_close(losses, losses_d)
+        assert_close(scores, scores_d)
+
+
+def test_renormalization_case_crosses_the_floor():
+    train_ds, _, tcfg = CASES["renormalization"]
+    updates = -(-len(train_ds) // tcfg.batch_size)
+    total = tcfg.max_epochs * updates
+    factors = [
+        1.0 - lr_at_step(k, total, 0, tcfg.learning_rate) * tcfg.weight_decay
+        for k in range(1, updates + 1)
+    ]
+    assert np.cumprod(factors).min() < _SCALE_FLOOR
+    for name, threshold in (("lr-wd-one", 1.0), ("lr-wd-above-one", 1.6)):
+        tcfg = CASES[name][2]
+        assert tcfg.learning_rate * tcfg.weight_decay == threshold
+
+
+def test_gradients_cover_only_touched_rows(monkeypatch):
+    # at hash_dim 2^20 no gradient buffer is as tall as the weight matrix
+    heights = []
+    grad = kernels.csr_grad_weights
+
+    def recording(indptr, indices, data, dlogits, out):
+        heights.append((out.shape[0], np.unique(indices).size))
+        return grad(indptr, indices, data, dlogits, out)
+
+    monkeypatch.setattr(kernels, "csr_grad_weights", recording)
+    train(MULTI, MULTI_VAL, TrainConfig(max_epochs=1), FeaturizerConfig(hash_dim=2**20))
+    assert heights
+    # each micro-batch's gradient spans the rows its update touches
+    assert all(touched <= height < 2**10 for height, touched in heights)
+
+
+# ---------------------------------------------------------------------------
+# FeatureMatrix.take
+
+
+@st.composite
+def matrices_and_rows(draw):
+    lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+    indptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    nnz = int(indptr[-1])
+    indices = np.array(draw(st.lists(st.integers(0, 63), min_size=nnz, max_size=nnz)), dtype=np.int64)
+    data = np.arange(1, nnz + 1, dtype=np.float64) / 7.0
+    fm = FeatureMatrix(indptr=indptr, indices=indices, data=data, n_features=64)
+    rows = draw(st.lists(st.integers(0, len(lengths) - 1), max_size=20))
+    return fm, np.array(rows, dtype=np.int64)
+
+
+@given(matrices_and_rows())
+def test_take_matches_loop_oracle(case):
+    fm, rows = case
+    got = fm.take(rows)
+    expected = loop_take(fm, rows)
+    for field in ("indptr", "indices", "data"):
+        a, e = getattr(got, field), getattr(expected, field)
+        assert a.dtype == e.dtype and np.array_equal(a, e)
+    assert got.n_features == expected.n_features
+
+
+def test_take_edge_cases():
+    fm = FeatureMatrix(
+        indptr=np.array([0, 2, 2, 3], dtype=np.int64),
+        indices=np.array([1, 4, 0], dtype=np.int64),
+        data=np.array([0.5, 1.5, 2.0]),
+        n_features=8,
+    )
+    empty = fm.take(np.array([], dtype=np.int64))
+    assert empty.indptr.tolist() == [0] and empty.indices.size == 0 and empty.data.size == 0
+    repeated = fm.take([2, 1, 0, 2])
+    assert repeated.indptr.tolist() == [0, 1, 1, 3, 4]
+    assert repeated.indices.tolist() == [0, 1, 4, 0]
+    assert repeated.data.tolist() == [2.0, 0.5, 1.5, 2.0]
