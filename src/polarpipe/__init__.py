@@ -22,10 +22,12 @@ from .corpus import (
     CorpusStats,
     DataError,
     Dataset,
+    GoldLabels,
     Instance,
     LabelSchema,
     PreprocessConfig,
     load_dataset,
+    load_labels,
     preprocess,
     save_dataset,
     summarize,
@@ -73,6 +75,7 @@ __all__ = [
     "DataError",
     "Dataset",
     "FeaturizerConfig",
+    "GoldLabels",
     "GridSpec",
     "Instance",
     "LabelSchema",
@@ -100,6 +103,7 @@ __all__ = [
     "generate_synthetic",
     "iterative_stratified_split",
     "load_dataset",
+    "load_labels",
     "load_manifest",
     "load_model",
     "load_probabilities",

@@ -22,15 +22,24 @@ def active_backend() -> str:
     return "python"
 
 
-def _fnv_update(h: int, data: bytes) -> int:
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a over a byte string."""
+    h = FNV_BASIS
     for byte in data:
         h = ((h ^ byte) * FNV_PRIME) & _MASK64
     return h
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a over a byte string."""
-    return _fnv_update(FNV_BASIS, data)
+def _fnv_update(h: int, data: bytes) -> int:
+    """FNV-1a from state ``h`` over ``data``, reduced mod 2**64 once at the end.
+
+    XOR with a byte changes only the low 8 bits, and the low 64 bits of a
+    product depend only on the low 64 bits of its factors, so this equals
+    reducing after every byte.
+    """
+    for byte in data:
+        h = (h ^ byte) * FNV_PRIME
+    return h & _MASK64
 
 
 @functools.lru_cache(maxsize=2**16)
@@ -52,8 +61,7 @@ def hash_ngrams(tokens: list[str], unigrams: bool, bigrams: bool, hash_dim: int)
         out.extend(h % hash_dim for h in states)
     if bigrams:
         for h, second in zip(states, tokens[1:]):
-            h = ((h ^ 0x20) * FNV_PRIME) & _MASK64
-            out.append(_fnv_update(h, second.encode("utf-8")) % hash_dim)
+            out.append(_fnv_update((h ^ 0x20) * FNV_PRIME, second.encode("utf-8")) % hash_dim)
     return np.asarray(out, dtype=np.int64)
 
 

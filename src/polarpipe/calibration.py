@@ -24,7 +24,7 @@ from .corpus import DataError
 from .metrics import f1_from_counts
 from .probs import ProbabilityMatrix, check_unit_interval
 
-PROVENANCES = ("default", "coarse_only", "tuned", "oracle")
+PROVENANCES = ("default", "tuned", "oracle")
 
 _ORACLE_MAX_INSTANCES = 200
 _ORACLE_MAX_LABELS = 4
@@ -148,30 +148,26 @@ def refine_per_label(
     gold: np.ndarray,
     base: float,
     grid: GridSpec | None = None,
-    passes: int = 1,
 ) -> ThresholdVector:
-    """Per-label fine sweep around a base threshold, one pass by default.
+    """Per-label fine sweep around a base threshold, one pass.
 
     Each label's threshold is replaced by the window argmax of macro-F1 with
     every other threshold held at its current value; because each label's F1
     depends only on its own threshold, this equals the independent per-label
-    argmax. Extra passes re-sweep in the same window.
+    argmax, and a second pass would return the same thresholds.
     """
     if grid is None:
         grid = GridSpec()
     if not 0.0 <= base <= 1.0:
         raise DataError(f"base threshold {base} outside [0, 1]")
-    if passes < 1:
-        raise DataError("passes must be >= 1")
     gold = _check_shapes(pm, gold)
     candidates = grid.fine_candidates(base)
     if candidates.size == 0:
         raise DataError(f"window around {base} contains no fine-grid points")
     theta = np.full(pm.n_labels, base, dtype=np.float64)
-    for _ in range(passes):
-        for l in range(pm.n_labels):
-            f1 = _f1_per_candidate(pm.values[:, l], gold[:, l], candidates)
-            theta[l] = candidates[int(np.argmax(f1))]
+    for l in range(pm.n_labels):
+        f1 = _f1_per_candidate(pm.values[:, l], gold[:, l], candidates)
+        theta[l] = candidates[int(np.argmax(f1))]
     return ThresholdVector(
         label_names=tuple(pm.label_names),
         theta=theta,
@@ -184,13 +180,12 @@ def tune(
     pm: ProbabilityMatrix,
     gold: np.ndarray,
     grid: GridSpec | None = None,
-    refine_passes: int = 1,
 ) -> ThresholdVector:
     """Coarse global search followed by per-label refinement."""
     if grid is None:
         grid = GridSpec()
     base = coarse_search(pm, gold, grid)
-    tv = refine_per_label(pm, gold, base, grid, passes=refine_passes)
+    tv = refine_per_label(pm, gold, base, grid)
     lo, hi = grid.window(base)
     # Edge candidates may sit one ulp past the float window bounds; allow the
     # same 1e-9 slack fine_candidates() uses when snapping to the lattice.

@@ -17,7 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from . import calibration, metrics
-from .corpus import DataError, Dataset, LabelSchema, load_dataset, save_dataset, summarize
+from .corpus import (
+    DataError,
+    Dataset,
+    GoldLabels,
+    LabelSchema,
+    load_dataset,
+    load_labels,
+    save_dataset,
+    summarize,
+)
 from .linear_model import (
     FeaturizerConfig,
     TrainConfig,
@@ -130,10 +139,10 @@ def _split_dataset(ds: Dataset, fraction: float, seed: int, strategy: str):
     return iterative_stratified_split(ds, cfg)
 
 
-def _tune(pm: ProbabilityMatrix, gold_ds: Dataset, refine_passes: int):
+def _tune(pm: ProbabilityMatrix, gold_ds: Dataset | GoldLabels):
     """Tuned thresholds, plus the macro-F1 the tuner maximizes at 0.5 and at them."""
     pm, gold = metrics.align(pm, gold_ds)
-    tv = calibration.tune(pm, gold, refine_passes=refine_passes)
+    tv = calibration.tune(pm, gold)
     before, after = (
         metrics.score(pm.values, gold, thetas, pm.label_names, "positive-f1").macro_f1
         for thetas in (np.full(pm.n_labels, 0.5), tv.theta)
@@ -230,8 +239,7 @@ def _cmd_tune(cfg: RunConfig) -> int:
     o = cfg.options
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
-    gold_ds = load_dataset(o["gold"], schema)
-    tv, before, after = _tune(pm, gold_ds, o["refine_passes"])
+    tv, before, after = _tune(pm, load_labels(o["gold"], schema))
     calibration.save_thresholds(tv, o["out"])
     print(f"macro_f1_before\t{before:.6f}")
     print(f"macro_f1_after\t{after:.6f}")
@@ -243,7 +251,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
     o = cfg.options
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
-    ds = load_dataset(o["gold"], schema)
+    gold = load_labels(o["gold"], schema)
     if o.get("thresholds"):
         tv = calibration.load_thresholds(o["thresholds"])
         if tuple(tv.label_names) != tuple(schema.names):
@@ -252,7 +260,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
             )
     else:
         tv = calibration.default_thresholds(schema.names)
-    report = metrics.evaluate(pm, ds, tv.theta, binary_mode=o["binary_mode"])
+    report = metrics.evaluate(pm, gold, tv.theta, binary_mode=o["binary_mode"])
     if o["format"] == "machine":
         text = metrics.format_machine(report)
     else:
@@ -380,13 +388,13 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
         )
     )
 
-    tv, before, after = _tune(val_probs, split.val, o["refine_passes"])
+    tv, before, after = _tune(val_probs, split.val)
     thresholds_path = outdir / "thresholds.tsv"
     calibration.save_thresholds(tv, thresholds_path)
     stages.append(
         _stage(
             "tune",
-            {"refine_passes": o["refine_passes"]},
+            {},
             {"val.probs": val_probs_path, "val.jsonl": val_path},
             {"thresholds.tsv": thresholds_path},
             {
@@ -532,7 +540,6 @@ def _build_parser():
     p.add_argument("--probs", required=True)
     p.add_argument("--gold", required=True)
     _add_schema_flags(p)
-    p.add_argument("--refine-passes", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = add("eval", "score probabilities against gold labels")
@@ -561,7 +568,6 @@ def _build_parser():
     p.add_argument("--strategy", choices=["auto", "stratified", "iterative"], default="auto")
     _add_featurizer_flags(p)
     _add_train_flags(p)
-    p.add_argument("--refine-passes", type=int, default=1)
     p.add_argument("--binary-mode", choices=list(metrics.BINARY_MODES), default="two-class-macro")
 
     return parser, subparsers

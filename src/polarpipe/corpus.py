@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -125,6 +126,19 @@ class Dataset:
     def ids(self) -> list[str]:
         return [inst.id for inst in self.instances]
 
+    @property
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(inst.labels for inst in self.instances)
+
+
+@dataclass(frozen=True)
+class GoldLabels:
+    """The ids and gold bit vectors of a dataset, in line order, without its text."""
+
+    schema: LabelSchema
+    ids: tuple[str, ...]
+    labels: tuple[tuple[int, ...], ...]
+
 
 @dataclass(frozen=True)
 class PreprocessConfig:
@@ -193,15 +207,46 @@ def load_emoji_table(path: str | Path | None = None) -> dict[str, str]:
         return _parse_emoji_lines(fh, str(path))
 
 
-_bundled_table_cache: dict[str, str] | None = None
+@dataclass(frozen=True)
+class _EmojiTable:
+    """A name table plus the facts about it that normalization needs, computed once.
+
+    ``lead`` matches every character where a key can start or an emoji sits:
+    the emoji ranges plus any key's first character outside them. ``confined``
+    says every key holds an emoji-range codepoint and no name does, so text
+    that has been through :func:`_demojize` once contains no key to match.
+    """
+
+    names: dict[str, str]
+    max_seq: int
+    lead: re.Pattern
+    confined: bool
+
+    @classmethod
+    def build(cls, names: dict[str, str]) -> _EmojiTable:
+        starts = sorted({key[0] for key in names if not _is_emoji_char(key[0])})
+        ranges = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES)
+        return cls(
+            names=names,
+            max_seq=max((len(key) for key in names), default=1),
+            lead=re.compile("[" + ranges + re.escape("".join(starts)) + "]"),
+            confined=all(any(map(_is_emoji_char, key)) for key in names)
+            and not any(any(map(_is_emoji_char, name)) for name in names.values()),
+        )
 
 
-def _emoji_table_for(cfg: PreprocessConfig) -> dict[str, str]:
+_bundled_table_cache: _EmojiTable | None = None
+
+
+def _emoji_table_for(cfg: PreprocessConfig) -> _EmojiTable | None:
+    """The table ``cfg`` names, or None when it does not demojize."""
     global _bundled_table_cache
+    if not cfg.demojize:
+        return None
     if cfg.emoji_table_path is not None:
-        return load_emoji_table(cfg.emoji_table_path)
+        return _EmojiTable.build(load_emoji_table(cfg.emoji_table_path))
     if _bundled_table_cache is None:
-        _bundled_table_cache = load_emoji_table(None)
+        _bundled_table_cache = _EmojiTable.build(load_emoji_table(None))
     return _bundled_table_cache
 
 
@@ -213,26 +258,31 @@ def _is_emoji_char(ch: str) -> bool:
     return False
 
 
-def _demojize(text: str, table: dict[str, str], max_seq: int) -> str:
-    # longest table match first at every position, so sequences that open
-    # with a plain character (keycaps like "1" + VS16 + U+20E3) still resolve
+def _demojize(text: str, table: _EmojiTable) -> str:
+    # Only a lead character can start a key or be an emoji; everything
+    # between two of them is copied as is. At a lead the longest key wins,
+    # so a custom table's sequences that open with a plain character (keycaps
+    # like "1" + VS16 + U+20E3) still resolve; the bundled table has none.
     out: list[str] = []
-    i = 0
+    names = table.names
     n = len(text)
-    while i < n:
-        matched = False
-        for k in range(min(max_seq, n - i), 0, -1):
-            name = table.get(text[i : i + k])
+    pos = 0
+    for m in table.lead.finditer(text):
+        i = m.start()
+        if i < pos:  # inside a sequence already replaced
+            continue
+        out.append(text[pos:i])
+        for k in range(min(table.max_seq, n - i), 0, -1):
+            name = names.get(text[i : i + k])
             if name is not None:
                 out.append(" " + name + " ")
-                i += k
-                matched = True
+                pos = i + k
                 break
-        if matched:
-            continue
-        if not _is_emoji_char(text[i]):
-            out.append(text[i])
-        i += 1  # emoji with no table entry: delete
+        else:
+            if not _is_emoji_char(text[i]):
+                out.append(text[i])
+            pos = i + 1  # emoji with no table entry: delete
+    out.append(text[pos:])
     return "".join(out)
 
 
@@ -241,13 +291,13 @@ def _demojize(text: str, table: dict[str, str], max_seq: int) -> str:
 
 
 def _is_url_token(token: str) -> bool:
-    low = token.lower()
-    return any(low.startswith(p) for p in _URL_PREFIXES)
+    return token.lower().startswith(_URL_PREFIXES)
 
 
-def _preprocess_pass(text: str, cfg: PreprocessConfig, table, max_seq) -> str:
+def _preprocess_pass(text: str, cfg: PreprocessConfig, table: _EmojiTable | None) -> tuple[str, bool]:
+    """One normalization pass, and whether its strip step removed a ``#``."""
     if cfg.demojize:
-        text = _demojize(text, table, max_seq)
+        text = _demojize(text, table)
     if cfg.strip_urls or cfg.strip_mentions:
         kept = []
         for token in text.split():
@@ -257,11 +307,29 @@ def _preprocess_pass(text: str, cfg: PreprocessConfig, table, max_seq) -> str:
                 continue
             kept.append(token)
         text = " ".join(kept)
-    if cfg.strip_hashtag_symbol:
+    stripped_hash = False
+    if cfg.strip_hashtag_symbol and "#" in text:
         text = text.replace("#", "")
+        stripped_hash = True
     if cfg.lowercase:
         text = text.lower()
-    return " ".join(text.split())
+    return " ".join(text.split()), stripped_hash
+
+
+def _normalize(raw: str, cfg: PreprocessConfig, table: _EmojiTable | None) -> str:
+    text, stripped_hash = _preprocess_pass(raw, cfg, table)
+    # A second pass changes the text only if stripping "#" exposed a URL or
+    # mention token, or if a table key can match again. With a confined table
+    # the first pass leaves no emoji-range codepoint (no other character
+    # lowercases into one), so no key can; and lowercasing never turns a kept
+    # token into a URL or mention.
+    if not stripped_hash and (table is None or table.confined):
+        return text
+    while True:
+        again, _ = _preprocess_pass(text, cfg, table)
+        if again == text:
+            return text
+        text = again
 
 
 def preprocess(raw: str, cfg: PreprocessConfig | None = None) -> str:
@@ -270,18 +338,12 @@ def preprocess(raw: str, cfg: PreprocessConfig | None = None) -> str:
     Steps, in order: emoji-to-name replacement (unnamed emojis deleted),
     URL token removal, @mention token removal, ``#`` stripping, lowercasing,
     whitespace collapsing, trimming. The pass repeats until stable so that
-    stripping a ``#`` can never leave behind a live URL or mention token.
+    stripping a ``#`` can never leave behind a live URL or mention token;
+    the repeat is skipped when it provably changes nothing.
     """
     if cfg is None:
         cfg = PreprocessConfig()
-    table = _emoji_table_for(cfg) if cfg.demojize else {}
-    max_seq = max((len(k) for k in table), default=1)
-    text = _preprocess_pass(raw, cfg, table, max_seq)
-    while True:
-        again = _preprocess_pass(text, cfg, table, max_seq)
-        if again == text:
-            return text
-        text = again
+    return _normalize(raw, cfg, _emoji_table_for(cfg))
 
 
 def truncate(text: str, max_tokens: int) -> str:
@@ -334,22 +396,13 @@ def _labels_from_record(record: dict, schema: LabelSchema, lineno: int) -> tuple
     raise DataError(f"'labels' mixes types at line {lineno}")
 
 
-def load_dataset(
-    path: str | Path,
-    schema: LabelSchema,
-    cfg: PreprocessConfig | None = None,
-) -> Dataset:
-    """Read a JSONL dataset, normalizing text and mapping labels to the schema.
+def _read_records(path: Path, schema: LabelSchema) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(id, raw text, label bits) of every record in line order, validated.
 
-    Raw text is preserved on each instance; ``text`` holds the normalized,
-    truncated form. Line order is preserved. Raises :class:`DataError` naming
-    the file and the offending line on malformed records, unknown label
-    names, or duplicate ids.
+    Raises :class:`DataError` naming the file and the offending line on
+    malformed records, unknown label names, or duplicate ids.
     """
-    if cfg is None:
-        cfg = PreprocessConfig()
-    path = Path(path)
-    instances: list[Instance] = []
+    records: list[tuple[str, str, tuple[int, ...]]] = []
     seen_ids: set[str] = set()
     try:
         with path.open(encoding="utf-8") as fh:
@@ -372,13 +425,52 @@ def load_dataset(
                 if ident in seen_ids:
                     raise DataError(f"duplicate id {ident!r} at line {lineno}")
                 seen_ids.add(ident)
-                raw = record["text"]
                 labels = _labels_from_record(record, schema, lineno)
-                text = truncate(preprocess(raw, cfg), cfg.max_tokens)
-                instances.append(Instance(id=ident, raw_text=raw, text=text, labels=labels))
+                records.append((ident, record["text"], labels))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return Dataset(schema=schema, instances=tuple(instances))
+    return records
+
+
+def load_dataset(
+    path: str | Path,
+    schema: LabelSchema,
+    cfg: PreprocessConfig | None = None,
+) -> Dataset:
+    """Read a JSONL dataset, normalizing text and mapping labels to the schema.
+
+    Raw text is preserved on each instance; ``text`` holds the normalized,
+    truncated form. Line order is preserved. Raises :class:`DataError` naming
+    the file and the offending line on malformed records, unknown label
+    names, or duplicate ids.
+    """
+    if cfg is None:
+        cfg = PreprocessConfig()
+    records = _read_records(Path(path), schema)
+    table = _emoji_table_for(cfg)
+    instances = tuple(
+        Instance(
+            id=ident,
+            raw_text=raw,
+            text=truncate(_normalize(raw, cfg, table), cfg.max_tokens),
+            labels=labels,
+        )
+        for ident, raw, labels in records
+    )
+    return Dataset(schema=schema, instances=instances)
+
+
+def load_labels(path: str | Path, schema: LabelSchema) -> GoldLabels:
+    """Ids and label bits of a JSONL dataset, without normalizing its text.
+
+    Validates and fails exactly as :func:`load_dataset` does.
+    """
+    records = _read_records(Path(path), schema)
+    return GoldLabels(
+        schema=schema,
+        ids=tuple(ident for ident, _, _ in records),
+        labels=tuple(labels for _, _, labels in records),
+    )
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:

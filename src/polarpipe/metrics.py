@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels as kernels
-from .corpus import DataError, Dataset
+from .corpus import DataError, Dataset, GoldLabels
 from .probs import ProbabilityMatrix
 
 BINARY_MODES = ("two-class-macro", "positive-f1")
@@ -141,7 +141,7 @@ def score(
     )
 
 
-def align(pm: ProbabilityMatrix, ds: Dataset) -> tuple[ProbabilityMatrix, np.ndarray]:
+def align(pm: ProbabilityMatrix, ds: Dataset | GoldLabels) -> tuple[ProbabilityMatrix, np.ndarray]:
     """Probabilities in the dataset's row order, and the dataset's gold bits.
 
     The dataset's ids set the rows: each must appear in the probability
@@ -153,18 +153,17 @@ def align(pm: ProbabilityMatrix, ds: Dataset) -> tuple[ProbabilityMatrix, np.nda
         )
     index = pm.row_index()
     rows = []
-    for inst in ds.instances:
-        if inst.id not in index:
-            raise DataError(f"probabilities missing id {inst.id!r}")
-        rows.append(index[inst.id])
+    for ident in ds.ids:
+        if ident not in index:
+            raise DataError(f"probabilities missing id {ident!r}")
+        rows.append(index[ident])
     aligned = ProbabilityMatrix(ids=tuple(ds.ids), label_names=pm.label_names, values=pm.values[rows])
-    gold = np.array([inst.labels for inst in ds.instances], dtype=np.int64)
-    return aligned, gold
+    return aligned, np.array(ds.labels, dtype=np.int64)
 
 
 def evaluate(
     pm: ProbabilityMatrix,
-    ds: Dataset,
+    ds: Dataset | GoldLabels,
     thresholds: Sequence[float],
     binary_mode: str = "two-class-macro",
 ) -> MetricsReport:

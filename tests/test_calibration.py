@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polarpipe.calibration import (
     GridSpec,
     ThresholdVector,
+    _f1_per_candidate,
     apply_thresholds,
     coarse_search,
     default_thresholds,
@@ -30,6 +32,17 @@ def mk_pm(values, names=None):
         label_names=names,
         values=values,
     )
+
+
+def multi_pass_refine(pm, gold, base, passes):
+    """The per-label sweep as it was when it took a pass count, kept as an oracle."""
+    candidates = GridSpec().fine_candidates(base)
+    theta = np.full(pm.n_labels, base, dtype=np.float64)
+    for _ in range(passes):
+        for l in range(pm.n_labels):
+            f1 = _f1_per_candidate(pm.values[:, l], gold[:, l], candidates)
+            theta[l] = candidates[int(np.argmax(f1))]
+    return theta
 
 
 def plain_f1(probs_col, gold_col, theta):
@@ -232,22 +245,28 @@ class TestRefine:
         assert permuted.base_theta == tv.base_theta
         assert permuted.theta.tolist() == tv.theta[perm].tolist()
 
-    def test_extra_passes_are_idempotent_here(self):
-        rng = np.random.RandomState(5)
-        values = random_prob_matrix_values(rng, 25, 2, 9)
-        gold = (rng.rand(25, 2) < 0.4).astype(int)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 5),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8]),
+    )
+    def test_extra_passes_are_idempotent_here(self, n, labels, seed, base):
+        # the refinement once took a pass count; one and three passes of that
+        # loop must give the thresholds the single pass gives
+        rng = np.random.RandomState(seed)
+        values = np.round(rng.rand(n, labels), rng.randint(1, 4))
+        gold = (rng.rand(n, labels) < rng.rand()).astype(int)
         pm = mk_pm(values)
-        one = refine_per_label(pm, gold, 0.5, passes=1)
-        three = refine_per_label(pm, gold, 0.5, passes=3)
-        assert one.theta.tolist() == three.theta.tolist()
+        tv = refine_per_label(pm, gold, base)
+        for passes in (1, 3):
+            assert multi_pass_refine(pm, gold, base, passes).tobytes() == tv.theta.tobytes()
 
     def test_input_validation(self):
         pm = mk_pm([[0.5]])
         gold = np.array([[1]])
         with pytest.raises(DataError, match="outside"):
             refine_per_label(pm, gold, 1.5)
-        with pytest.raises(DataError, match="passes"):
-            refine_per_label(pm, gold, 0.5, passes=0)
 
 
 class TestTune:
@@ -262,7 +281,7 @@ class TestTune:
                 pm.label_names,
                 np.full(3, tv.base_theta),
                 tv.base_theta,
-                "coarse_only",
+                "default",
             )
             assert tuned_macro_f1(pm, gold, tv) >= tuned_macro_f1(pm, gold, uniform)
 

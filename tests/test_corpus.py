@@ -13,6 +13,7 @@ from polarpipe.corpus import (
     PreprocessConfig,
     load_dataset,
     load_emoji_table,
+    load_labels,
     preprocess,
     save_dataset,
     summarize,
@@ -183,36 +184,44 @@ def test_load_dataset_binary_and_multilabel(tmp_path):
     ds2 = load_dataset(p2, LabelSchema(names=("x", "y", "z")))
     assert [inst.labels for inst in ds2.instances] == [(1, 0, 1), (0, 0, 0), (0, 1, 0)]
 
+    for path, ds in ((p, ds), (p2, ds2)):
+        gold = load_labels(path, ds.schema)
+        assert gold.ids == tuple(ds.ids) and gold.labels == ds.labels
+
 
 def test_load_dataset_error_lines(tmp_path):
     schema = LabelSchema(names=("x", "y"))
     p = tmp_path / "bad.jsonl"
 
+    def both_raise(match):
+        # the gold-label reader validates and fails exactly like load_dataset
+        messages = []
+        for reader in (load_dataset, load_labels):
+            with pytest.raises(DataError, match=match) as info:
+                reader(p, schema)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"{p}: ")
+
     write_jsonl(p, [{"id": "a", "text": "t", "labels": ["x"]},
                     {"id": "b", "text": "t", "labels": ["politcal"]}])
-    with pytest.raises(DataError, match=r"unknown label 'politcal' at line 2"):
-        load_dataset(p, schema)
+    both_raise(r"unknown label 'politcal' at line 2")
 
     write_jsonl(p, [{"id": "a", "text": "t", "labels": []},
                     {"id": "a", "text": "t", "labels": []}])
-    with pytest.raises(DataError, match=r"duplicate id 'a' at line 2"):
-        load_dataset(p, schema)
+    both_raise(r"duplicate id 'a' at line 2")
 
     p.write_text('{"id": "a", "text": "t", "labels": []}\nnot json\n', encoding="utf-8")
-    with pytest.raises(DataError, match="line 2"):
-        load_dataset(p, schema)
+    both_raise("line 2")
 
     write_jsonl(p, [{"id": "a", "text": "t"}])
-    with pytest.raises(DataError, match="line 1"):
-        load_dataset(p, schema)
+    both_raise("line 1")
 
     write_jsonl(p, [{"id": "a", "text": "t", "labels": [0, 2]}])
-    with pytest.raises(DataError, match="0/1"):
-        load_dataset(p, schema)
+    both_raise("0/1")
 
     write_jsonl(p, [{"id": "a", "text": "t", "label": 1}])
-    with pytest.raises(DataError, match="schema has 2"):
-        load_dataset(p, schema)
+    both_raise("schema has 2")
 
 
 def test_save_load_round_trip(tmp_path):

@@ -31,6 +31,11 @@ def test_fnv_known_vectors():
 @given(st.binary(max_size=64))
 def test_fnv_matches_reference_on_all_backends(data):
     assert kernels.fnv1a64(data) == reference_fnv1a64(data)
+    # the token-state update reduces once at the end, from the basis or from
+    # a state part way through; the full 64-bit state must match
+    half = len(data) // 2
+    assert kernels._fnv_update(kernels.FNV_BASIS, data) == reference_fnv1a64(data)
+    assert kernels._fnv_update(kernels.fnv1a64(data[:half]), data[half:]) == reference_fnv1a64(data)
 
 
 def test_hash_ngrams_layout():
@@ -49,11 +54,19 @@ def test_hash_ngrams_layout():
 
 
 @given(
-    st.lists(st.sampled_from(["", "a", "ab", "ba", "ã", "é", "naïve", "日本", "🙂", "a b"]), max_size=8),
+    st.lists(
+        st.one_of(
+            st.sampled_from(["", "a", "ab", "ba", "ã", "é", "naïve", "日本", "🙂", "a b"]),
+            st.text(max_size=40),
+        ),
+        max_size=8,
+    ),
     st.sampled_from([2**10, 2**14, 2**18, 2**20]),
 )
 def test_hash_ngrams_matches_reference(tokens, dim):
-    # repeated tokens come from the small pool, so the memoized states are hit
+    # repeated tokens come from the small pool, so the memoized states are hit;
+    # random unicode tokens run the once-per-token reduction over long and
+    # multi-byte inputs against the per-byte reference
     expected = [reference_fnv1a64(t.encode()) % dim for t in tokens] + [
         reference_fnv1a64(f"{a} {b}".encode()) % dim for a, b in zip(tokens, tokens[1:])
     ]

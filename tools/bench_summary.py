@@ -1,0 +1,109 @@
+"""Summarize perfbench runs of a parent commit and a change into one JSON file.
+
+    python3 tools/bench_summary.py --parent PARENT_CHECKOUT/.bench_runs/results \
+        [--change .bench_runs/results] --out BENCH_<n>.json
+
+Each results directory holds the records ``perfbench/run.py`` writes, one per
+workload, seed and trace setting. Every directory must come from one source
+tree (one ``source_sha256``). For each workload the output lists the seeds,
+and for every end-to-end metric in ``BENCHMARK.json`` the median and
+quartiles of each side plus how many same-seed pairs the change won (ties
+count for neither). Traced runs give each side's per-layer values. The
+environment block of each side is copied from its records.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def read_side(results: Path) -> tuple[dict, list[dict]]:
+    records = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(results.glob("*.json"))]
+    if not records:
+        sys.exit(f"error: no perfbench records in {results}")
+    sources = {r["environment"]["source_sha256"] for r in records}
+    if len(sources) != 1:
+        sys.exit(f"error: {results} mixes runs of {len(sources)} source trees")
+    return records[0]["environment"], records
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "runs": len(values)}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": len(values)}
+
+
+def by_key(records: list[dict], trace: int) -> dict[tuple[str, int], dict]:
+    return {(r["workload"], r["seed"]): r for r in records if r["trace"] == trace}
+
+
+def common_seeds(sides: dict[str, dict], workload: str) -> list[int]:
+    return sorted(set.intersection(*({s for w, s in runs if w == workload} for runs in sides.values())))
+
+
+def summarize(spec: dict, records: dict[str, list[dict]]) -> dict:
+    runs = {side: by_key(recs, 0) for side, recs in records.items()}
+    traced = {side: by_key(recs, 1) for side, recs in records.items()}
+    out = {}
+    for workload in sorted({w for side in runs.values() for w, _ in side}):
+        seeds = common_seeds(runs, workload)
+        picked = {side: [runs[side][(workload, s)] for s in seeds] for side in runs}
+        entry: dict = {
+            "seeds": seeds,
+            "failed_ops": {
+                side: f"{sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}"
+                for side, rs in picked.items()
+            },
+            "end_to_end": {},
+        }
+        for metric in spec["end_to_end"]:
+            name, higher = metric["name"], metric["better"] == "higher"
+            values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in picked.items()}
+            wins = sum((c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"]))
+            entry["end_to_end"][name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "bound": metric["bound"],
+                "parent": spread(values["parent"]),
+                "change": spread(values["change"]),
+                "change_wins": f"{wins}/{len(seeds)}",
+            }
+        layer_seeds = common_seeds(traced, workload)
+        if layer_seeds:
+            seed = layer_seeds[0]
+            layers = {side: traced[side][(workload, seed)]["metrics"] for side in traced}
+            entry["per_layer_seed"] = seed
+            entry["per_layer"] = {
+                m["name"]: {side: layers[side].get(m["name"], {}).get("value") for side in layers}
+                for m in spec["per_layer"]
+            }
+        out[workload] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="the parent's results directory")
+    parser.add_argument("--change", type=Path, default=ROOT / ".bench_runs" / "results")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    sides = {"parent": read_side(args.parent), "change": read_side(args.change)}
+    summary = {
+        "run_seconds": spec["run_seconds"],
+        "environment": {side: env for side, (env, _) in sides.items()},
+        "workloads": summarize(spec, {side: recs for side, (_, recs) in sides.items()}),
+    }
+    args.out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
