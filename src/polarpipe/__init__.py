@@ -25,13 +25,11 @@ from .corpus import (
     GoldLabels,
     Instance,
     LabelSchema,
-    PreprocessConfig,
     load_dataset,
     load_labels,
     preprocess,
     save_dataset,
     summarize,
-    truncate,
 )
 from .linear_model import (
     FeaturizerConfig,
@@ -83,7 +81,6 @@ __all__ = [
     "MetricsReport",
     "PipelineManifest",
     "PosWeights",
-    "PreprocessConfig",
     "ProbabilityMatrix",
     "SparseVector",
     "SplitConfig",
@@ -124,6 +121,5 @@ __all__ = [
     "stratified_split",
     "summarize",
     "train",
-    "truncate",
     "tune",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels as kernels
-from .corpus import DataError
+from .corpus import DataError, open_text
 from .metrics import f1_from_counts
 from .probs import ProbabilityMatrix, check_unit_interval
 
@@ -250,7 +250,7 @@ def load_thresholds(path: str | Path) -> ThresholdVector:
     base_seen = False
     names: list[str] = []
     thetas: list[float] = []
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -24,6 +24,7 @@ from .corpus import (
     LabelSchema,
     load_dataset,
     load_labels,
+    open_text,
     save_dataset,
     summarize,
 )
@@ -576,7 +577,8 @@ def _build_parser():
 def _parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open_text(Path(path)) as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc.strerror}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):

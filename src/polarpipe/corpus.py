@@ -3,9 +3,9 @@
 Datasets are line-oriented JSONL files; each record carries an ``id``, a
 ``text``, and either a scalar ``label`` (binary task) or a ``labels`` list
 (label names or a full 0/1 vector). Text normalization replaces emojis with
-their names, drops URL and @mention tokens, strips ``#`` symbols, lowercases,
-and collapses whitespace. The normalization is a fixpoint: running it twice
-never changes the output.
+the names in the bundled table, strips ``#`` symbols, lowercases, drops URL
+and @mention tokens, and keeps at most 128 tokens. It is a fixpoint: running
+it twice never changes the output.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -37,6 +38,26 @@ def read_field(record: dict, name: str, path: Path, build):
         raise DataError(f"{path}: bad field {name!r}: {exc}") from None
 
 
+@contextmanager
+def open_text(path: Path):
+    """Open ``path`` for reading as UTF-8; bytes that do not decode raise DataError.
+
+    The error names the file and the line that holds the first bad byte.
+    """
+    with path.open(encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the decoder works in chunks, so find the line in the raw bytes
+            data = path.read_bytes()
+            where = ""
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                where = " at line %d" % (data.count(b"\n", 0, exc.start) + 1)
+            raise DataError(f"{path}: not valid UTF-8{where}") from None
+
+
 _BUNDLED_EMOJI_TABLE = "emoji_table.tsv"
 
 # Codepoint ranges treated as emoji when deleting glyphs that have no entry
@@ -55,7 +76,11 @@ _EMOJI_RANGES = (
     (0x20E3, 0x20E3),
 )
 
-_URL_PREFIXES = ("http://", "https://", "www.")
+# A token is dropped when it starts with one of these after "#" is stripped
+# and the text lowercased: @mentions and URLs.
+_DROPPED_PREFIXES = ("@", "http://", "https://", "www.")
+
+MAX_TOKENS = 128
 
 
 @dataclass(frozen=True)
@@ -140,21 +165,6 @@ class GoldLabels:
     labels: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    demojize: bool = True
-    emoji_table_path: str | None = None
-    strip_urls: bool = True
-    strip_mentions: bool = True
-    strip_hashtag_symbol: bool = True
-    lowercase: bool = True
-    max_tokens: int = 128
-
-    def __post_init__(self):
-        if self.max_tokens < 1:
-            raise DataError("max_tokens must be >= 1")
-
-
 @dataclass
 class CorpusStats:
     n_instances: int
@@ -167,7 +177,7 @@ class CorpusStats:
 
 
 # ---------------------------------------------------------------------------
-# Emoji table
+# Normalization
 
 
 def _parse_emoji_lines(lines, source: str) -> dict[str, str]:
@@ -193,165 +203,45 @@ def _parse_emoji_lines(lines, source: str) -> dict[str, str]:
     return table
 
 
-def load_emoji_table(path: str | Path | None = None) -> dict[str, str]:
-    """Load an emoji name table; ``None`` loads the bundled one."""
-    if path is None:
-        text = (
-            resources.files("polarpipe")
-            .joinpath("data", _BUNDLED_EMOJI_TABLE)
-            .read_text(encoding="utf-8")
-        )
-        return _parse_emoji_lines(text.splitlines(), _BUNDLED_EMOJI_TABLE)
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        return _parse_emoji_lines(fh, str(path))
+def load_emoji_table() -> dict[str, str]:
+    """The bundled emoji name table: codepoint sequence -> name."""
+    text = (
+        resources.files("polarpipe")
+        .joinpath("data", _BUNDLED_EMOJI_TABLE)
+        .read_text(encoding="utf-8")
+    )
+    return _parse_emoji_lines(text.splitlines(), _BUNDLED_EMOJI_TABLE)
 
 
-@dataclass(frozen=True)
-class _EmojiTable:
-    """A name table plus the facts about it that normalization needs, computed once.
+_SPACED_NAMES = {key: f" {name} " for key, name in load_emoji_table().items()}
 
-    ``lead`` matches every character where a key can start or an emoji sits:
-    the emoji ranges plus any key's first character outside them. ``confined``
-    says every key holds an emoji-range codepoint and no name does, so text
-    that has been through :func:`_demojize` once contains no key to match.
-    """
-
-    names: dict[str, str]
-    max_seq: int
-    lead: re.Pattern
-    confined: bool
-
-    @classmethod
-    def build(cls, names: dict[str, str]) -> _EmojiTable:
-        starts = sorted({key[0] for key in names if not _is_emoji_char(key[0])})
-        ranges = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES)
-        return cls(
-            names=names,
-            max_seq=max((len(key) for key in names), default=1),
-            lead=re.compile("[" + ranges + re.escape("".join(starts)) + "]"),
-            confined=all(any(map(_is_emoji_char, key)) for key in names)
-            and not any(any(map(_is_emoji_char, name)) for name in names.values()),
-        )
+# At an emoji-range codepoint the longest table key there is replaced by its
+# name, or else the codepoint alone is deleted. Every key starts with an
+# emoji-range codepoint and no name holds one, so one pass leaves nothing to
+# match. The lookahead keeps the key alternation off every other position.
+_EMOJI = re.compile(
+    "(?=[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "])"
+    "(?:" + "|".join(map(re.escape, sorted(_SPACED_NAMES, key=len, reverse=True))) + "|.)",
+    re.DOTALL,
+)
 
 
-_bundled_table_cache: _EmojiTable | None = None
+def _name_of(match: re.Match) -> str:
+    return _SPACED_NAMES.get(match[0], "")
 
 
-def _emoji_table_for(cfg: PreprocessConfig) -> _EmojiTable | None:
-    """The table ``cfg`` names, or None when it does not demojize."""
-    global _bundled_table_cache
-    if not cfg.demojize:
-        return None
-    if cfg.emoji_table_path is not None:
-        return _EmojiTable.build(load_emoji_table(cfg.emoji_table_path))
-    if _bundled_table_cache is None:
-        _bundled_table_cache = _EmojiTable.build(load_emoji_table(None))
-    return _bundled_table_cache
-
-
-def _is_emoji_char(ch: str) -> bool:
-    cp = ord(ch)
-    for lo, hi in _EMOJI_RANGES:
-        if lo <= cp <= hi:
-            return True
-    return False
-
-
-def _demojize(text: str, table: _EmojiTable) -> str:
-    # Only a lead character can start a key or be an emoji; everything
-    # between two of them is copied as is. At a lead the longest key wins,
-    # so a custom table's sequences that open with a plain character (keycaps
-    # like "1" + VS16 + U+20E3) still resolve; the bundled table has none.
-    out: list[str] = []
-    names = table.names
-    n = len(text)
-    pos = 0
-    for m in table.lead.finditer(text):
-        i = m.start()
-        if i < pos:  # inside a sequence already replaced
-            continue
-        out.append(text[pos:i])
-        for k in range(min(table.max_seq, n - i), 0, -1):
-            name = names.get(text[i : i + k])
-            if name is not None:
-                out.append(" " + name + " ")
-                pos = i + k
-                break
-        else:
-            if not _is_emoji_char(text[i]):
-                out.append(text[i])
-            pos = i + 1  # emoji with no table entry: delete
-    out.append(text[pos:])
-    return "".join(out)
-
-
-# ---------------------------------------------------------------------------
-# Normalization
-
-
-def _is_url_token(token: str) -> bool:
-    return token.lower().startswith(_URL_PREFIXES)
-
-
-def _preprocess_pass(text: str, cfg: PreprocessConfig, table: _EmojiTable | None) -> tuple[str, bool]:
-    """One normalization pass, and whether its strip step removed a ``#``."""
-    if cfg.demojize:
-        text = _demojize(text, table)
-    if cfg.strip_urls or cfg.strip_mentions:
-        kept = []
-        for token in text.split():
-            if cfg.strip_urls and _is_url_token(token):
-                continue
-            if cfg.strip_mentions and token.startswith("@"):
-                continue
-            kept.append(token)
-        text = " ".join(kept)
-    stripped_hash = False
-    if cfg.strip_hashtag_symbol and "#" in text:
-        text = text.replace("#", "")
-        stripped_hash = True
-    if cfg.lowercase:
-        text = text.lower()
-    return " ".join(text.split()), stripped_hash
-
-
-def _normalize(raw: str, cfg: PreprocessConfig, table: _EmojiTable | None) -> str:
-    text, stripped_hash = _preprocess_pass(raw, cfg, table)
-    # A second pass changes the text only if stripping "#" exposed a URL or
-    # mention token, or if a table key can match again. With a confined table
-    # the first pass leaves no emoji-range codepoint (no other character
-    # lowercases into one), so no key can; and lowercasing never turns a kept
-    # token into a URL or mention.
-    if not stripped_hash and (table is None or table.confined):
-        return text
-    while True:
-        again, _ = _preprocess_pass(text, cfg, table)
-        if again == text:
-            return text
-        text = again
-
-
-def preprocess(raw: str, cfg: PreprocessConfig | None = None) -> str:
+def preprocess(raw: str) -> str:
     """Normalize one text.
 
-    Steps, in order: emoji-to-name replacement (unnamed emojis deleted),
-    URL token removal, @mention token removal, ``#`` stripping, lowercasing,
-    whitespace collapsing, trimming. The pass repeats until stable so that
-    stripping a ``#`` can never leave behind a live URL or mention token;
-    the repeat is skipped when it provably changes nothing.
+    Emojis become their names (unnamed ones are deleted), ``#`` is stripped,
+    the text is lowercased, tokens that start with ``@`` or a URL prefix are
+    dropped, and the first :data:`MAX_TOKENS` tokens are joined by single
+    spaces. Stripping ``#`` comes before the token test, so ``#@user`` and
+    ``#https://...`` are dropped too, and normalizing twice changes nothing.
     """
-    if cfg is None:
-        cfg = PreprocessConfig()
-    return _normalize(raw, cfg, _emoji_table_for(cfg))
-
-
-def truncate(text: str, max_tokens: int) -> str:
-    """Keep at most ``max_tokens`` whitespace-delimited tokens."""
-    tokens = text.split()
-    if len(tokens) <= max_tokens:
-        return " ".join(tokens)
-    return " ".join(tokens[:max_tokens])
+    text = _EMOJI.sub(_name_of, raw).replace("#", "").lower()
+    kept = [token for token in text.split() if not token.startswith(_DROPPED_PREFIXES)]
+    return " ".join(kept[:MAX_TOKENS])
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +294,8 @@ def _read_records(path: Path, schema: LabelSchema) -> list[tuple[str, str, tuple
     """
     records: list[tuple[str, str, tuple[int, ...]]] = []
     seen_ids: set[str] = set()
-    try:
-        with path.open(encoding="utf-8") as fh:
+    with open_text(path) as fh:
+        try:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -422,21 +312,26 @@ def _read_records(path: Path, schema: LabelSchema) -> list[tuple[str, str, tuple
                 if "text" not in record or not isinstance(record["text"], str):
                     raise DataError(f"missing or non-string 'text' at line {lineno}")
                 ident = record["id"]
+                # ids are written one per line into tab-separated files, and
+                # every id and text is written back as UTF-8
+                if any(ch in ident for ch in "\t\r\n"):
+                    raise DataError(f"'id' contains a tab or line break at line {lineno}")
+                for name in ("id", "text"):
+                    try:
+                        record[name].encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise DataError(f"{name!r} is not encodable as UTF-8 at line {lineno}") from None
                 if ident in seen_ids:
                     raise DataError(f"duplicate id {ident!r} at line {lineno}")
                 seen_ids.add(ident)
                 labels = _labels_from_record(record, schema, lineno)
                 records.append((ident, record["text"], labels))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     return records
 
 
-def load_dataset(
-    path: str | Path,
-    schema: LabelSchema,
-    cfg: PreprocessConfig | None = None,
-) -> Dataset:
+def load_dataset(path: str | Path, schema: LabelSchema) -> Dataset:
     """Read a JSONL dataset, normalizing text and mapping labels to the schema.
 
     Raw text is preserved on each instance; ``text`` holds the normalized,
@@ -444,18 +339,9 @@ def load_dataset(
     the file and the offending line on malformed records, unknown label
     names, or duplicate ids.
     """
-    if cfg is None:
-        cfg = PreprocessConfig()
-    records = _read_records(Path(path), schema)
-    table = _emoji_table_for(cfg)
     instances = tuple(
-        Instance(
-            id=ident,
-            raw_text=raw,
-            text=truncate(_normalize(raw, cfg, table), cfg.max_tokens),
-            labels=labels,
-        )
-        for ident, raw, labels in records
+        Instance(id=ident, raw_text=raw, text=preprocess(raw), labels=labels)
+        for ident, raw, labels in _read_records(Path(path), schema)
     )
     return Dataset(schema=schema, instances=instances)
 

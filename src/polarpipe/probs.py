@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataError
+from .corpus import DataError, open_text
 
 
 def check_unit_interval(values, what: str) -> None:
@@ -64,7 +64,7 @@ def save_probabilities(pm: ProbabilityMatrix, path: str | Path) -> None:
 
 def load_probabilities(path: str | Path) -> ProbabilityMatrix:
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         columns = header.split("\t")
         if len(columns) < 2 or columns[0] != "id":

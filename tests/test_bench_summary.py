@@ -1,0 +1,74 @@
+"""tools/bench_summary.py on two tiny results directories."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_summary.py"
+_spec = importlib.util.spec_from_file_location("bench_summary", _TOOL)
+bench_summary = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_summary)
+
+
+def write_side(root: Path, source: str, docs_per_s: dict[tuple[str, int], float]) -> Path:
+    """One record per (workload, seed); every metric but docs_per_s is fixed."""
+    root.mkdir()
+    for (workload, seed), value in docs_per_s.items():
+        metrics = {
+            "docs_per_s": value,
+            "setup_s": 2.0,
+            "peak_rss_mb": 90.0,
+            "eval_macro_f1": 0.5,
+            "output_mb": 1.0,
+        }
+        record = {
+            "workload": workload,
+            "seed": seed,
+            "trace": 0,
+            "attempted": 4,
+            "failed": 0,
+            "environment": {"source_sha256": source},
+            "metrics": {name: {"value": v} for name, v in metrics.items()},
+        }
+        (root / f"{workload}-{seed}-0.json").write_text(json.dumps(record), encoding="utf-8")
+    return root
+
+
+def run_tool(parent: Path, change: Path, out: Path) -> int:
+    return bench_summary.main(["--parent", str(parent), "--change", str(change), "--out", str(out)])
+
+
+def test_medians_quartiles_and_wins(tmp_path):
+    seeds = range(1, 6)
+    parent = write_side(tmp_path / "parent", "p", {("w", s): v for s, v in zip(seeds, (10, 20, 30, 40, 50))})
+    change = write_side(tmp_path / "change", "c", {("w", s): v for s, v in zip(seeds, (15, 15, 35, 45, 50))})
+    out = tmp_path / "bench.json"
+    assert run_tool(parent, change, out) == 0
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert entry["seeds"] == [1, 2, 3, 4, 5]
+    assert entry["failed_ops"] == {"parent": "0/20", "change": "0/20"}
+    docs = entry["end_to_end"]["docs_per_s"]
+    # statistics.quantiles' default "exclusive" method on 10..50
+    assert docs["parent"] == {"median": 30, "q1": 15.0, "q3": 45.0, "runs": 5}
+    assert docs["change"]["median"] == 35
+    # better on seeds 1, 3 and 4; worse on 2; a tie on 5 counts for neither
+    assert docs["change_wins"] == "3/5"
+    assert entry["end_to_end"]["setup_s"]["change_wins"] == "0/5"
+
+
+def test_side_with_two_sources_rejected(tmp_path):
+    parent = write_side(tmp_path / "parent", "p", {("w", 1): 10.0})
+    change = write_side(tmp_path / "change", "c", {("w", 1): 10.0})
+    write_side(tmp_path / "other", "c2", {("w", 2): 10.0})
+    (tmp_path / "other" / "w-2-0.json").rename(change / "w-2-0.json")
+    with pytest.raises(SystemExit, match="mixes runs of 2 source trees"):
+        run_tool(parent, change, tmp_path / "b.json")
+
+
+def test_no_common_seed_names_the_workload(tmp_path):
+    parent = write_side(tmp_path / "parent", "p", {("w", 1): 10.0, ("score-social", 1): 5.0})
+    change = write_side(tmp_path / "change", "c", {("w", 1): 11.0, ("score-social", 2): 5.0})
+    with pytest.raises(SystemExit, match="share no seed for workload score-social"):
+        run_tool(parent, change, tmp_path / "b.json")

@@ -470,3 +470,7 @@ class TestThresholdsFile:
         path.write_text("__provenance__\ttuned\n__base__\t0.5\nx\tabc\n")
         with pytest.raises(DataError, match="bad threshold"):
             load_thresholds(path)
+        path.write_bytes(b"__provenance__\ttuned\n__base__\t0.5\nx\xe9\t0.5\n")
+        with pytest.raises(DataError, match="not valid UTF-8 at line 3") as info:
+            load_thresholds(path)
+        assert str(path) in str(info.value)

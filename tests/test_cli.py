@@ -1,6 +1,9 @@
+import os
 import shutil
 import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +328,9 @@ class TestConfigFile:
         cfg.write_text("just a line\n")
         assert run(args) == 1
         assert "not key=value" in capsys.readouterr().err
+        cfg.write_bytes(b"seed = 3\n# caf\xe9\n")
+        assert run(args) == 1
+        assert f"{cfg}: not valid UTF-8 at line 2" in capsys.readouterr().err
 
     def test_choice_and_bool_values_checked(self, tmp_path, capsys):
         data = synth_file(tmp_path, "d.jsonl", 10, [0.5], seed=9)
@@ -471,3 +477,50 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+_GOOD = b'{"id": "a", "text": "t", "label": 1}\n'
+_PROBS = b"id\tpolarized\na\t0.5\n"
+_STATS = ["stats", "d.jsonl", "--schema", "subtask1"]
+_EVAL = ["eval", "--probs", "p.probs", "--gold", "d.jsonl", "--schema", "subtask1", "--out", "r.txt"]
+
+# name: (expected exit status, files to write, arguments)
+_MODULE_CASES = {
+    "synth": (0, {}, ["synth", "--n", "5", "--rates", "0.5", "--out", "s.jsonl"]),
+    "usage-error": (2, {}, ["split", "d.jsonl", "--strategy", "bogus"]),
+    "dataset-not-utf8": (1, {"d.jsonl": _GOOD + b'{"id": "b", "text": "caf\xe9", "label": 0}\n'}, _STATS),
+    "id-with-tab": (1, {"d.jsonl": b'{"id": "a\\tb", "text": "t", "label": 1}\n'}, _STATS),
+    "id-with-cr": (1, {"d.jsonl": b'{"id": "a\\rb", "text": "t", "label": 1}\n'}, _STATS),
+    "id-with-lf": (1, {"d.jsonl": b'{"id": "a\\nb", "text": "t", "label": 1}\n'}, _STATS),
+    "id-lone-surrogate": (1, {"d.jsonl": b'{"id": "\\ud800", "text": "t", "label": 1}\n'}, _STATS),
+    "text-lone-surrogate": (1, {"d.jsonl": b'{"id": "a", "text": "\\ud800", "label": 1}\n'}, _STATS),
+    "probs-not-utf8": (1, {"d.jsonl": _GOOD, "p.probs": b"id\tpolarized\n\xe9\t0.5\n"}, _EVAL),
+    "thresholds-not-utf8": (
+        1,
+        {"d.jsonl": _GOOD, "p.probs": _PROBS,
+         "t.tsv": b"__provenance__\ttuned\n__base__\t0.5\npolarized\xe9\t0.5\n"},
+        _EVAL + ["--thresholds", "t.tsv"],
+    ),
+    "config-not-utf8": (1, {"d.jsonl": _GOOD, "c.cfg": b"# caf\xe9\n"}, _STATS + ["--config", "c.cfg"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MODULE_CASES))
+def test_module_exit_status(tmp_path, case):
+    status, files, args = _MODULE_CASES[case]
+    for name, body in files.items():
+        (tmp_path / name).write_bytes(body)
+    proc = subprocess.run(
+        [sys.executable, "-m", "polarpipe", *args],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == status, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if status == 1:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polarpipe.corpus import (
+    MAX_TOKENS,
     DataError,
     Dataset,
     Instance,
     LabelSchema,
-    PreprocessConfig,
+    _parse_emoji_lines,
     load_dataset,
-    load_emoji_table,
     load_labels,
     preprocess,
     save_dataset,
     summarize,
-    truncate,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "preprocess_golden.jsonl"
@@ -89,41 +88,13 @@ def test_variation_selector_longest_match():
     assert preprocess("❤️ vs ❤") == "red heart vs red heart"
 
 
-def test_preprocess_config_toggles():
-    cfg = PreprocessConfig(
-        demojize=False,
-        strip_urls=False,
-        strip_mentions=False,
-        strip_hashtag_symbol=False,
-        lowercase=False,
-    )
-    assert preprocess("KEEP @me #tag http://x 😊", cfg) == "KEEP @me #tag http://x 😊"
-    cfg = PreprocessConfig(lowercase=False)
-    assert preprocess("Shout LOUD", cfg) == "Shout LOUD"
-
-
-def test_custom_emoji_table(tmp_path):
-    table = tmp_path / "emoji.tsv"
-    table.write_text("U+1F60A\tcustom_name_here\n", encoding="utf-8")
-    cfg = PreprocessConfig(emoji_table_path=str(table))
-    assert preprocess("😊", cfg) == "custom name here"
-
-
-def test_emoji_table_rejects_malformed(tmp_path):
-    bad = tmp_path / "emoji.tsv"
-    bad.write_text("U+1F60A smiling, no tab\n", encoding="utf-8")
+def test_emoji_table_rejects_malformed():
     with pytest.raises(DataError, match="line 1"):
-        load_emoji_table(bad)
-    bad.write_text("U+ZZZZ\tname\n", encoding="utf-8")
+        _parse_emoji_lines(["U+1F60A smiling, no tab\n"], "emoji.tsv")
     with pytest.raises(DataError, match="codepoint"):
-        load_emoji_table(bad)
-
-
-def test_truncate():
-    assert truncate("a b c d", 2) == "a b"
-    assert truncate("a b", 5) == "a b"
-    assert truncate("", 3) == ""
-    assert truncate("  a   b  ", 10) == "a b"
+        _parse_emoji_lines(["U+ZZZZ\tname\n"], "emoji.tsv")
+    with pytest.raises(DataError, match="empty codepoint sequence at line 2"):
+        _parse_emoji_lines(["# comment\n", "\tname\n"], "emoji.tsv")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +194,20 @@ def test_load_dataset_error_lines(tmp_path):
     write_jsonl(p, [{"id": "a", "text": "t", "label": 1}])
     both_raise("schema has 2")
 
+    p.write_bytes(b'{"id": "a", "text": "t", "labels": []}\n{"id": "b", "text": "caf\xe9", "labels": []}\n')
+    both_raise("not valid UTF-8 at line 2")
+
+    # ids go into tab-separated, line-based files such as .probs
+    for ident in ("a\tb", "a\rb", "a\nb"):
+        write_jsonl(p, [{"id": "x", "text": "t", "labels": []}, {"id": ident, "text": "t", "labels": []}])
+        both_raise("'id' contains a tab or line break at line 2")
+
+    # a lone surrogate cannot be written back as UTF-8
+    p.write_text('{"id": "\\ud800", "text": "t", "labels": []}\n', encoding="utf-8")
+    both_raise("'id' is not encodable as UTF-8 at line 1")
+    p.write_text('{"id": "a", "text": "ok \\udfff", "labels": []}\n', encoding="utf-8")
+    both_raise("'text' is not encodable as UTF-8 at line 1")
+
 
 def test_save_load_round_trip(tmp_path):
     schema = LabelSchema(names=("x", "y"))
@@ -247,11 +232,14 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_max_tokens_truncates_on_load(tmp_path):
+    # dropped tokens do not count toward the limit
+    raw = "@user http://x.co " + " ".join(f"w{i}" for i in range(130))
     p = tmp_path / "long.jsonl"
-    write_jsonl(p, [{"id": "a", "text": "one two three four five", "label": 0}])
-    ds = load_dataset(p, LabelSchema(names=("pol",)), PreprocessConfig(max_tokens=3))
-    assert ds.instances[0].text == "one two three"
-    assert ds.instances[0].raw_text == "one two three four five"
+    write_jsonl(p, [{"id": "a", "text": raw, "label": 0}])
+    ds = load_dataset(p, LabelSchema(names=("pol",)))
+    assert MAX_TOKENS == 128
+    assert ds.instances[0].text == " ".join(f"w{i}" for i in range(128))
+    assert ds.instances[0].raw_text == raw
 
 
 # ---------------------------------------------------------------------------

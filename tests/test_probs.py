@@ -79,3 +79,7 @@ def test_load_errors(tmp_path):
     p.write_text("id\ta\nr1\tabc\n", encoding="utf-8")
     with pytest.raises(DataError, match="non-numeric"):
         load_probabilities(p)
+    p.write_bytes(b"id\ta\nr1\t0.5\nr\xe9\t0.5\n")
+    with pytest.raises(DataError, match="not valid UTF-8 at line 3") as info:
+        load_probabilities(p)
+    assert str(p) in str(info.value)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarpipe.corpus import DataError, PreprocessConfig, preprocess
+from polarpipe.corpus import DataError, preprocess
 from polarpipe.synth import generate_synthetic
 
 
@@ -76,9 +76,8 @@ class TestStructure:
 
     def test_text_is_already_normalized(self):
         ds = generate_synthetic(100, [0.4], seed=9)
-        cfg = PreprocessConfig()
         for inst in ds.instances:
-            assert preprocess(inst.raw_text, cfg) == inst.text
+            assert preprocess(inst.raw_text) == inst.text
 
 
 class TestDeterminism:

@@ -54,6 +54,8 @@ def summarize(spec: dict, records: dict[str, list[dict]]) -> dict:
     out = {}
     for workload in sorted({w for side in runs.values() for w, _ in side}):
         seeds = common_seeds(runs, workload)
+        if not seeds:
+            sys.exit(f"error: the parent and the change share no seed for workload {workload}")
         picked = {side: [runs[side][(workload, s)] for s in seeds] for side in runs}
         entry: dict = {
             "seeds": seeds,
