@@ -1,8 +1,13 @@
 """The hot-loop kernels: token hashing, sparse products and threshold sweeps.
 
-One numpy/scipy implementation; the modules that use a kernel call it through
-this module's namespace (``kernels.hash_ngrams(...)``), so a profiler can wrap
-the names here.
+One numpy implementation; the modules that use a kernel call it through this
+module's namespace (``kernels.hash_ngrams(...)``), so a profiler can wrap the
+names here.
+
+Both sparse products are one ``np.bincount`` over flattened (row, label)
+cells. ``bincount`` starts every cell at +0.0 and adds the weights in input
+order, which here is CSR entry order, so each cell is the same chain of
+float64 additions as a row-by-row, entry-by-entry loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import sparse
 
 FNV_BASIS = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -65,18 +69,25 @@ def hash_ngrams(tokens: list[str], unigrams: bool, bigrams: bool, hash_dim: int)
     return np.asarray(out, dtype=np.int64)
 
 
+def _entry_rows(indptr) -> np.ndarray:
+    """Row number of every CSR entry, in entry order."""
+    return np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+
+
 def csr_logits(indptr, indices, data, weights, bias):
     """Dense ``X @ W + b`` for CSR-encoded X; returns float64 (n, L)."""
-    n = indptr.shape[0] - 1
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, weights.shape[0]))
-    return np.asarray(matrix @ weights) + bias
+    n, n_labels = indptr.shape[0] - 1, weights.shape[1]
+    cells = (_entry_rows(indptr)[:, None] * n_labels + np.arange(n_labels)).ravel()
+    products = (weights[indices] * data[:, None]).ravel()
+    return np.bincount(cells, products, minlength=n * n_labels).reshape(n, n_labels) + bias
 
 
 def csr_grad_weights(indptr, indices, data, dlogits, out):
     """Accumulate ``X^T @ G`` into ``out`` (shape (n_features, L)); returns out."""
-    n = indptr.shape[0] - 1
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, out.shape[0]))
-    out += np.asarray(matrix.T @ dlogits)
+    n_features, n_labels = out.shape
+    cells = (indices[:, None] * n_labels + np.arange(n_labels)).ravel()
+    products = (data[:, None] * dlogits[_entry_rows(indptr)]).ravel()
+    out += np.bincount(cells, products, minlength=n_features * n_labels).reshape(out.shape)
     return out
 
 

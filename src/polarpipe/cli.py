@@ -288,17 +288,26 @@ def _cmd_synth(cfg: RunConfig) -> int:
 
 
 def _stage(
+    digests: dict[Path, str],
     name: str,
     config: dict,
     inputs: dict[str, Path],
     outputs: dict[str, Path],
     metrics_: dict | None = None,
 ) -> StageRecord:
+    """A stage record; ``digests`` caches each path's digest for the whole run.
+
+    Every file a run writes is written once, before the first record that
+    names it, so a path's digest never changes after it is first taken.
+    """
+    for path in (*inputs.values(), *outputs.values()):
+        if path not in digests:
+            digests[path] = file_digest(path)
     return StageRecord(
         name=name,
         config=config,
-        inputs={n: file_digest(p) for n, p in sorted(inputs.items())},
-        outputs={n: file_digest(p) for n, p in sorted(outputs.items())},
+        inputs={n: digests[p] for n, p in sorted(inputs.items())},
+        outputs={n: digests[p] for n, p in sorted(outputs.items())},
         metrics=metrics_ or {},
     )
 
@@ -312,6 +321,7 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
     data_path = Path(o["data"])
     ds = load_dataset(data_path, schema)
     stages: list[StageRecord] = []
+    digests: dict[Path, str] = {}
 
     if o["eval_data"]:
         eval_path = Path(o["eval_data"])
@@ -327,6 +337,7 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
         save_dataset(eval_ds, eval_path)
         stages.append(
             _stage(
+                digests,
                 "carve",
                 {
                     "strategy": o["strategy"],
@@ -345,6 +356,7 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
     save_dataset(split.val, val_path)
     stages.append(
         _stage(
+            digests,
             "split",
             {"strategy": o["strategy"], "val_fraction": o["val_fraction"], "seed": seed},
             {pool_path.name: pool_path},
@@ -364,6 +376,7 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
     best = report.epoch_val_macro_f1[report.best_epoch - 1] if report.best_epoch else 0.0
     stages.append(
         _stage(
+            digests,
             "train",
             {"weighting": o["weighting"], **asdict(tcfg), **asdict(fcfg)},
             {"train.jsonl": train_path, "val.jsonl": val_path},
@@ -382,6 +395,7 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
     save_probabilities(val_probs, val_probs_path)
     stages.append(
         _stage(
+            digests,
             "predict_val",
             {},
             {"model.bin": model_path, "val.jsonl": val_path},
@@ -394,6 +408,7 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
     calibration.save_thresholds(tv, thresholds_path)
     stages.append(
         _stage(
+            digests,
             "tune",
             {},
             {"val.probs": val_probs_path, "val.jsonl": val_path},
@@ -411,6 +426,7 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
     save_probabilities(eval_probs, eval_probs_path)
     stages.append(
         _stage(
+            digests,
             "predict_eval",
             {},
             {"model.bin": model_path, eval_path.name: eval_path},
@@ -423,6 +439,7 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
     metrics.save_report(eval_report, report_path)
     stages.append(
         _stage(
+            digests,
             "eval",
             {"binary_mode": o["binary_mode"]},
             {

@@ -96,8 +96,8 @@ class LabelSchema:
         for name in self.names:
             if not name:
                 raise DataError("empty label name")
-            if "\t" in name or "\n" in name:
-                raise DataError(f"label name {name!r} contains tab or newline")
+            if "\t" in name or "\n" in name or "\r" in name:
+                raise DataError(f"label name {name!r} contains tab or line break")
             if name in seen:
                 raise DataError(f"duplicate label name {name!r}")
             seen.add(name)

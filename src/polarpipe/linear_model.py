@@ -517,8 +517,9 @@ def load_model(path: str | Path) -> LinearModel:
     expected = (d * n_labels + n_labels) * 8
     if min(d, n_labels) < 0 or len(body) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    weights = np.frombuffer(body[: d * n_labels * 8], dtype="<f8").reshape(d, n_labels)
-    bias = np.frombuffer(body[d * n_labels * 8 :], dtype="<f8")
+    # views of the payload; astype makes the one copy the model owns
+    weights = np.frombuffer(body, dtype="<f8", count=d * n_labels).reshape(d, n_labels)
+    bias = np.frombuffer(body, dtype="<f8", offset=d * n_labels * 8)
     return LinearModel(
         weights=weights.astype(np.float64),
         bias=bias.astype(np.float64),

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from polarpipe.calibration import default_thresholds, load_thresholds
+from polarpipe import cli
 from polarpipe.cli import SCHEMA_PRESETS, run
 from polarpipe.corpus import LabelSchema, load_dataset
-from polarpipe.manifest import load_manifest
+from polarpipe.manifest import file_digest, load_manifest
 from polarpipe.metrics import evaluate
 from polarpipe.probs import load_probabilities
 from polarpipe.synth import generate_synthetic
@@ -57,6 +58,15 @@ class TestSchemas:
         data = synth_file(tmp_path, "d.jsonl", 10, [0.5])
         assert run(["stats", str(data)]) == 1
         assert "schema is required" in capsys.readouterr().err
+
+    def test_label_with_cr_rejected(self, tmp_path, capsys):
+        # a CR in a label name would split the header of every .probs file
+        data = synth_file(tmp_path, "d.jsonl", 60, [0.4, 0.3], label_names=("ab", "c"))
+        data.write_text(data.read_text(encoding="utf-8").replace('"ab"', '"a\\rb"'), encoding="utf-8")
+        outdir = tmp_path / "run"
+        assert run(["pipeline", "--data", str(data), "--labels", "a\rb,c", "--outdir", str(outdir)]) == 1
+        assert "contains tab or line break" in capsys.readouterr().err
+        assert not (outdir / "eval.probs").exists()
 
 
 class TestExitCodes:
@@ -396,6 +406,32 @@ class TestPipeline:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes(), name
+
+    @pytest.mark.parametrize("external_eval", [False, True])
+    def test_each_file_digested_once(self, tmp_path, capsys, monkeypatch, external_eval):
+        hashed = []
+
+        def counting_digest(path):
+            hashed.append(Path(path))
+            return file_digest(path)
+
+        monkeypatch.setattr(cli, "file_digest", counting_digest)
+        data = synth_file(tmp_path, "d.jsonl", 120, [0.4, 0.1], seed=14)
+        args = [
+            "pipeline", "--data", str(data), "--labels", "label0,label1",
+            "--outdir", str(tmp_path / "run"), "--max-epochs", "2", "--hash-dim", "4096",
+        ]
+        if external_eval:
+            args += ["--eval-data", str(synth_file(tmp_path, "h.jsonl", 40, [0.4, 0.1], seed=15))]
+        assert run(args) == 0
+        capsys.readouterr()
+        assert len(hashed) == len(set(hashed))
+        # every digest the manifest records is the digest of the file as it
+        # stands once the run is over
+        current = {p.name: file_digest(p) for p in hashed}
+        for stage in load_manifest(tmp_path / "run" / "manifest.json").stages:
+            for name, digest in {**stage.inputs, **stage.outputs}.items():
+                assert digest == current[name], (stage.name, name)
 
 
 class TestTunedMetricIsEvaluated:

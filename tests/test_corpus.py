@@ -106,8 +106,11 @@ def test_schema_validation():
         LabelSchema(names=())
     with pytest.raises(DataError, match="duplicate"):
         LabelSchema(names=("a", "a"))
-    with pytest.raises(DataError):
-        LabelSchema(names=("a\tb",))
+    # label names head every .probs and thresholds file, which are read with
+    # universal newlines, so a CR splits a header line just as LF does
+    for bad in ("a\tb", "a\nb", "a\rb"):
+        with pytest.raises(DataError, match="contains tab or line break"):
+            LabelSchema(names=(bad,))
     schema = LabelSchema(names=("only",))
     assert schema.is_binary and schema.n_labels == 1
     assert schema.index_of("only") == 0

@@ -2,12 +2,18 @@
 
 Token hashing is checked against published FNV-1a vectors and an independent
 reference; float kernels are held to near-roundoff tolerance against dense
-numpy oracles; confusion counts against a naive loop.
+numpy oracles, and byte for byte against an in-order loop and against the
+scipy CSR products they replaced; confusion counts against a naive loop.
 """
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import polarpipe._kernels as kernels
@@ -121,6 +127,163 @@ def test_csr_grad_weights_matches_dense():
     expected = out + dense_from_csr(indptr, indices, data, dim).T @ dlogits
     got = kernels.csr_grad_weights(indptr, indices, data, dlogits, out.copy())
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+
+def loop_logits(indptr, indices, data, weights, bias):
+    # row by row, entry by entry from +0.0: the accumulation order of scipy's
+    # csr_matvecs, which the kernels must reproduce bit for bit
+    z = np.zeros((len(indptr) - 1, weights.shape[1]))
+    for i in range(len(indptr) - 1):
+        for k in range(indptr[i], indptr[i + 1]):
+            z[i] += data[k] * weights[indices[k]]
+    return z + bias
+
+
+def loop_grad_weights(indptr, indices, data, dlogits, out):
+    acc = np.zeros_like(out)
+    for i in range(len(indptr) - 1):
+        for k in range(indptr[i], indptr[i + 1]):
+            acc[indices[k]] += data[k] * dlogits[i]
+    out += acc
+    return out
+
+
+def scipy_logits(indptr, indices, data, weights, bias):
+    # the scipy kernels as they were before the bincount rewrite
+    sparse = pytest.importorskip("scipy.sparse")
+    n = indptr.shape[0] - 1
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, weights.shape[0]))
+    return np.asarray(matrix @ weights) + bias
+
+
+def scipy_grad_weights(indptr, indices, data, dlogits, out):
+    sparse = pytest.importorskip("scipy.sparse")
+    n = indptr.shape[0] - 1
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, out.shape[0]))
+    out += np.asarray(matrix.T @ dlogits)
+    return out
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def csr_cases(draw):
+    """A CSR matrix (empty rows, nnz 0, repeated and unsorted columns allowed),
+    weights, bias, per-row gradients and a starting ``out``."""
+    n = draw(st.integers(0, 6))
+    dim = draw(st.integers(1, 12))
+    n_labels = draw(st.integers(1, 4))
+    rows = [draw(st.lists(st.integers(0, dim - 1), max_size=5)) for _ in range(n)]
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+    indices = np.array([c for r in rows for c in r], dtype=np.int64)
+    nnz = indices.size
+
+    def floats(*shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(_FLOATS, min_size=size, max_size=size))
+        return np.array(values, dtype=np.float64).reshape(shape)
+
+    return {
+        "indptr": indptr,
+        "indices": indices,
+        "data": floats(nnz),
+        "weights": floats(dim, n_labels),
+        "bias": floats(n_labels),
+        "dlogits": floats(n, n_labels),
+        "out": floats(dim, n_labels),
+    }
+
+
+def _run_kernels(case, logits, grad):
+    z = logits(case["indptr"], case["indices"], case["data"], case["weights"], case["bias"])
+    g = grad(case["indptr"], case["indices"], case["data"], case["dlogits"], case["out"].copy())
+    return z, g
+
+
+@given(csr_cases())
+def test_sparse_kernels_match_loop_bytes(case):
+    z, g = _run_kernels(case, kernels.csr_logits, kernels.csr_grad_weights)
+    want_z, want_g = _run_kernels(case, loop_logits, loop_grad_weights)
+    assert z.shape == want_z.shape and z.dtype == np.float64
+    assert z.tobytes() == want_z.tobytes()
+    assert g.tobytes() == want_g.tobytes()
+
+
+@given(csr_cases())
+def test_sparse_kernels_match_scipy_bytes(case):
+    z, g = _run_kernels(case, kernels.csr_logits, kernels.csr_grad_weights)
+    want_z, want_g = _run_kernels(case, scipy_logits, scipy_grad_weights)
+    assert z.tobytes() == want_z.tobytes()
+    assert g.tobytes() == want_g.tobytes()
+
+
+def test_sparse_kernels_match_scipy_at_scale():
+    # the shapes the pipeline produces: micro-batches, a wide hash_dim, and
+    # rows that are all empty
+    rng = np.random.RandomState(7)
+    shapes = [(32, 1500, 6, 40), (32, 1500, 1, 40), (100, 2**18, 6, 40), (3, 1024, 2, 0)]
+    for n, dim, n_labels, max_nnz in shapes:
+        indptr, indices, data = random_csr(rng, n, dim, max_nnz)
+        case = {
+            "indptr": indptr,
+            "indices": indices,
+            "data": data,
+            "weights": rng.randn(dim, n_labels),
+            "bias": rng.randn(n_labels),
+            "dlogits": rng.randn(n, n_labels),
+            "out": rng.randn(dim, n_labels),
+        }
+        for got, want in zip(
+            _run_kernels(case, kernels.csr_logits, kernels.csr_grad_weights),
+            _run_kernels(case, scipy_logits, scipy_grad_weights),
+        ):
+            assert got.tobytes() == want.tobytes()
+
+
+_SCIPY_BLOCKED = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from polarpipe import cli
+
+steps = [
+    ["synth", "--n", "200", "--rates", "0.3,0.2", "--noise", "0.1", "--labels", "a,b",
+     "--out", "d.jsonl"],
+    ["pipeline", "--data", "d.jsonl", "--labels", "a,b", "--outdir", "run", "--max-epochs", "3"],
+    ["predict", "--model", "run/model.bin", "--data", "run/eval.jsonl", "--out", "e.probs"],
+    ["eval", "--probs", "e.probs", "--gold", "run/eval.jsonl", "--labels", "a,b",
+     "--thresholds", "run/thresholds.tsv", "--out", "report.tsv"],
+]
+for argv in steps:
+    status = cli.run(argv)
+    assert status == 0, (argv, status)
+assert "scipy" not in sys.modules
+print("ok")
+"""
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 def naive_confusion(probs, gold, theta):
