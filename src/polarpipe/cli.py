@@ -617,7 +617,12 @@ def _convert_config_value(action: argparse.Action, raw: str, path: str) -> objec
         if low in ("0", "false", "no", "off"):
             return False
         raise DataError(f"{path}: {action.dest} wants a boolean, got {raw!r}")
-    value = action.type(raw) if action.type else raw
+    try:
+        value = action.type(raw) if action.type else raw
+    except ValueError:
+        name = action.type.__name__
+        article = "an" if name[0] in "aeiou" else "a"
+        raise DataError(f"{path}: {action.dest} wants {article} {name}, got {raw!r}") from None
     if action.choices and value not in action.choices:
         raise DataError(
             f"{path}: {action.dest} must be one of {sorted(action.choices)}, got {raw!r}"

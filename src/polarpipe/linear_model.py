@@ -7,6 +7,13 @@ weights (or per-example class weights on the binary task), gradient
 accumulation, global-norm clipping, linear warmup with cosine decay, and
 early stopping on validation macro-F1 at threshold 0.5. Weight decay is
 decoupled: the penalty never passes through the gradient clip.
+
+A model holds weight rows only for the features that occur in its train set,
+``feature_ids`` in increasing order, so its size and the memory training
+takes follow the data, not ``hash_dim``. Any other feature's weight would
+stay exactly 0 under training, and a zero row adds nothing to a logit; so
+every matrix is first mapped onto the model's ids with ``restrict``, which
+drops the entries of features the model does not hold.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .probs import ProbabilityMatrix
 from .weighting import ClassWeights, PosWeights, class_weights, pos_weights
 
 _MODEL_FORMAT = "polarpipe-model"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 _PROB_FLOOR = 1e-15  # keeps predict_proba inside the open interval (0, 1)
 _SCALE_FLOOR = 1e-9  # the weight scale is folded into the weights below this
 
@@ -97,6 +104,27 @@ class FeatureMatrix:
         )
 
 
+def restrict(fm: FeatureMatrix, feature_ids: np.ndarray) -> FeatureMatrix:
+    """``fm`` in the column ids of ``feature_ids`` (strictly increasing).
+
+    An entry whose feature is not in ``feature_ids`` is dropped. Against a
+    weight matrix whose other rows are zero that changes no bit of a product:
+    each ``csr_logits`` cell starts at +0.0, a sum that starts at +0.0 never
+    becomes -0.0, and adding ``data * (+-0.0)`` to it changes nothing.
+    """
+    local = np.searchsorted(feature_ids, fm.indices)
+    # -1 matches no id, so past-the-end positions are dropped too
+    keep = np.append(feature_ids, -1)[local] == fm.indices
+    kept_before = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    return FeatureMatrix(
+        indptr=kept_before[fm.indptr],
+        indices=local[keep],
+        data=fm.data[keep],
+        n_features=feature_ids.size,
+    )
+
+
 def featurize(text: str, cfg: FeaturizerConfig | None = None) -> SparseVector:
     """Hash a preprocessed text into a sparse feature vector."""
     if cfg is None:
@@ -144,13 +172,22 @@ def featurize_all(texts: Sequence[str], cfg: FeaturizerConfig | None = None) -> 
 
 @dataclass(frozen=True)
 class LinearModel:
-    weights: np.ndarray  # (hash_dim, n_labels) float64
+    feature_ids: np.ndarray  # (k,) int64, strictly increasing, each < hash_dim
+    weights: np.ndarray  # (k, n_labels) float64: the row of each feature id
     bias: np.ndarray  # (n_labels,) float64
     featurizer: FeaturizerConfig
     schema: LabelSchema
 
     def __post_init__(self):
-        expected = (self.featurizer.hash_dim, self.schema.n_labels)
+        ids = self.feature_ids
+        if ids.dtype != np.int64 or ids.ndim != 1:
+            raise DataError(f"feature ids must be a 1-d int64 array, got {ids.dtype} {ids.shape}")
+        # the range first: np.diff of ids inside it cannot overflow
+        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= self.featurizer.hash_dim):
+            raise DataError(f"feature ids must lie in [0, {self.featurizer.hash_dim})")
+        if np.any(np.diff(ids) <= 0):
+            raise DataError("feature ids must be strictly increasing")
+        expected = (ids.size, self.schema.n_labels)
         if self.weights.shape != expected:
             raise DataError(f"weights shape {self.weights.shape}, expected {expected}")
         if self.bias.shape != (self.schema.n_labels,):
@@ -161,7 +198,8 @@ class LinearModel:
 
 def zero_model(fcfg: FeaturizerConfig, schema: LabelSchema) -> LinearModel:
     return LinearModel(
-        weights=np.zeros((fcfg.hash_dim, schema.n_labels), dtype=np.float64),
+        feature_ids=np.empty(0, dtype=np.int64),
+        weights=np.empty((0, schema.n_labels), dtype=np.float64),
         bias=np.zeros(schema.n_labels, dtype=np.float64),
         featurizer=fcfg,
         schema=schema,
@@ -282,13 +320,14 @@ def loss_and_grad(
 ):
     """Weighted smoothed BCE over a batch, with its exact gradient.
 
-    Returns ``(loss, grad_weights, grad_bias)``. The positive weights default
-    to all ones; ``sample_weights`` multiplies whole examples (the binary
-    class-weight path).
+    Returns ``(loss, grad_weights, grad_bias)``; ``grad_weights`` has one row
+    per ``model.feature_ids``. The positive weights default to all ones;
+    ``sample_weights`` multiplies whole examples (the binary class-weight path).
     """
     if not batch:
         raise DataError("loss_and_grad needs a non-empty batch")
     fm = featurize_all([inst.text for inst in batch], model.featurizer)
+    fm = restrict(fm, model.feature_ids)
     y = np.array([inst.labels for inst in batch], dtype=np.float64)
     if y.shape[1] != model.schema.n_labels:
         raise DataError("batch labels do not match model schema")
@@ -339,8 +378,12 @@ def train(
     smoothing = tcfg.resolve_smoothing(schema)
 
     fm = featurize_all([inst.text for inst in train_ds.instances], fcfg)
+    # train on local column ids: one weight row per distinct train feature
+    feature_ids, local = np.unique(fm.indices, return_inverse=True)
+    fm = FeatureMatrix(fm.indptr, local, fm.data, feature_ids.size)
     y = np.array([inst.labels for inst in train_ds.instances], dtype=np.float64)
     fm_val = featurize_all([inst.text for inst in val_ds.instances], fcfg)
+    fm_val = restrict(fm_val, feature_ids)
     y_val = np.array([inst.labels for inst in val_ds.instances], dtype=np.int64)
 
     pw_arr = np.ones(n_labels, dtype=np.float64)
@@ -359,7 +402,7 @@ def train(
     # W = scale * V: decay multiplies the scalar, and each update writes only
     # the rows its features touch (Bottou, "Stochastic Gradient Descent
     # Tricks", 2012). The scale is folded back into V at every epoch end.
-    V = np.zeros((fcfg.hash_dim, n_labels), dtype=np.float64)
+    V = np.zeros((feature_ids.size, n_labels), dtype=np.float64)
     scale = 1.0
     b = np.zeros(n_labels, dtype=np.float64)
 
@@ -445,7 +488,9 @@ def train(
             stopped_early = True
             break
 
-    model = LinearModel(weights=best_W, bias=best_b, featurizer=fcfg, schema=schema)
+    model = LinearModel(
+        feature_ids=feature_ids, weights=best_W, bias=best_b, featurizer=fcfg, schema=schema
+    )
     report = TrainReport(
         epoch_train_loss=tuple(losses),
         epoch_val_macro_f1=tuple(val_scores),
@@ -462,6 +507,7 @@ def predict_proba(model: LinearModel, ds: Dataset) -> ProbabilityMatrix:
     if ds.schema.names != model.schema.names:
         raise DataError("dataset schema does not match model schema")
     fm = featurize_all([inst.text for inst in ds.instances], model.featurizer)
+    fm = restrict(fm, model.feature_ids)
     z = kernels.csr_logits(fm.indptr, fm.indices, fm.data, model.weights, model.bias)
     probs = np.clip(_sigmoid(z), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     return ProbabilityMatrix(
@@ -474,7 +520,13 @@ def predict_proba(model: LinearModel, ds: Dataset) -> ProbabilityMatrix:
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
-    """Write the model: one JSON header line, then raw little-endian weights."""
+    """Write the model: one JSON header line, then little-endian feature ids,
+    weights and bias.
+
+    The header's ``shape`` is ``[k, n_labels]``; the body is ``k`` ``<i8``
+    ids, ``k * n_labels`` ``<f8`` weights (row-major) and ``n_labels``
+    ``<f8`` biases.
+    """
     header = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
@@ -484,6 +536,7 @@ def save_model(model: LinearModel, path: str | Path) -> None:
     }
     with Path(path).open("wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(np.ascontiguousarray(model.feature_ids, dtype="<i8").tobytes())
         fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
 
@@ -494,8 +547,8 @@ def _featurizer_from_json(fz: dict) -> FeaturizerConfig:
 
 
 def _shape_from_json(value) -> tuple[int, int]:
-    d, n_labels = map(operator.index, value)
-    return d, n_labels
+    k, n_labels = map(operator.index, value)
+    return k, n_labels
 
 
 def load_model(path: str | Path) -> LinearModel:
@@ -511,21 +564,26 @@ def load_model(path: str | Path) -> LinearModel:
         raise DataError(f"{path}: not a model file")
     if header.get("version") != _MODEL_VERSION:
         raise DataError(f"{path}: unsupported model version {header.get('version')!r}")
-    d, n_labels = read_field(header, "shape", path, _shape_from_json)
+    k, n_labels = read_field(header, "shape", path, _shape_from_json)
     fcfg = read_field(header, "featurizer", path, _featurizer_from_json)
     schema = read_field(header, "schema", path, lambda v: LabelSchema(names=tuple(v)))
-    expected = (d * n_labels + n_labels) * 8
-    if min(d, n_labels) < 0 or len(body) != expected:
+    expected = (k + k * n_labels + n_labels) * 8
+    if min(k, n_labels) < 0 or len(body) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, found {len(body)}")
-    # views of the payload; astype makes the one copy the model owns
-    weights = np.frombuffer(body, dtype="<f8", count=d * n_labels).reshape(d, n_labels)
-    bias = np.frombuffer(body, dtype="<f8", offset=d * n_labels * 8)
-    return LinearModel(
-        weights=weights.astype(np.float64),
-        bias=bias.astype(np.float64),
-        featurizer=fcfg,
-        schema=schema,
-    )
+    # views of the payload; astype copies only on a big-endian host
+    ids = np.frombuffer(body, dtype="<i8", count=k)
+    weights = np.frombuffer(body, dtype="<f8", count=k * n_labels, offset=k * 8)
+    bias = np.frombuffer(body, dtype="<f8", offset=(k + k * n_labels) * 8)
+    try:
+        return LinearModel(
+            feature_ids=ids.astype(np.int64, copy=False),
+            weights=weights.reshape(k, n_labels).astype(np.float64, copy=False),
+            bias=bias.astype(np.float64, copy=False),
+            featurizer=fcfg,
+            schema=schema,
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_history(report: TrainReport, path: str | Path) -> None:

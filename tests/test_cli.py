@@ -353,6 +353,24 @@ class TestConfigFile:
         assert run(args) == 1
         assert "must be one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("val-fraction = abc", "val_fraction wants a float, got 'abc'"),
+            ("seed = 1.5", "seed wants an int, got '1.5'"),
+        ],
+    )
+    def test_wrong_type_value_named(self, tmp_path, capsys, line, message):
+        data = synth_file(tmp_path, "d.jsonl", 10, [0.5], seed=9)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        args = [
+            "split", str(data), "--labels", "label0", "--config", str(cfg),
+            "--out-train", str(tmp_path / "t"), "--out-val", str(tmp_path / "v"),
+        ]
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+
 
 class TestPipeline:
     def test_produces_all_artifacts(self, tmp_path, capsys):
@@ -539,6 +557,12 @@ _MODULE_CASES = {
         _EVAL + ["--thresholds", "t.tsv"],
     ),
     "config-not-utf8": (1, {"d.jsonl": _GOOD, "c.cfg": b"# caf\xe9\n"}, _STATS + ["--config", "c.cfg"]),
+    "config-wrong-type": (
+        1,
+        {"d.jsonl": _GOOD, "c.cfg": b"val-fraction = abc\n"},
+        ["split", "d.jsonl", "--schema", "subtask1", "--config", "c.cfg",
+         "--out-train", "t.jsonl", "--out-val", "v.jsonl"],
+    ),
 }
 
 

@@ -155,6 +155,7 @@ class TestLossAndGrad:
         rng = np.random.RandomState(0)
         fcfg = FeaturizerConfig(hash_dim=2**10)
         model = LinearModel(
+            feature_ids=np.arange(2**10),
             weights=rng.randn(2**10, 2) * 0.1,
             bias=rng.randn(2) * 0.1,
             featurizer=fcfg,
@@ -166,6 +167,30 @@ class TestLossAndGrad:
         penalty = 0.01 * 0.5 * float(np.sum(model.weights**2))
         assert decayed == pytest.approx(plain + penalty, rel=1e-12)
         assert np.allclose(gw1 - gw0, 0.01 * model.weights)
+
+    def test_compact_model_matches_its_dense_form(self):
+        # a feature the model lacks adds nothing, as a zero row does
+        schema = LabelSchema(names=("a", "b"))
+        rng = np.random.RandomState(3)
+        fcfg = FeaturizerConfig(hash_dim=2**10)
+        batch = _mk_batch(["t u v", "v w", "x y z z", ""], [(1, 0), (0, 1), (1, 1), (0, 0)], schema.names)
+        batch_ids = featurize_all([inst.text for inst in batch], fcfg).indices
+        ids = np.unique(np.concatenate([batch_ids[::2], [3, 500, 1023]]))
+        compact = LinearModel(
+            feature_ids=ids, weights=rng.randn(ids.size, 2), bias=rng.randn(2), featurizer=fcfg, schema=schema
+        )
+        dense_w = np.zeros((2**10, 2))
+        dense_w[ids] = compact.weights
+        dense = LinearModel(
+            feature_ids=np.arange(2**10), weights=dense_w, bias=compact.bias, featurizer=fcfg, schema=schema
+        )
+        loss, gw, gb = loss_and_grad(compact, batch, smoothing=0.1)
+        loss_d, gw_d, gb_d = loss_and_grad(dense, batch, smoothing=0.1)
+        assert loss == loss_d
+        assert gw.tobytes() == gw_d[ids].tobytes()
+        assert gb.tobytes() == gb_d.tobytes()
+        ds = mk_dataset([(0, 0)] * len(batch), names=schema.names, texts=[i.text for i in batch])
+        assert predict_proba(compact, ds).values.tobytes() == predict_proba(dense, ds).values.tobytes()
 
     def test_empty_batch_rejected(self):
         model = zero_model(FeaturizerConfig(hash_dim=2**10), LabelSchema(names=("y",)))
@@ -191,6 +216,7 @@ class TestGradientCheck:
         schema = LabelSchema(names=("a", "b", "c"))
         fcfg = FeaturizerConfig(hash_dim=2**10)
         model = LinearModel(
+            feature_ids=np.arange(2**10),
             weights=rng.randn(2**10, 3) * 0.3,
             bias=rng.randn(3) * 0.1,
             featurizer=fcfg,
@@ -414,6 +440,7 @@ class TestPredictProba:
         schema = LabelSchema(names=("a", "b"))
         fcfg = FeaturizerConfig(hash_dim=2**10)
         model = LinearModel(
+            feature_ids=np.arange(2**10),
             weights=rng.randn(2**10, 2) * 0.1,
             bias=np.array([0.0, 0.0]),
             featurizer=fcfg,
@@ -422,6 +449,7 @@ class TestPredictProba:
         ds = mk_dataset([(0, 1), (1, 0), (1, 1)], names=("a", "b"))
         before = predict_proba(model, ds).values
         bumped = LinearModel(
+            feature_ids=model.feature_ids,
             weights=model.weights,
             bias=np.array([0.0, 1.0]),
             featurizer=fcfg,
@@ -438,6 +466,58 @@ class TestPredictProba:
             predict_proba(model, ds)
 
 
+class TestCompactModel:
+    def test_zero_model_holds_no_rows(self):
+        model = zero_model(FeaturizerConfig(hash_dim=2**20), LabelSchema(names=("a", "b")))
+        assert model.feature_ids.dtype == np.int64 and model.feature_ids.shape == (0,)
+        assert model.weights.shape == (0, 2)
+
+    def test_model_holds_the_train_features_only(self):
+        ds = generate_synthetic(60, [0.3, 0.5], seed=3)
+        fcfg = FeaturizerConfig(hash_dim=2**20)
+        model, _ = train(ds, ds, TrainConfig(max_epochs=2), fcfg)
+        train_ids = np.unique(featurize_all([i.text for i in ds.instances], fcfg).indices)
+        assert np.array_equal(model.feature_ids, train_ids)
+        assert model.weights.shape == (train_ids.size, 2) and train_ids.size < 2**12
+        # a text of features the model never saw scores its bias alone
+        unseen = mk_dataset([(0, 1)], names=ds.schema.names, texts=["zq1 zq2 zq3"])
+        assert not np.isin(featurize(unseen.instances[0].text, fcfg).indices, train_ids).any()
+        expected = 1.0 / (1.0 + np.exp(-model.bias))
+        assert np.array_equal(predict_proba(model, unseen).values[0], expected)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([3, 1], "strictly increasing"),
+            ([1, 1], "strictly increasing"),
+            ([-1, 2], r"lie in \[0, 1024\)"),
+            ([5, 1024], r"lie in \[0, 1024\)"),
+            (np.array([1, 2], dtype=np.int32), "int64"),
+            (np.array([[1, 2]]), "1-d"),
+        ],
+    )
+    def test_feature_ids_validated(self, ids, message):
+        ids = np.asarray(ids, dtype=getattr(ids, "dtype", np.int64))
+        with pytest.raises(DataError, match=message):
+            LinearModel(
+                feature_ids=ids,
+                weights=np.zeros((ids.shape[-1], 1)),
+                bias=np.zeros(1),
+                featurizer=FeaturizerConfig(hash_dim=2**10),
+                schema=LabelSchema(names=("a",)),
+            )
+
+    def test_weights_need_one_row_per_id(self):
+        with pytest.raises(DataError, match="weights shape"):
+            LinearModel(
+                feature_ids=np.array([1, 7]),
+                weights=np.zeros((3, 1)),
+                bias=np.zeros(1),
+                featurizer=FeaturizerConfig(hash_dim=2**10),
+                schema=LabelSchema(names=("a",)),
+            )
+
+
 class TestModelFile:
     def _trained(self):
         ds = generate_synthetic(50, [0.3, 0.6], seed=5)
@@ -451,6 +531,8 @@ class TestModelFile:
         back = load_model(path)
         assert back.schema.names == model.schema.names
         assert back.featurizer == model.featurizer
+        assert back.feature_ids.dtype == np.int64
+        assert np.array_equal(back.feature_ids, model.feature_ids)
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.bias, model.bias)
         assert np.array_equal(
@@ -473,6 +555,70 @@ class TestModelFile:
         clipped.write_bytes(good.read_bytes()[:-8])
         with pytest.raises(DataError, match="payload bytes"):
             load_model(clipped)
+
+    def test_file_layout(self, tmp_path):
+        model, _ = self._trained()
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        k, n_labels = model.weights.shape
+        assert header["version"] == 2 and header["shape"] == [k, n_labels]
+        assert 0 < k < 2**10
+        assert len(body) == (k + k * n_labels + n_labels) * 8
+        assert body[: k * 8] == model.feature_ids.astype("<i8").tobytes()
+        assert body[k * 8 : -n_labels * 8] == model.weights.astype("<f8").tobytes()
+        assert body[-n_labels * 8 :] == model.bias.astype("<f8").tobytes()
+
+    def test_rejects_version_1(self, tmp_path):
+        # the dense layout: hash_dim rows of weights, then the bias
+        header = {
+            "format": "polarpipe-model", "version": 1, "schema": ["a"], "shape": [1024, 1],
+            "featurizer": {"hash_dim": 1024, "ngram_orders": [1, 2], "tf_mode": "count", "l2_normalize": True},
+        }
+        path = tmp_path / "v1.bin"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(1025 * 8))
+        with pytest.raises(DataError, match="unsupported model version 1$") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("nan-weight", "finite"),
+            ("inf-bias", "finite"),
+            ("unsorted-ids", "strictly increasing"),
+            ("duplicate-ids", "strictly increasing"),
+            ("negative-id", "lie in"),
+            ("id-past-hash-dim", "lie in"),
+        ],
+    )
+    def test_bad_parameters_name_the_path(self, tmp_path, edit, message):
+        model, _ = self._trained()
+        ids, weights, bias = model.feature_ids.copy(), model.weights.copy(), model.bias.copy()
+        if edit == "nan-weight":
+            weights[1, 0] = np.nan
+        elif edit == "inf-bias":
+            bias[-1] = np.inf
+        elif edit == "unsorted-ids":
+            ids[[0, 1]] = ids[[1, 0]]
+        elif edit == "duplicate-ids":
+            ids[1] = ids[0]
+        elif edit == "negative-id":
+            ids[0] = -1
+        else:
+            ids[-1] = model.featurizer.hash_dim
+        good = tmp_path / "m.bin"
+        save_model(model, good)
+        header = good.read_bytes().split(b"\n", 1)[0]
+        path = tmp_path / "edited.bin"
+        path.write_bytes(
+            header + b"\n" + ids.astype("<i8").tobytes()
+            + weights.astype("<f8").tobytes() + bias.astype("<f8").tobytes()
+        )
+        with pytest.raises(DataError, match=message) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "v9.bin"
