@@ -12,13 +12,10 @@ float64 additions as a row-by-row, entry-by-entry loop, bit for bit.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-FNV_BASIS = 0xCBF29CE484222325
-FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+FNV_BASIS = np.uint64(0xCBF29CE484222325)
+FNV_PRIME = np.uint64(0x100000001B3)
 
 
 def active_backend() -> str:
@@ -26,47 +23,69 @@ def active_backend() -> str:
     return "python"
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a over a byte string."""
-    h = FNV_BASIS
-    for byte in data:
-        h = ((h ^ byte) * FNV_PRIME) & _MASK64
-    return h
+def _fnv_continue(states, buf, starts, lengths):
+    """64-bit FNV-1a from ``states`` over the byte spans ``buf[start:start+length]``.
 
-
-def _fnv_update(h: int, data: bytes) -> int:
-    """FNV-1a from state ``h`` over ``data``, reduced mod 2**64 once at the end.
-
-    XOR with a byte changes only the low 8 bits, and the low 64 bits of a
-    product depend only on the low 64 bits of its factors, so this equals
-    reducing after every byte.
+    Works in place on ``states`` (uint64, multiplication wraps mod 2**64) one
+    byte column at a time. Spans are sorted longest first, so at column ``j``
+    the spans still running are a prefix of that order.
     """
-    for byte in data:
-        h = (h ^ byte) * FNV_PRIME
-    return h & _MASK64
+    order = np.argsort(-lengths, kind="stable")
+    ordered = states[order]
+    starts = starts[order]
+    # running[j]: how many spans are longer than j
+    running = np.searchsorted(-lengths[order], -np.arange(int(lengths.max(initial=0))), side="left")
+    for j, k in enumerate(running):
+        head = ordered[:k]
+        head ^= buf[starts[:k] + j]
+        head *= FNV_PRIME
+    states[order] = ordered
+    return states
 
 
-@functools.lru_cache(maxsize=2**16)
-def _token_state(token: str) -> int:
-    """FNV-1a state after the token's UTF-8 bytes; repeated tokens are cache hits."""
-    return _fnv_update(FNV_BASIS, token.encode("utf-8"))
+def hash_ngrams(token_ids, words, doc_lengths, unigrams: bool, bigrams: bool, hash_dim: int):
+    """Hashed n-gram ids of a whole corpus, as ``(rows, ids)`` int64 arrays.
 
+    ``token_ids`` lists every document's tokens in order, as indices into
+    ``words``, the distinct tokens; ``doc_lengths`` counts each document's
+    tokens. The pairs hold every document's unigrams, then every document's
+    bigrams, and ``rows`` says whose they are. Bigrams hash the two tokens'
+    UTF-8 bytes joined by a single space, so the bigram of ("a", "b") and the
+    unigram "a b" collide by construction: a bigram's hash continues from its
+    first word's state through the space, then over its second word's bytes.
 
-def hash_ngrams(tokens: list[str], unigrams: bool, bigrams: bool, hash_dim: int) -> np.ndarray:
-    """Hashed feature indices for a token sequence: unigrams, then bigrams.
-
-    Bigrams hash the two tokens' UTF-8 bytes joined by a single space, so the
-    bigram of ("a", "b") and the unigram "a b" collide by construction. A
-    bigram's hash continues from its first token's state through the space.
+    Each distinct word is hashed once. The words hold no whitespace (they come
+    from ``str.split()``) and no multi-byte UTF-8 sequence holds the byte
+    0x20, so in the space-joined buffer the 0x20 bytes are exactly the
+    separators. ``hash_dim`` must lie below 2**64.
     """
-    states = [_token_state(t) for t in tokens]
-    out: list[int] = []
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
+    buf = np.frombuffer(" ".join(words).encode("utf-8"), dtype=np.uint8)
+    spaces = np.flatnonzero(buf == 0x20)
+    starts = np.append(0, spaces + 1)[: len(words)]
+    lengths = np.append(spaces, buf.size)[: len(words)] - starts
+    states = _fnv_continue(np.full(len(words), FNV_BASIS), buf, starts, lengths)
+    dim = np.uint64(hash_dim)
+    rows = np.repeat(np.arange(doc_lengths.size, dtype=np.int64), doc_lengths)
+    out_rows, out_ids = [], []
     if unigrams:
-        out.extend(h % hash_dim for h in states)
+        out_rows.append(rows)
+        out_ids.append((states % dim).astype(np.int64)[token_ids])
     if bigrams:
-        for h, second in zip(states, tokens[1:]):
-            out.append(_fnv_update((h ^ 0x20) * FNV_PRIME, second.encode("utf-8")) % hash_dim)
-    return np.asarray(out, dtype=np.int64)
+        # every token but a document's last starts a bigram
+        first = np.ones(token_ids.size, dtype=bool)
+        first[np.cumsum(doc_lengths)[doc_lengths > 0] - 1] = False
+        first = np.flatnonzero(first)
+        left, right = token_ids[first], token_ids[first + 1]
+        pair_states = _fnv_continue(
+            (states[left] ^ np.uint64(0x20)) * FNV_PRIME, buf, starts[right], lengths[right]
+        )
+        out_rows.append(rows[first])
+        out_ids.append((pair_states % dim).astype(np.int64))
+    if not out_rows:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(out_rows), np.concatenate(out_ids)
 
 
 def _entry_rows(indptr) -> np.ndarray:

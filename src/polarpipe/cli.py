@@ -315,6 +315,8 @@ def _stage(
 def _cmd_pipeline(cfg: RunConfig) -> int:
     o = cfg.options
     schema = _resolve_schema(o)
+    tcfg = _train_config(o)
+    fcfg = _featurizer_config(o)
     seed = o["seed"]
     outdir = Path(o["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -364,8 +366,6 @@ def _cmd_pipeline(cfg: RunConfig) -> int:
         )
     )
 
-    tcfg = _train_config(o)
-    fcfg = _featurizer_config(o)
     model, report = train(
         split.train, split.val, tcfg=tcfg, fcfg=fcfg, weighting_mode=o["weighting"]
     )

@@ -36,6 +36,11 @@ _MODEL_FORMAT = "polarpipe-model"
 _MODEL_VERSION = 2
 _PROB_FLOOR = 1e-15  # keeps predict_proba inside the open interval (0, 1)
 _SCALE_FLOOR = 1e-9  # the weight scale is folded into the weights below this
+_MAX_HASH_DIM = 2**62
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -46,14 +51,24 @@ class FeaturizerConfig:
     l2_normalize: bool = True
 
     def __post_init__(self):
-        if self.hash_dim < 2**10 or self.hash_dim & (self.hash_dim - 1):
-            raise DataError(f"hash_dim must be a power of two >= 1024, got {self.hash_dim}")
+        # the values may come from a model header, so their types are checked too;
+        # hash ids are reduced in uint64 and stored as int64, hence the upper bound
+        if not _is_int(self.hash_dim):
+            raise DataError(f"hash_dim must be an integer, got {self.hash_dim!r}")
+        if not 2**10 <= self.hash_dim <= _MAX_HASH_DIM or self.hash_dim & (self.hash_dim - 1):
+            raise DataError(f"hash_dim must be a power of two in [2**10, 2**62], got {self.hash_dim}")
+        if not isinstance(self.ngram_orders, (tuple, list)) or not all(
+            map(_is_int, self.ngram_orders)
+        ):
+            raise DataError(f"ngram_orders must be a sequence of integers, got {self.ngram_orders!r}")
         orders = tuple(sorted(set(self.ngram_orders)))
         if not orders or any(o not in (1, 2) for o in orders):
             raise DataError(f"ngram_orders must be a non-empty subset of {{1, 2}}, got {self.ngram_orders}")
         object.__setattr__(self, "ngram_orders", orders)
-        if self.tf_mode not in ("binary", "count"):
+        if not isinstance(self.tf_mode, str) or self.tf_mode not in ("binary", "count"):
             raise DataError(f"tf_mode must be 'binary' or 'count', got {self.tf_mode!r}")
+        if not isinstance(self.l2_normalize, bool):
+            raise DataError(f"l2_normalize must be true or false, got {self.l2_normalize!r}")
 
 
 @dataclass(frozen=True)
@@ -129,45 +144,52 @@ def featurize(text: str, cfg: FeaturizerConfig | None = None) -> SparseVector:
     """Hash a preprocessed text into a sparse feature vector."""
     if cfg is None:
         cfg = FeaturizerConfig()
-    tokens = text.split()
-    raw = kernels.hash_ngrams(
-        tokens, 1 in cfg.ngram_orders, 2 in cfg.ngram_orders, cfg.hash_dim
-    )
-    if raw.size == 0:
-        return SparseVector(
-            indices=np.empty(0, dtype=np.int64),
-            values=np.empty(0, dtype=np.float64),
-            dim=cfg.hash_dim,
-        )
-    indices, counts = np.unique(raw, return_counts=True)
-    if cfg.tf_mode == "binary":
-        values = np.ones_like(counts, dtype=np.float64)
-    else:
-        values = counts.astype(np.float64)
-    if cfg.l2_normalize:
-        values = values / np.sqrt(np.sum(values * values))
-    return SparseVector(indices=indices, values=values, dim=cfg.hash_dim)
+    fm = featurize_all([text], cfg)
+    return SparseVector(indices=fm.indices, values=fm.data, dim=cfg.hash_dim)
 
 
 def featurize_all(texts: Sequence[str], cfg: FeaturizerConfig | None = None) -> FeatureMatrix:
-    """Featurize a batch of texts into one row-compressed matrix."""
+    """Featurize a batch of texts into one row-compressed matrix.
+
+    Each row holds its text's distinct hashed n-gram ids in increasing order,
+    valued by count (or 1 under ``tf_mode="binary"``), then optionally divided
+    by the row's L2 norm. The whole batch is hashed in one kernel call and
+    grouped by one sort.
+    """
     if cfg is None:
         cfg = FeaturizerConfig()
-    vectors = [featurize(t, cfg) for t in texts]
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    np.cumsum([v.indices.size for v in vectors], out=indptr[1:])
-    if vectors:
-        indices = np.concatenate([v.indices for v in vectors])
-        data = np.concatenate([v.values for v in vectors])
-    else:
-        indices = np.empty(0, dtype=np.int64)
-        data = np.empty(0, dtype=np.float64)
-    return FeatureMatrix(
-        indptr=indptr,
-        indices=indices.astype(np.int64),
-        data=data.astype(np.float64),
-        n_features=cfg.hash_dim,
+    vocab: dict[str, int] = {}
+    doc_lengths: list[int] = []
+
+    def token_ids():
+        for text in texts:
+            tokens = text.split()
+            doc_lengths.append(len(tokens))
+            for token in tokens:
+                yield vocab.setdefault(token, len(vocab))
+
+    ids = np.fromiter(token_ids(), dtype=np.int64)
+    rows, hashed = kernels.hash_ngrams(
+        ids, list(vocab), doc_lengths, 1 in cfg.ngram_orders, 2 in cfg.ngram_orders, cfg.hash_dim
     )
+    order = np.lexsort((hashed, rows))
+    rows, hashed = rows[order], hashed[order]
+    # each run of equal (row, id) pairs is one entry; its length is the count
+    new_entry = np.ones(rows.size, dtype=bool)
+    new_entry[1:] = (rows[1:] != rows[:-1]) | (hashed[1:] != hashed[:-1])
+    starts = np.flatnonzero(new_entry)
+    indptr = np.zeros(len(doc_lengths) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[starts], minlength=len(doc_lengths)), out=indptr[1:])
+    if cfg.tf_mode == "binary":
+        data = np.ones(starts.size, dtype=np.float64)
+    else:
+        data = np.diff(np.append(starts, rows.size)).astype(np.float64)
+    if cfg.l2_normalize and data.size:
+        # squared counts are integers, so every summation order gives the same sum
+        row_sizes = np.diff(indptr)
+        norms = np.sqrt(np.add.reduceat(data * data, indptr[:-1][row_sizes > 0]))
+        data = data / np.repeat(norms, row_sizes[row_sizes > 0])
+    return FeatureMatrix(indptr=indptr, indices=hashed[starts], data=data, n_features=cfg.hash_dim)
 
 
 @dataclass(frozen=True)
@@ -551,6 +573,12 @@ def _shape_from_json(value) -> tuple[int, int]:
     return k, n_labels
 
 
+def _schema_from_json(value) -> LabelSchema:
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise DataError(f"schema must be a list of label names, got {value!r}")
+    return LabelSchema(names=tuple(value))
+
+
 def load_model(path: str | Path) -> LinearModel:
     path = Path(path)
     with path.open("rb") as fh:
@@ -566,7 +594,7 @@ def load_model(path: str | Path) -> LinearModel:
         raise DataError(f"{path}: unsupported model version {header.get('version')!r}")
     k, n_labels = read_field(header, "shape", path, _shape_from_json)
     fcfg = read_field(header, "featurizer", path, _featurizer_from_json)
-    schema = read_field(header, "schema", path, lambda v: LabelSchema(names=tuple(v)))
+    schema = read_field(header, "schema", path, _schema_from_json)
     expected = (k + k * n_labels + n_labels) * 8
     if min(k, n_labels) < 0 or len(body) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, found {len(body)}")

@@ -9,6 +9,17 @@ from polarpipe.linear_model import FeatureMatrix, _loss_and_grad_csr
 from polarpipe.metrics import score
 
 
+FNV_BASIS = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
+
+
+def fnv1a64(data: bytes, h: int = FNV_BASIS) -> int:
+    """64-bit FNV-1a from state ``h`` over ``data``, reduced after every byte."""
+    for byte in data:
+        h = ((h ^ byte) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
 def mk_dataset(label_rows, names=None, texts=None) -> Dataset:
     """Dataset from a list of label tuples; texts default to distinct filler."""
     label_rows = [tuple(int(v) for v in row) for row in label_rows]

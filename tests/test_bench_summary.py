@@ -12,8 +12,13 @@ bench_summary = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_summary)
 
 
-def write_side(root: Path, source: str, docs_per_s: dict[tuple[str, int], float]) -> Path:
-    """One record per (workload, seed); every metric but docs_per_s is fixed."""
+def write_side(
+    root: Path, source: str, docs_per_s: dict[tuple[str, int], float], incorrect=frozenset()
+) -> Path:
+    """One record per (workload, seed); every metric but docs_per_s is fixed.
+
+    The (workload, seed) keys in ``incorrect`` failed the benchmark's checks.
+    """
     root.mkdir()
     for (workload, seed), value in docs_per_s.items():
         metrics = {
@@ -29,6 +34,8 @@ def write_side(root: Path, source: str, docs_per_s: dict[tuple[str, int], float]
             "trace": 0,
             "attempted": 4,
             "failed": 0,
+            "correct": (workload, seed) not in incorrect,
+            "failures": ["eval_macro_f1 out of band"] if (workload, seed) in incorrect else [],
             "environment": {"source_sha256": source},
             "metrics": {name: {"value": v} for name, v in metrics.items()},
         }
@@ -56,6 +63,18 @@ def test_medians_quartiles_and_wins(tmp_path):
     # better on seeds 1, 3 and 4; worse on 2; a tie on 5 counts for neither
     assert docs["change_wins"] == "3/5"
     assert entry["end_to_end"]["setup_s"]["change_wins"] == "0/5"
+    assert json.loads(out.read_text())["incorrect_runs"] == {"parent": "0/5", "change": "0/5"}
+
+
+def test_incorrect_runs_named(tmp_path, capsys):
+    runs = {("w", 1): 10.0, ("w", 2): 10.0, ("score-social", 1): 5.0}
+    parent = write_side(tmp_path / "parent", "p", runs)
+    change = write_side(tmp_path / "change", "c", runs, incorrect={("w", 2), ("score-social", 1)})
+    out = tmp_path / "bench.json"
+    assert run_tool(parent, change, out) == 0
+    incorrect = json.loads(out.read_text())["incorrect_runs"]
+    assert incorrect == {"parent": "0/3", "change": "2/3: score-social seed 1, w seed 2"}
+    assert "change has incorrect runs: 2/3" in capsys.readouterr().err
 
 
 def test_side_with_two_sources_rejected(tmp_path):

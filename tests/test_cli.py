@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -536,6 +537,9 @@ def test_console_script_runs(tmp_path):
 _SRC = Path(__file__).resolve().parent.parent / "src"
 _GOOD = b'{"id": "a", "text": "t", "label": 1}\n'
 _PROBS = b"id\tpolarized\na\t0.5\n"
+_CORPUS = b"".join(
+    json.dumps({"id": f"d{i}", "text": f"w{i % 5} v{i % 3}", "label": i % 2}).encode() + b"\n" for i in range(40)
+)
 _STATS = ["stats", "d.jsonl", "--schema", "subtask1"]
 _EVAL = ["eval", "--probs", "p.probs", "--gold", "d.jsonl", "--schema", "subtask1", "--out", "r.txt"]
 
@@ -557,6 +561,18 @@ _MODULE_CASES = {
         _EVAL + ["--thresholds", "t.tsv"],
     ),
     "config-not-utf8": (1, {"d.jsonl": _GOOD, "c.cfg": b"# caf\xe9\n"}, _STATS + ["--config", "c.cfg"]),
+    "pipeline-hash-dim-2**64": (
+        1, {"d.jsonl": _CORPUS},
+        ["pipeline", "--data", "d.jsonl", "--schema", "subtask1", "--outdir", "run", "--hash-dim", str(2**64)],
+    ),
+    "model-hash-dim-2**70": (
+        1,
+        {"d.jsonl": _GOOD, "m.bin": json.dumps({
+            "format": "polarpipe-model", "version": 2, "schema": ["polarized"], "shape": [0, 1],
+            "featurizer": {"hash_dim": 2**70, "ngram_orders": [1, 2], "tf_mode": "count", "l2_normalize": True},
+        }).encode() + b"\n" + bytes(8)},
+        ["predict", "--model", "m.bin", "--data", "d.jsonl", "--out", "p.probs"],
+    ),
     "config-wrong-type": (
         1,
         {"d.jsonl": _GOOD, "c.cfg": b"val-fraction = abc\n"},

@@ -1,8 +1,8 @@
 """Mutation fuzzing of the on-disk readers.
 
 A mutated file must either load to an object that satisfies its invariants
-or raise ``DataError``; any other exception fails the test. Covered so far:
-``model.bin`` (format v2).
+or raise ``DataError`` naming the file; any other exception fails the test.
+Covered so far: ``model.bin`` (format v2), ``.probs`` and ``thresholds.tsv``.
 """
 
 import json
@@ -10,8 +10,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from polarpipe.calibration import PROVENANCES, ThresholdVector, load_thresholds, save_thresholds
 from polarpipe.corpus import DataError
 from polarpipe.linear_model import (
     FeaturizerConfig,
@@ -22,6 +24,7 @@ from polarpipe.linear_model import (
     save_model,
     train,
 )
+from polarpipe.probs import ProbabilityMatrix, load_probabilities, save_probabilities
 from polarpipe.synth import generate_synthetic
 
 from helpers import mk_dataset
@@ -48,10 +51,12 @@ json_values = st.recursive(
 )
 featurizers = st.fixed_dictionaries(
     {
-        "hash_dim": st.sampled_from([2**4, 2**10, 2**11, 2**20, 1000, -1024, 0]),
-        "ngram_orders": st.sampled_from([[1, 2], [1], [2], [], [3], 1]),
-        "tf_mode": st.sampled_from(["count", "binary", "tfidf"]),
-        "l2_normalize": st.booleans(),
+        "hash_dim": st.sampled_from(
+            [2**4, 2**10, 2**11, 2**20, 2**62, 2**63, 2**64, 2**70, 1000, -1024, 0, True, 1024.0, "1024"]
+        ),
+        "ngram_orders": st.sampled_from([[1, 2], [1], [2], [], [3], 1, [1.0], [True], "12", [1, "2"]]),
+        "tf_mode": st.sampled_from(["count", "binary", "tfidf", 5, ["count"]]),
+        "l2_normalize": st.sampled_from([True, False, "no", "", 0, 1, 0.5, None]),
     }
 )
 header_edits = st.one_of(
@@ -64,7 +69,10 @@ header_edits = st.one_of(
     ),
     st.tuples(st.just("version"), st.one_of(st.sampled_from([1, 2, 3, 2.0, "2", True]), json_values)),
     st.tuples(st.just("featurizer"), st.one_of(featurizers, json_values)),
-    st.tuples(st.just("schema"), st.one_of(st.just(["a"]), st.just(["a", "b", "c"]), json_values)),
+    st.tuples(
+        st.just("schema"),
+        st.one_of(st.sampled_from([["a"], ["a", "b", "c"], {"a": 1, "b": 2}, "ab", ["a", 1]]), json_values),
+    ),
 )
 HASH_DIM = HEADER["featurizer"]["hash_dim"]
 # whole values written over one feature id, weight or bias
@@ -126,6 +134,11 @@ def mutate(data: bytes, mutation) -> bytes:
 
 def assert_invariants(model: LinearModel) -> None:
     ids, n_labels = model.feature_ids, model.schema.n_labels
+    fz = model.featurizer
+    assert type(fz.hash_dim) is int and 2**10 <= fz.hash_dim <= 2**62
+    assert all(type(o) is int for o in fz.ngram_orders)
+    assert type(fz.tf_mode) is str and type(fz.l2_normalize) is bool
+    assert all(type(name) is str for name in model.schema.names)
     assert ids.dtype == np.int64 and ids.ndim == 1
     assert np.all(np.diff(ids) > 0)
     assert ids.size == 0 or (ids[0] >= 0 and ids[-1] < model.featurizer.hash_dim)
@@ -138,8 +151,15 @@ def assert_invariants(model: LinearModel) -> None:
     assert np.all((values > 0.0) & (values < 1.0))
 
 
+def _featurizer_edit(**fields):
+    return [("edit-header", ("featurizer", {**HEADER["featurizer"], **fields}))]
+
+
 @settings(max_examples=500)
 @given(st.lists(mutations, min_size=1, max_size=3))
+@example(_featurizer_edit(hash_dim=2**70))
+@example(_featurizer_edit(l2_normalize="no"))
+@example([("edit-header", ("schema", {"a": 1, "b": 2}))])
 def test_mutated_model_loads_valid_or_raises_data_error(tmp_path_factory, edits):
     data = MODEL_BYTES
     for edit in edits:
@@ -158,3 +178,149 @@ def test_unmutated_model_loads(tmp_path):
     path = tmp_path / "model.bin"
     path.write_bytes(MODEL_BYTES)
     assert_invariants(load_model(path))
+
+
+# ---------------------------------------------------------------------------
+# .probs and thresholds.tsv: tab-separated text, mutated by line and cell
+
+
+def _saved_text(save, obj, name: str) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        save(obj, path)
+        return path.read_bytes()
+
+
+PROBS_BYTES = _saved_text(
+    save_probabilities,
+    ProbabilityMatrix(
+        ids=("a", "b", "c7", "d", "e"),
+        label_names=("x", "y", "z"),
+        values=np.random.RandomState(3).rand(5, 3),
+    ),
+    "p.probs",
+)
+THRESHOLDS_BYTES = _saved_text(
+    save_thresholds,
+    ThresholdVector(
+        label_names=("x", "y", "z"), theta=np.array([0.25, 0.5, 0.875]), base_theta=0.35, provenance="tuned"
+    ),
+    "thresholds.tsv",
+)
+
+cells = st.one_of(
+    st.sampled_from(
+        ["nan", "NaN", "inf", "-inf", "1e309", "-0.0", "-0.5", "1.5", "1.0000001", "0", "1", "0.5",
+         "0x1p-1", " 0.5", "1_0", "", "abc", "none", "id", "x", "y", "__base__", "__provenance__",
+         "tuned", "default", "oracle", "bogus", "a\rb"]
+    ),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+line_no = st.integers(0, 12)
+text_mutations = st.one_of(
+    st.tuples(st.just("set-cell"), line_no, st.integers(0, 4), cells),
+    st.tuples(st.just("add-cell"), line_no, st.integers(0, 4), cells),
+    st.tuples(st.just("drop-cell"), line_no, st.integers(0, 4)),
+    # a copied line duplicates an id, a label or a header line
+    st.tuples(st.just("copy-line"), line_no, line_no),
+    st.tuples(st.just("drop-line"), line_no),
+    st.tuples(st.just("flip"), st.integers(0, 400), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 400)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=24)),
+)
+
+
+def mutate_text(data: bytes, mutation) -> bytes:
+    """One edit of a tab-separated file; line and cell numbers wrap around."""
+    kind, *args = mutation
+    if kind == "flip":
+        pos, mask = args
+        if pos >= len(data):
+            return data
+        return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1 :]
+    if kind == "truncate":
+        return data[: args[0]]
+    if kind == "append":
+        return data + args[0]
+    lines = data.split(b"\n")
+    at = args[0] % len(lines)
+    if kind == "copy-line":
+        lines.insert(args[1] % (len(lines) + 1), lines[at])
+    elif kind == "drop-line":
+        del lines[at]
+    else:
+        row = lines[at].split(b"\t")
+        col = args[1] % len(row)
+        if kind == "drop-cell":
+            del row[col]
+        else:
+            cell = args[2].encode("utf-8", "surrogatepass")
+            if kind == "set-cell":
+                row[col] = cell
+            else:
+                row.insert(col, cell)
+        lines[at] = b"\t".join(row)
+    return b"\n".join(lines)
+
+
+def load_mutated(tmp_path_factory, name: str, data: bytes, load):
+    """``load`` of the mutated file, or None when it raised DataError naming the file."""
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(data)
+    try:
+        return load(path), path
+    except DataError as exc:
+        assert str(path) in str(exc)
+        return None, path
+
+
+@settings(max_examples=400)
+@given(st.lists(text_mutations, min_size=1, max_size=3))
+def test_mutated_probs_load_valid_or_raise_data_error(tmp_path_factory, edits):
+    data = PROBS_BYTES
+    for edit in edits:
+        data = mutate_text(data, edit)
+    pm, path = load_mutated(tmp_path_factory, "fuzzed.probs", data, load_probabilities)
+    if pm is None:
+        return
+    n, width = len(pm.ids), len(pm.label_names)
+    assert width >= 1 and all(isinstance(name, str) for name in pm.label_names)
+    assert len(set(pm.ids)) == n and all(isinstance(ident, str) for ident in pm.ids)
+    assert pm.values.dtype == np.float64 and pm.values.shape == (n, width)
+    assert np.all((pm.values >= 0.0) & (pm.values <= 1.0))
+    # what loads is written back as it was read
+    save_probabilities(pm, path)
+    back = load_probabilities(path)
+    assert (back.ids, back.label_names) == (pm.ids, pm.label_names)
+    assert back.values.tobytes() == pm.values.tobytes()
+
+
+@settings(max_examples=400)
+@given(st.lists(text_mutations, min_size=1, max_size=3))
+def test_mutated_thresholds_load_valid_or_raise_data_error(tmp_path_factory, edits):
+    data = THRESHOLDS_BYTES
+    for edit in edits:
+        data = mutate_text(data, edit)
+    tv, path = load_mutated(tmp_path_factory, "fuzzed-thresholds.tsv", data, load_thresholds)
+    if tv is None:
+        return
+    assert tv.provenance in PROVENANCES
+    assert all(isinstance(name, str) for name in tv.label_names)
+    assert tv.theta.dtype == np.float64 and tv.theta.shape == (len(tv.label_names),)
+    assert np.all((tv.theta >= 0.0) & (tv.theta <= 1.0))
+    assert tv.base_theta is None or 0.0 <= tv.base_theta <= 1.0
+    # the file keeps six decimals, so a second save writes the first one's bytes
+    save_thresholds(tv, path)
+    first = path.read_bytes()
+    save_thresholds(load_thresholds(path), path)
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "data, load", [(PROBS_BYTES, load_probabilities), (THRESHOLDS_BYTES, load_thresholds)]
+)
+def test_unmutated_text_files_load(tmp_path, data, load):
+    path = tmp_path / "file"
+    path.write_bytes(data)
+    load(path)

@@ -26,59 +26,105 @@ def reference_fnv1a64(data: bytes) -> int:
     )
 
 
+def kernel_fnv(data: bytes, h: int = 0xCBF29CE484222325) -> int:
+    """The kernel's FNV-1a state after ``data``, starting from state ``h``."""
+    states = kernels._fnv_continue(
+        np.array([h], dtype=np.uint64), np.frombuffer(data, dtype=np.uint8),
+        np.array([0]), np.array([len(data)]),
+    )
+    return int(states[0])
+
+
+def doc_ngrams(tokens: list[str], unigrams: bool, bigrams: bool, dim: int) -> np.ndarray:
+    """The kernel's hashed ids of one document, in the kernel's order."""
+    words = list(dict.fromkeys(tokens))
+    token_ids = np.array([words.index(t) for t in tokens], dtype=np.int64)
+    rows, ids = kernels.hash_ngrams(token_ids, words, [len(tokens)], unigrams, bigrams, dim)
+    assert rows.tolist() == [0] * ids.size
+    return ids
+
+
 def test_fnv_known_vectors():
     # empty input returns the offset basis; the others are the published
     # FNV-1a 64-bit test vectors
-    assert kernels.fnv1a64(b"") == 0xCBF29CE484222325
-    assert kernels.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert kernels.fnv1a64(b"foobar") == 0x85944171F73967E8
+    assert kernel_fnv(b"") == 0xCBF29CE484222325
+    assert kernel_fnv(b"a") == 0xAF63DC4C8601EC8C
+    assert kernel_fnv(b"foobar") == 0x85944171F73967E8
 
 
 @given(st.binary(max_size=64))
 def test_fnv_matches_reference_on_all_backends(data):
-    assert kernels.fnv1a64(data) == reference_fnv1a64(data)
-    # the token-state update reduces once at the end, from the basis or from
-    # a state part way through; the full 64-bit state must match
+    assert kernel_fnv(data) == reference_fnv1a64(data)
+    # the kernel continues from the basis or from a state part way through;
+    # the full 64-bit state must match
     half = len(data) // 2
-    assert kernels._fnv_update(kernels.FNV_BASIS, data) == reference_fnv1a64(data)
-    assert kernels._fnv_update(kernels.fnv1a64(data[:half]), data[half:]) == reference_fnv1a64(data)
+    assert kernel_fnv(data, kernels.FNV_BASIS) == reference_fnv1a64(data)
+    assert kernel_fnv(data[half:], reference_fnv1a64(data[:half])) == reference_fnv1a64(data)
 
 
 def test_hash_ngrams_layout():
     dim = 2**12
-    got = kernels.hash_ngrams(["aa", "bb", "cc"], True, True, dim)
-    uni = [kernels.fnv1a64(t.encode()) % dim for t in ["aa", "bb", "cc"]]
+    got = doc_ngrams(["aa", "bb", "cc"], True, True, dim)
+    uni = [reference_fnv1a64(t.encode()) % dim for t in ["aa", "bb", "cc"]]
     bi = [
-        kernels.fnv1a64(b"aa bb") % dim,
-        kernels.fnv1a64(b"bb cc") % dim,
+        reference_fnv1a64(b"aa bb") % dim,
+        reference_fnv1a64(b"bb cc") % dim,
     ]
     assert got.tolist() == uni + bi
-    assert kernels.hash_ngrams([], True, True, dim).tolist() == []
-    assert kernels.hash_ngrams(["x"], True, True, dim).size == 1
-    only_bi = kernels.hash_ngrams(["aa", "bb"], False, True, dim)
-    assert only_bi.tolist() == [kernels.fnv1a64(b"aa bb") % dim]
+    assert doc_ngrams([], True, True, dim).tolist() == []
+    assert doc_ngrams(["x"], True, True, dim).size == 1
+    only_bi = doc_ngrams(["aa", "bb"], False, True, dim)
+    assert only_bi.tolist() == [reference_fnv1a64(b"aa bb") % dim]
+
+
+# the kernel's words never hold a space: they come from str.split()
+no_space_text = st.text(max_size=40).filter(lambda t: " " not in t)
 
 
 @given(
     st.lists(
         st.one_of(
-            st.sampled_from(["", "a", "ab", "ba", "ã", "é", "naïve", "日本", "🙂", "a b"]),
-            st.text(max_size=40),
+            st.sampled_from(["", "a", "ab", "ba", "ã", "é", "naïve", "日本", "🙂", "a\xa0b"]),
+            no_space_text,
         ),
         max_size=8,
     ),
     st.sampled_from([2**10, 2**14, 2**18, 2**20]),
 )
 def test_hash_ngrams_matches_reference(tokens, dim):
-    # repeated tokens come from the small pool, so the memoized states are hit;
-    # random unicode tokens run the once-per-token reduction over long and
-    # multi-byte inputs against the per-byte reference
+    # repeated tokens come from the small pool, so a word is hashed once for
+    # several tokens; random unicode tokens run long and multi-byte inputs
+    # against the per-byte reference
     expected = [reference_fnv1a64(t.encode()) % dim for t in tokens] + [
         reference_fnv1a64(f"{a} {b}".encode()) % dim for a, b in zip(tokens, tokens[1:])
     ]
-    assert kernels.hash_ngrams(tokens, True, True, dim).tolist() == expected
-    assert kernels.hash_ngrams(tokens, True, False, dim).tolist() == expected[: len(tokens)]
-    assert kernels.hash_ngrams(tokens, False, True, dim).tolist() == expected[len(tokens) :]
+    assert doc_ngrams(tokens, True, True, dim).tolist() == expected
+    assert doc_ngrams(tokens, True, False, dim).tolist() == expected[: len(tokens)]
+    assert doc_ngrams(tokens, False, True, dim).tolist() == expected[len(tokens) :]
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(["a", "bb", "ccc", "é", "x" * 130]), max_size=5), max_size=6),
+    st.booleans(),
+    st.booleans(),
+)
+def test_hash_ngrams_corpus_pairs(docs, unigrams, bigrams):
+    # one call over the corpus: every document's unigrams, then every
+    # document's bigrams, each tagged with its document's row
+    words = sorted({t for doc in docs for t in doc})
+    token_ids = np.array([words.index(t) for doc in docs for t in doc], dtype=np.int64)
+    rows, ids = kernels.hash_ngrams(token_ids, words, [len(d) for d in docs], unigrams, bigrams, 2**62)
+    assert rows.dtype == ids.dtype == np.int64
+    expected = []
+    if unigrams:
+        expected += [(i, reference_fnv1a64(t.encode()) % 2**62) for i, d in enumerate(docs) for t in d]
+    if bigrams:
+        expected += [
+            (i, reference_fnv1a64(f"{a} {b}".encode()) % 2**62)
+            for i, d in enumerate(docs)
+            for a, b in zip(d, d[1:])
+        ]
+    assert list(zip(rows.tolist(), ids.tolist())) == expected
 
 
 def random_csr(rng, n, dim, max_nnz_per_row):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polarpipe import _kernels as kernels
 from polarpipe.corpus import DataError, Dataset, Instance, LabelSchema
 from polarpipe.linear_model import (
     FeaturizerConfig,
@@ -27,7 +26,7 @@ from polarpipe.metrics import evaluate
 from polarpipe.synth import generate_synthetic
 from polarpipe.weighting import PosWeights
 
-from helpers import fd_max_rel_err, mk_dataset, random_fd_case
+from helpers import fd_max_rel_err, fnv1a64, mk_dataset, random_fd_case
 
 
 class TestFeaturizerConfig:
@@ -52,6 +51,33 @@ class TestFeaturizerConfig:
     def test_orders_normalized(self):
         assert FeaturizerConfig(ngram_orders=(2, 1, 1)).ngram_orders == (1, 2)
 
+    def test_hash_dim_capped_at_2_62(self):
+        # ids are reduced in uint64 and stored as int64
+        assert FeaturizerConfig(hash_dim=2**62).hash_dim == 2**62
+        for dim in (2**63, 2**64, 2**70):
+            with pytest.raises(DataError, match=r"power of two in \[2\*\*10, 2\*\*62\]"):
+                FeaturizerConfig(hash_dim=dim)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("hash_dim", True, "hash_dim must be an integer"),
+            ("hash_dim", 1024.0, "hash_dim must be an integer"),
+            ("hash_dim", "1024", "hash_dim must be an integer"),
+            ("ngram_orders", (1.0,), "ngram_orders must be a sequence of integers"),
+            ("ngram_orders", (True, 2), "ngram_orders must be a sequence of integers"),
+            ("ngram_orders", "12", "ngram_orders must be a sequence of integers"),
+            ("tf_mode", 5, "tf_mode"),
+            ("tf_mode", ["count"], "tf_mode"),
+            ("l2_normalize", "no", "l2_normalize must be true or false"),
+            ("l2_normalize", 0.5, "l2_normalize must be true or false"),
+            ("l2_normalize", 1, "l2_normalize must be true or false"),
+        ],
+    )
+    def test_rejects_mistyped_fields(self, field, value, message):
+        with pytest.raises(DataError, match=message):
+            FeaturizerConfig(**{field: value})
+
 
 class TestFeaturize:
     def test_empty_text(self):
@@ -64,7 +90,7 @@ class TestFeaturize:
             hash_dim=2**10, ngram_orders=(1,), tf_mode="count", l2_normalize=False
         )
         v = featurize("abc abc", cfg)
-        assert v.indices.tolist() == [kernels.fnv1a64(b"abc") % 2**10]
+        assert v.indices.tolist() == [fnv1a64(b"abc") % 2**10]
         assert v.values.tolist() == [2.0]
 
     def test_binary_tf_caps_values_at_one(self):
@@ -79,10 +105,10 @@ class TestFeaturize:
         v = featurize("a b a", cfg)
         by_index = dict(zip(v.indices.tolist(), v.values.tolist()))
         dim = 2**18
-        assert by_index[kernels.fnv1a64(b"a") % dim] == 2.0
-        assert by_index[kernels.fnv1a64(b"b") % dim] == 1.0
-        assert by_index[kernels.fnv1a64(b"a b") % dim] == 1.0
-        assert by_index[kernels.fnv1a64(b"b a") % dim] == 1.0
+        assert by_index[fnv1a64(b"a") % dim] == 2.0
+        assert by_index[fnv1a64(b"b") % dim] == 1.0
+        assert by_index[fnv1a64(b"a b") % dim] == 1.0
+        assert by_index[fnv1a64(b"b a") % dim] == 1.0
 
     @given(st.lists(st.sampled_from(["a", "b", "cd", "efg", "abc"]), max_size=12))
     def test_norm_is_one_or_empty(self, tokens):
@@ -694,6 +720,37 @@ class TestModelHeader:
         _, load = self._load(tmp_path, header, body)
         with pytest.raises(DataError):
             load()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("featurizer.hash_dim", 2**62, None),
+            ("featurizer.hash_dim", 2**70, "power of two in"),
+            ("featurizer.hash_dim", True, "hash_dim must be an integer"),
+            ("featurizer.hash_dim", 1024.0, "hash_dim must be an integer"),
+            ("featurizer.l2_normalize", "no", "l2_normalize must be true or false"),
+            ("featurizer.l2_normalize", 0.5, "l2_normalize must be true or false"),
+            ("featurizer.tf_mode", 5, "tf_mode"),
+            ("featurizer.ngram_orders", [1.0, 2], "ngram_orders must be a sequence of integers"),
+            ("featurizer.ngram_orders", [True], "ngram_orders must be a sequence of integers"),
+            ("schema", {"a": 1, "b": 2}, "schema must be a list of label names"),
+            ("schema", "ab", "schema must be a list of label names"),
+            ("schema", ["a", 2], "schema must be a list of label names"),
+        ],
+    )
+    def test_mistyped_fields_name_the_path(self, tmp_path, field, value, message):
+        header, body = self._header_and_body(tmp_path)
+        if field.startswith("featurizer."):
+            header["featurizer"][field.split(".")[1]] = value
+        else:
+            header[field] = value
+        path, load = self._load(tmp_path, header, body)
+        if message is None:
+            assert load().featurizer.hash_dim == value
+            return
+        with pytest.raises(DataError, match=message) as info:
+            load()
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_non_object_header_rejected(self, tmp_path):
         _, body = self._header_and_body(tmp_path)

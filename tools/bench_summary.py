@@ -9,7 +9,9 @@ tree (one ``source_sha256``). For each workload the output lists the seeds,
 and for every end-to-end metric in ``BENCHMARK.json`` the median and
 quartiles of each side plus how many same-seed pairs the change won (ties
 count for neither). Traced runs give each side's per-layer values. The
-environment block of each side is copied from its records.
+environment block of each side is copied from its records, and
+``incorrect_runs`` counts, per side, the records whose outputs failed the
+benchmark's checks (``correct`` not true), naming each one's workload and seed.
 """
 
 from __future__ import annotations
@@ -31,6 +33,17 @@ def read_side(results: Path) -> tuple[dict, list[dict]]:
     if len(sources) != 1:
         sys.exit(f"error: {results} mixes runs of {len(sources)} source trees")
     return records[0]["environment"], records
+
+
+def incorrect_runs(records: list[dict]) -> str:
+    """``"k/n"`` incorrect records of n, followed by the workload and seed of each."""
+    bad = [
+        f"{r['workload']} seed {r['seed']}{' traced' if r['trace'] else ''}"
+        for r in records
+        if r.get("correct") is not True
+    ]
+    count = f"{len(bad)}/{len(records)}"
+    return f"{count}: {', '.join(bad)}" if bad else count
 
 
 def spread(values: list[float]) -> dict:
@@ -101,9 +114,13 @@ def main(argv=None) -> int:
     summary = {
         "run_seconds": spec["run_seconds"],
         "environment": {side: env for side, (env, _) in sides.items()},
+        "incorrect_runs": {side: incorrect_runs(recs) for side, (_, recs) in sides.items()},
         "workloads": summarize(spec, {side: recs for side, (_, recs) in sides.items()}),
     }
     args.out.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    for side, runs in summary["incorrect_runs"].items():
+        if not runs.startswith("0/"):
+            print(f"warning: {side} has incorrect runs: {runs}", file=sys.stderr)
     return 0
 
 
