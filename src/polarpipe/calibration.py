@@ -1,4 +1,4 @@
-"""Two-stage per-label decision-threshold tuning, plus a brute-force oracle.
+"""Two-stage per-label decision-threshold tuning.
 
 Stage 1 scans a coarse global grid (0.20 to 0.80 in 0.05 steps) for the
 single threshold maximizing macro-F1. Stage 2 visits labels once in schema
@@ -24,51 +24,29 @@ from .corpus import DataError, open_text
 from .metrics import f1_from_counts
 from .probs import ProbabilityMatrix, check_unit_interval
 
+# no command writes "oracle" thresholds, but files that carry it still load
 PROVENANCES = ("default", "tuned", "oracle")
 
-_ORACLE_MAX_INSTANCES = 200
-_ORACLE_MAX_LABELS = 4
+COARSE_GRID = tuple(c / 100.0 for c in range(20, 81, 5))
+FINE_STEP = 0.01
+WINDOW_HALFWIDTH = 0.15
+WINDOW_CLAMP = (0.1, 0.9)
 
 
-def _default_coarse_grid() -> tuple[float, ...]:
-    return tuple(c / 100.0 for c in range(20, 81, 5))
+def window(base: float) -> tuple[float, float]:
+    """Fine-sweep bounds around a base threshold, clamped."""
+    lo = max(WINDOW_CLAMP[0], base - WINDOW_HALFWIDTH)
+    hi = min(WINDOW_CLAMP[1], base + WINDOW_HALFWIDTH)
+    return lo, hi
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    coarse_grid: tuple[float, ...] = _default_coarse_grid()
-    fine_step: float = 0.01
-    window_halfwidth: float = 0.15
-    window_clamp: tuple[float, float] = (0.1, 0.9)
-
-    def __post_init__(self):
-        grid = tuple(float(t) for t in self.coarse_grid)
-        if not grid or any(not 0.0 <= t <= 1.0 for t in grid):
-            raise DataError("coarse grid values must lie in [0, 1]")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise DataError("coarse grid must be strictly ascending")
-        object.__setattr__(self, "coarse_grid", grid)
-        if not 0.0 < self.fine_step < 1.0:
-            raise DataError("fine_step must lie in (0, 1)")
-        lo, hi = self.window_clamp
-        if not 0.0 <= lo < hi <= 1.0:
-            raise DataError("window_clamp must be an ordered pair inside [0, 1]")
-        if self.window_halfwidth <= 0:
-            raise DataError("window_halfwidth must be positive")
-
-    def window(self, base: float) -> tuple[float, float]:
-        """Fine-sweep bounds around a base threshold, clamped."""
-        lo = max(self.window_clamp[0], base - self.window_halfwidth)
-        hi = min(self.window_clamp[1], base + self.window_halfwidth)
-        return lo, hi
-
-    def fine_candidates(self, base: float) -> np.ndarray:
-        """Ascending fine-grid candidates inside the clamped window."""
-        lo, hi = self.window(base)
-        per_unit = round(1.0 / self.fine_step)
-        k_lo = int(np.ceil(lo * per_unit - 1e-9))
-        k_hi = int(np.floor(hi * per_unit + 1e-9))
-        return np.array([k / per_unit for k in range(k_lo, k_hi + 1)], dtype=np.float64)
+def fine_candidates(base: float) -> np.ndarray:
+    """Ascending fine-grid candidates inside the clamped window."""
+    lo, hi = window(base)
+    per_unit = round(1.0 / FINE_STEP)
+    k_lo = int(np.ceil(lo * per_unit - 1e-9))
+    k_hi = int(np.floor(hi * per_unit + 1e-9))
+    return np.array([k / per_unit for k in range(k_lo, k_hi + 1)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -112,26 +90,15 @@ def _check_shapes(pm: ProbabilityMatrix, gold: np.ndarray) -> np.ndarray:
     return gold
 
 
-def apply_thresholds(pm: ProbabilityMatrix, tv: ThresholdVector) -> np.ndarray:
-    """0/1 prediction matrix: entry is 1 iff probability >= its label's theta."""
-    if tuple(tv.label_names) != tuple(pm.label_names):
-        raise DataError(
-            f"label mismatch: thresholds {tv.label_names} vs probabilities {pm.label_names}"
-        )
-    return (pm.values >= tv.theta[None, :]).astype(np.int64)
-
-
 def _f1_per_candidate(probs_col: np.ndarray, gold_col: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     counts = kernels.sweep_confusion(probs_col, gold_col, thetas)
     return np.array([f1_from_counts(*row) for row in counts.tolist()], dtype=np.float64)
 
 
-def coarse_search(pm: ProbabilityMatrix, gold: np.ndarray, grid: GridSpec | None = None) -> float:
+def coarse_search(pm: ProbabilityMatrix, gold: np.ndarray) -> float:
     """Best single global threshold on the coarse grid; ties go low."""
-    if grid is None:
-        grid = GridSpec()
     gold = _check_shapes(pm, gold)
-    thetas = np.asarray(grid.coarse_grid, dtype=np.float64)
+    thetas = np.asarray(COARSE_GRID, dtype=np.float64)
     per_label = np.stack(
         [
             _f1_per_candidate(pm.values[:, l], gold[:, l], thetas)
@@ -143,12 +110,7 @@ def coarse_search(pm: ProbabilityMatrix, gold: np.ndarray, grid: GridSpec | None
     return float(thetas[int(np.argmax(macro))])
 
 
-def refine_per_label(
-    pm: ProbabilityMatrix,
-    gold: np.ndarray,
-    base: float,
-    grid: GridSpec | None = None,
-) -> ThresholdVector:
+def refine_per_label(pm: ProbabilityMatrix, gold: np.ndarray, base: float) -> ThresholdVector:
     """Per-label fine sweep around a base threshold, one pass.
 
     Each label's threshold is replaced by the window argmax of macro-F1 with
@@ -156,14 +118,10 @@ def refine_per_label(
     depends only on its own threshold, this equals the independent per-label
     argmax, and a second pass would return the same thresholds.
     """
-    if grid is None:
-        grid = GridSpec()
     if not 0.0 <= base <= 1.0:
         raise DataError(f"base threshold {base} outside [0, 1]")
     gold = _check_shapes(pm, gold)
-    candidates = grid.fine_candidates(base)
-    if candidates.size == 0:
-        raise DataError(f"window around {base} contains no fine-grid points")
+    candidates = fine_candidates(base)
     theta = np.full(pm.n_labels, base, dtype=np.float64)
     for l in range(pm.n_labels):
         f1 = _f1_per_candidate(pm.values[:, l], gold[:, l], candidates)
@@ -176,57 +134,16 @@ def refine_per_label(
     )
 
 
-def tune(
-    pm: ProbabilityMatrix,
-    gold: np.ndarray,
-    grid: GridSpec | None = None,
-) -> ThresholdVector:
+def tune(pm: ProbabilityMatrix, gold: np.ndarray) -> ThresholdVector:
     """Coarse global search followed by per-label refinement."""
-    if grid is None:
-        grid = GridSpec()
-    base = coarse_search(pm, gold, grid)
-    tv = refine_per_label(pm, gold, base, grid)
-    lo, hi = grid.window(base)
+    base = coarse_search(pm, gold)
+    tv = refine_per_label(pm, gold, base)
+    lo, hi = window(base)
     # Edge candidates may sit one ulp past the float window bounds; allow the
     # same 1e-9 slack fine_candidates() uses when snapping to the lattice.
     if tv.theta.size and (tv.theta.min() < lo - 1e-9 or tv.theta.max() > hi + 1e-9):
         raise AssertionError("refined threshold escaped its window")
     return tv
-
-
-def oracle_best_thresholds(
-    pm: ProbabilityMatrix, gold: np.ndarray
-) -> tuple[ThresholdVector, float]:
-    """Globally optimal per-label thresholds by exhaustive candidate search.
-
-    Candidates per label are 0, 1, and the midpoints between consecutive
-    distinct probability values; these realize every achievable prediction
-    pattern. Macro-F1 splits into independent per-label terms, so the scan
-    is per label. Guarded to small inputs; meant for verification, not use.
-    """
-    gold = _check_shapes(pm, gold)
-    if pm.n_instances > _ORACLE_MAX_INSTANCES or pm.n_labels > _ORACLE_MAX_LABELS:
-        raise DataError(
-            f"oracle guard: at most {_ORACLE_MAX_INSTANCES} instances and "
-            f"{_ORACLE_MAX_LABELS} labels, got {pm.n_instances} x {pm.n_labels}"
-        )
-    theta = np.empty(pm.n_labels, dtype=np.float64)
-    best_scores = []
-    for l in range(pm.n_labels):
-        distinct = np.unique(pm.values[:, l])
-        mids = (distinct[:-1] + distinct[1:]) / 2.0
-        candidates = np.concatenate(([0.0], mids, [1.0]))
-        f1 = _f1_per_candidate(pm.values[:, l], gold[:, l], candidates)
-        k = int(np.argmax(f1))
-        theta[l] = candidates[k]
-        best_scores.append(float(f1[k]))
-    tv = ThresholdVector(
-        label_names=tuple(pm.label_names),
-        theta=theta,
-        base_theta=None,
-        provenance="oracle",
-    )
-    return tv, sum(best_scores) / len(best_scores)
 
 
 # ---------------------------------------------------------------------------

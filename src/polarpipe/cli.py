@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -42,7 +42,7 @@ from .probs import ProbabilityMatrix, load_probabilities, save_probabilities
 from .splitter import SplitConfig, balanced_merge, iterative_stratified_split, stratified_split
 from .synth import generate_synthetic
 
-__all__ = ["run", "entry", "generate_synthetic", "RunConfig", "SCHEMA_PRESETS"]
+__all__ = ["run", "entry", "SCHEMA_PRESETS"]
 
 SCHEMA_PRESETS = {
     "subtask1": ("polarized",),
@@ -58,19 +58,19 @@ SCHEMA_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A parsed invocation: the subcommand plus its resolved options."""
-
-    subcommand: str
-    options: dict
-
-    def opt(self, name: str):
-        return self.options[name]
-
-
 # ---------------------------------------------------------------------------
 # Small parsing helpers
+
+
+def _seed(raw: str) -> int:
+    """``int(raw)``, refused outside [0, 2**32 - 1], the seeds numpy's RandomState takes."""
+    value = int(raw)
+    if not 0 <= value < 2**32:
+        raise ValueError(f"seed {value} is outside [0, 2**32 - 1]")
+    return value
+
+
+_seed.__name__ = "int"  # usage and config-file errors name the wanted type
 
 
 def _parse_names(raw: str) -> tuple[str, ...]:
@@ -155,8 +155,7 @@ def _tune(pm: ProbabilityMatrix, gold_ds: Dataset | GoldLabels):
 # Subcommand handlers
 
 
-def _cmd_stats(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_stats(o: dict) -> int:
     schema = _resolve_schema(o)
     ds = load_dataset(o["data"], schema)
     stats = summarize(ds)
@@ -177,8 +176,7 @@ def _cmd_stats(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_split(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_split(o: dict) -> int:
     schema = _resolve_schema(o)
     ds = load_dataset(o["data"], schema)
     result = _split_dataset(ds, o["val_fraction"], o["seed"], o["strategy"])
@@ -189,8 +187,7 @@ def _cmd_split(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_merge(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_merge(o: dict) -> int:
     schema = _resolve_schema(o)
     primary = load_dataset(o["primary"], schema)
     donor = load_dataset(o["donor"], schema)
@@ -201,17 +198,14 @@ def _cmd_merge(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_train(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_train(o: dict) -> int:
     schema = _resolve_schema(o)
+    tcfg = _train_config(o)
+    fcfg = _featurizer_config(o)
     train_ds = load_dataset(o["train"], schema)
     val_ds = load_dataset(o["val"], schema)
     model, report = train(
-        train_ds,
-        val_ds,
-        tcfg=_train_config(o),
-        fcfg=_featurizer_config(o),
-        weighting_mode=o["weighting"],
+        train_ds, val_ds, tcfg=tcfg, fcfg=fcfg, weighting_mode=o["weighting"]
     )
     save_model(model, o["out_model"])
     if o["out_history"]:
@@ -226,8 +220,7 @@ def _cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_predict(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_predict(o: dict) -> int:
     model = load_model(o["model"])
     ds = load_dataset(o["data"], model.schema)
     pm = predict_proba(model, ds)
@@ -236,8 +229,7 @@ def _cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_tune(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_tune(o: dict) -> int:
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
     tv, before, after = _tune(pm, load_labels(o["gold"], schema))
@@ -248,8 +240,7 @@ def _cmd_tune(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_eval(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_eval(o: dict) -> int:
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
     gold = load_labels(o["gold"], schema)
@@ -272,8 +263,7 @@ def _cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_synth(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_synth(o: dict) -> int:
     names = _parse_names(o["labels"]) if o["labels"] else None
     ds = generate_synthetic(
         o["n"],
@@ -312,8 +302,7 @@ def _stage(
     )
 
 
-def _cmd_pipeline(cfg: RunConfig) -> int:
-    o = cfg.options
+def _cmd_pipeline(o: dict) -> int:
     schema = _resolve_schema(o)
     tcfg = _train_config(o)
     fcfg = _featurizer_config(o)
@@ -518,7 +507,7 @@ def _build_parser():
     def add(name: str, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--config", help="key=value file; explicit flags override it")
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_seed, default=42, help="integer in [0, 2**32 - 1]")
         subparsers[name] = p
         return p
 
@@ -661,8 +650,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "config", None):
             _apply_config_file(args, subparsers[args.cmd], argv)
         options = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
-        cfg = RunConfig(subcommand=args.cmd, options=options)
-        return _HANDLERS[cfg.subcommand](cfg)
+        return _HANDLERS[args.cmd](options)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -110,12 +110,6 @@ class LabelSchema:
     def is_binary(self) -> bool:
         return len(self.names) == 1
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise DataError(f"unknown label {name!r}") from None
-
 
 @dataclass(frozen=True)
 class Instance:

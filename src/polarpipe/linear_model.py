@@ -28,9 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels as kernels, metrics
-from .corpus import DataError, Dataset, Instance, LabelSchema, read_field
+from .corpus import DataError, Dataset, LabelSchema, read_field
 from .probs import ProbabilityMatrix
-from .weighting import ClassWeights, PosWeights, class_weights, pos_weights
+from .weighting import class_weights, pos_weights
 
 _MODEL_FORMAT = "polarpipe-model"
 _MODEL_VERSION = 2
@@ -69,24 +69,6 @@ class FeaturizerConfig:
             raise DataError(f"tf_mode must be 'binary' or 'count', got {self.tf_mode!r}")
         if not isinstance(self.l2_normalize, bool):
             raise DataError(f"l2_normalize must be true or false, got {self.l2_normalize!r}")
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """One featurized text: strictly increasing indices, positive values."""
-
-    indices: np.ndarray  # int64
-    values: np.ndarray  # float64
-    dim: int
-
-    def __post_init__(self):
-        if self.indices.shape != self.values.shape:
-            raise DataError("indices and values lengths differ")
-        if self.indices.size:
-            if int(self.indices[-1]) >= self.dim or int(self.indices[0]) < 0:
-                raise DataError("feature index out of range")
-            if np.any(np.diff(self.indices) <= 0):
-                raise DataError("indices must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -138,14 +120,6 @@ def restrict(fm: FeatureMatrix, feature_ids: np.ndarray) -> FeatureMatrix:
         data=fm.data[keep],
         n_features=feature_ids.size,
     )
-
-
-def featurize(text: str, cfg: FeaturizerConfig | None = None) -> SparseVector:
-    """Hash a preprocessed text into a sparse feature vector."""
-    if cfg is None:
-        cfg = FeaturizerConfig()
-    fm = featurize_all([text], cfg)
-    return SparseVector(indices=fm.indices, values=fm.data, dim=cfg.hash_dim)
 
 
 def featurize_all(texts: Sequence[str], cfg: FeaturizerConfig | None = None) -> FeatureMatrix:
@@ -218,16 +192,6 @@ class LinearModel:
             raise DataError("model parameters must be finite")
 
 
-def zero_model(fcfg: FeaturizerConfig, schema: LabelSchema) -> LinearModel:
-    return LinearModel(
-        feature_ids=np.empty(0, dtype=np.int64),
-        weights=np.empty((0, schema.n_labels), dtype=np.float64),
-        bias=np.zeros(schema.n_labels, dtype=np.float64),
-        featurizer=fcfg,
-        schema=schema,
-    )
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 2e-2
@@ -269,7 +233,6 @@ class TrainReport:
     best_epoch: int  # 1-based; 0 when no epoch ran
     stopped_early: bool
     weighting_mode: str
-    weights_used: ClassWeights | PosWeights | None
 
 
 def lr_at_step(step: int, total_steps: int, warmup_steps: int, learning_rate: float) -> float:
@@ -332,42 +295,6 @@ def _loss_and_grad_csr(
     return loss, grad_w, grad_b
 
 
-def loss_and_grad(
-    model: LinearModel,
-    batch: Sequence[Instance],
-    pw: PosWeights | None = None,
-    smoothing: float = 0.0,
-    weight_decay: float = 0.0,
-    sample_weights: Sequence[float] | None = None,
-):
-    """Weighted smoothed BCE over a batch, with its exact gradient.
-
-    Returns ``(loss, grad_weights, grad_bias)``; ``grad_weights`` has one row
-    per ``model.feature_ids``. The positive weights default to all ones;
-    ``sample_weights`` multiplies whole examples (the binary class-weight path).
-    """
-    if not batch:
-        raise DataError("loss_and_grad needs a non-empty batch")
-    fm = featurize_all([inst.text for inst in batch], model.featurizer)
-    fm = restrict(fm, model.feature_ids)
-    y = np.array([inst.labels for inst in batch], dtype=np.float64)
-    if y.shape[1] != model.schema.n_labels:
-        raise DataError("batch labels do not match model schema")
-    pw_arr = (
-        np.ones(model.schema.n_labels, dtype=np.float64)
-        if pw is None
-        else np.asarray(pw.weights, dtype=np.float64)
-    )
-    if pw_arr.shape != (model.schema.n_labels,):
-        raise DataError(f"expected {model.schema.n_labels} positive weights")
-    sw = None if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
-    if sw is not None and sw.shape != (len(batch),):
-        raise DataError("sample_weights length must match the batch")
-    return _loss_and_grad_csr(
-        fm, y, model.weights, model.bias, pw_arr, smoothing, weight_decay, sw
-    )
-
-
 def train(
     train_ds: Dataset,
     val_ds: Dataset,
@@ -410,16 +337,11 @@ def train(
 
     pw_arr = np.ones(n_labels, dtype=np.float64)
     sample_w = None
-    weights_used: ClassWeights | PosWeights | None = None
     if weighting_mode == "balanced":
         if schema.is_binary:
-            cw = class_weights(train_ds)
-            weights_used = cw
-            sample_w = cw.per_example(y[:, 0])
+            sample_w = class_weights(train_ds).per_example(y[:, 0])
         else:
-            pws = pos_weights(train_ds)
-            weights_used = pws
-            pw_arr = np.asarray(pws.weights, dtype=np.float64)
+            pw_arr = np.asarray(pos_weights(train_ds).weights, dtype=np.float64)
 
     # W = scale * V: decay multiplies the scalar, and each update writes only
     # the rows its features touch (Bottou, "Stochastic Gradient Descent
@@ -519,7 +441,6 @@ def train(
         best_epoch=best_epoch,
         stopped_early=stopped_early,
         weighting_mode=weighting_mode,
-        weights_used=weights_used,
     )
     return model, report
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,7 +75,16 @@ def save_manifest(manifest: PipelineManifest, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _stage_from_json(record: dict) -> StageRecord:
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
+def _is_digest(value) -> bool:
+    return isinstance(value, str) and len(value) == 64 and set(value) <= _HEX_DIGITS
+
+
+def _stage_from_json(index: int, record) -> StageRecord:
+    if not isinstance(record, dict):
+        raise DataError(f"stage {index} is not an object")
     stage = StageRecord(
         name=record["name"],
         config=record["config"],
@@ -84,9 +92,32 @@ def _stage_from_json(record: dict) -> StageRecord:
         outputs=record["outputs"],
         metrics=record["metrics"],
     )
+    if not isinstance(stage.name, str):
+        raise DataError(f"stage {index}: name must be a string, got {stage.name!r}")
+    for field in ("config", "inputs", "outputs", "metrics"):
+        if not isinstance(getattr(stage, field), dict):
+            raise DataError(f"stage {index}: {field} must be an object")
+    for field in ("inputs", "outputs"):
+        for file, digest in getattr(stage, field).items():
+            if not _is_digest(digest):
+                raise DataError(
+                    f"stage {index}: {field} digest of {file!r} is not 64 lowercase hex digits"
+                )
     if record["config_sha256"] != stage.config_sha256:
-        raise DataError(f"stage {stage.name!r} config digest mismatch")
+        raise DataError(f"stage {index}: {stage.name!r} config digest mismatch")
     return stage
+
+
+def _stages_from_json(value) -> tuple[StageRecord, ...]:
+    if not isinstance(value, list):
+        raise DataError(f"must be a list, got {type(value).__name__}")
+    return tuple(_stage_from_json(i, record) for i, record in enumerate(value))
+
+
+def _seed_from_json(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DataError(f"must be an integer, got {value!r}")
+    return value
 
 
 def load_manifest(path: str | Path) -> PipelineManifest:
@@ -100,6 +131,6 @@ def load_manifest(path: str | Path) -> PipelineManifest:
     if payload.get("version") != _MANIFEST_VERSION:
         raise DataError(f"{path}: unsupported manifest version {payload.get('version')!r}")
     return PipelineManifest(
-        seed=read_field(payload, "seed", path, operator.index),
-        stages=read_field(payload, "stages", path, lambda v: tuple(map(_stage_from_json, v))),
+        seed=read_field(payload, "seed", path, _seed_from_json),
+        stages=read_field(payload, "stages", path, _stages_from_json),
     )

@@ -32,14 +32,6 @@ class SplitResult:
     train: Dataset
     val: Dataset
 
-    @property
-    def train_ids(self) -> list[str]:
-        return self.train.ids
-
-    @property
-    def val_ids(self) -> list[str]:
-        return self.val.ids
-
 
 def _subset(ds: Dataset, indices: list[int]) -> Dataset:
     ordered = sorted(indices)

@@ -1,12 +1,28 @@
-"""Builders shared across test modules."""
+"""Builders and reference implementations shared across test modules.
+
+The references here are what the tests check the library against; the
+commands never call them.
+"""
 
 from __future__ import annotations
 
+from typing import NamedTuple, Sequence
+
 import numpy as np
 
-from polarpipe.corpus import Dataset, Instance, LabelSchema
-from polarpipe.linear_model import FeatureMatrix, _loss_and_grad_csr
+from polarpipe.calibration import ThresholdVector, _check_shapes, _f1_per_candidate
+from polarpipe.corpus import DataError, Dataset, Instance, LabelSchema
+from polarpipe.linear_model import (
+    FeatureMatrix,
+    FeaturizerConfig,
+    LinearModel,
+    _loss_and_grad_csr,
+    featurize_all,
+    restrict,
+)
 from polarpipe.metrics import score
+from polarpipe.probs import ProbabilityMatrix
+from polarpipe.weighting import PosWeights
 
 
 FNV_BASIS = 0xCBF29CE484222325
@@ -99,3 +115,119 @@ def fd_max_rel_err(fm, y, W, b, pw, sw, smoothing, wd, h=1e-5):
         err = abs(gb[j] - fd) / max(1e-6, abs(gb[j]), abs(fd))
         worst = max(worst, err)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Featurizing and training one batch
+
+
+class FeatureRow(NamedTuple):
+    """One featurized text: strictly increasing ids and their values."""
+
+    indices: np.ndarray
+    values: np.ndarray
+
+
+def featurize(text: str, cfg: FeaturizerConfig | None = None) -> FeatureRow:
+    """Row 0 of ``featurize_all([text], cfg)``."""
+    fm = featurize_all([text], cfg)
+    return FeatureRow(indices=fm.indices, values=fm.data)
+
+
+def zero_model(fcfg: FeaturizerConfig, schema: LabelSchema) -> LinearModel:
+    """A model that holds no feature rows and a zero bias."""
+    return LinearModel(
+        feature_ids=np.empty(0, dtype=np.int64),
+        weights=np.empty((0, schema.n_labels), dtype=np.float64),
+        bias=np.zeros(schema.n_labels, dtype=np.float64),
+        featurizer=fcfg,
+        schema=schema,
+    )
+
+
+def loss_and_grad(
+    model: LinearModel,
+    batch: Sequence[Instance],
+    pw: PosWeights | None = None,
+    smoothing: float = 0.0,
+    weight_decay: float = 0.0,
+    sample_weights: Sequence[float] | None = None,
+):
+    """Weighted smoothed BCE over a batch, with its exact gradient.
+
+    Returns ``(loss, grad_weights, grad_bias)``; ``grad_weights`` has one row
+    per ``model.feature_ids``. The positive weights default to all ones;
+    ``sample_weights`` multiplies whole examples (the binary class-weight path).
+    """
+    if not batch:
+        raise DataError("loss_and_grad needs a non-empty batch")
+    fm = featurize_all([inst.text for inst in batch], model.featurizer)
+    fm = restrict(fm, model.feature_ids)
+    y = np.array([inst.labels for inst in batch], dtype=np.float64)
+    if y.shape[1] != model.schema.n_labels:
+        raise DataError("batch labels do not match model schema")
+    pw_arr = (
+        np.ones(model.schema.n_labels, dtype=np.float64)
+        if pw is None
+        else np.asarray(pw.weights, dtype=np.float64)
+    )
+    if pw_arr.shape != (model.schema.n_labels,):
+        raise DataError(f"expected {model.schema.n_labels} positive weights")
+    sw = None if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
+    if sw is not None and sw.shape != (len(batch),):
+        raise DataError("sample_weights length must match the batch")
+    return _loss_and_grad_csr(
+        fm, y, model.weights, model.bias, pw_arr, smoothing, weight_decay, sw
+    )
+
+
+# ---------------------------------------------------------------------------
+# Thresholds
+
+
+ORACLE_MAX_INSTANCES = 200
+ORACLE_MAX_LABELS = 4
+
+
+def apply_thresholds(pm: ProbabilityMatrix, tv: ThresholdVector) -> np.ndarray:
+    """0/1 prediction matrix: entry is 1 iff probability >= its label's theta."""
+    if tuple(tv.label_names) != tuple(pm.label_names):
+        raise DataError(
+            f"label mismatch: thresholds {tv.label_names} vs probabilities {pm.label_names}"
+        )
+    return (pm.values >= tv.theta[None, :]).astype(np.int64)
+
+
+def oracle_best_thresholds(
+    pm: ProbabilityMatrix, gold: np.ndarray
+) -> tuple[ThresholdVector, float]:
+    """Globally optimal per-label thresholds by exhaustive candidate search.
+
+    Candidates per label are 0, 1, and the midpoints between consecutive
+    distinct probability values; these realize every achievable prediction
+    pattern. Macro-F1 splits into independent per-label terms, so the scan
+    is per label. Guarded to small inputs.
+    """
+    gold = _check_shapes(pm, gold)
+    if pm.n_instances > ORACLE_MAX_INSTANCES or pm.n_labels > ORACLE_MAX_LABELS:
+        raise DataError(
+            f"oracle guard: at most {ORACLE_MAX_INSTANCES} instances and "
+            f"{ORACLE_MAX_LABELS} labels, got {pm.n_instances} x {pm.n_labels}"
+        )
+    theta = np.empty(pm.n_labels, dtype=np.float64)
+    best_scores = []
+    for l in range(pm.n_labels):
+        distinct = np.unique(pm.values[:, l])
+        mids = (distinct[:-1] + distinct[1:]) / 2.0
+        candidates = np.concatenate(([0.0], mids, [1.0]))
+        f1 = _f1_per_candidate(pm.values[:, l], gold[:, l], candidates)
+        k = int(np.argmax(f1))
+        theta[l] = candidates[k]
+        best_scores.append(float(f1[k]))
+    tv = ThresholdVector(
+        label_names=tuple(pm.label_names),
+        theta=theta,
+        base_theta=None,
+        provenance="oracle",
+    )
+    return tv, sum(best_scores) / len(best_scores)

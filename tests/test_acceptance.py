@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from polarpipe import cli
-from polarpipe.calibration import oracle_best_thresholds, tune
+from polarpipe.calibration import tune
 from polarpipe.corpus import preprocess, save_dataset
 from polarpipe.linear_model import TrainConfig, predict_proba, train
 from polarpipe.metrics import confusion, evaluate, macro_f1, micro_f1
@@ -21,7 +21,7 @@ from polarpipe.probs import ProbabilityMatrix
 from polarpipe.splitter import SplitConfig, balanced_merge, iterative_stratified_split, stratified_split
 from polarpipe.synth import generate_synthetic
 
-from helpers import fd_max_rel_err, random_fd_case, tuned_macro_f1
+from helpers import fd_max_rel_err, oracle_best_thresholds, random_fd_case, tuned_macro_f1
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "preprocess_golden.jsonl"
 

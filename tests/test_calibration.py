@@ -6,22 +6,27 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polarpipe.calibration import (
-    GridSpec,
+    COARSE_GRID,
     ThresholdVector,
     _f1_per_candidate,
-    apply_thresholds,
     coarse_search,
     default_thresholds,
+    fine_candidates,
     load_thresholds,
-    oracle_best_thresholds,
     refine_per_label,
     save_thresholds,
     tune,
+    window,
 )
 from polarpipe.corpus import DataError
 from polarpipe.probs import ProbabilityMatrix
 
-from helpers import random_prob_matrix_values, tuned_macro_f1
+from helpers import (
+    apply_thresholds,
+    oracle_best_thresholds,
+    random_prob_matrix_values,
+    tuned_macro_f1,
+)
 
 
 def mk_pm(values, names=None):
@@ -36,7 +41,7 @@ def mk_pm(values, names=None):
 
 def multi_pass_refine(pm, gold, base, passes):
     """The per-label sweep as it was when it took a pass count, kept as an oracle."""
-    candidates = GridSpec().fine_candidates(base)
+    candidates = fine_candidates(base)
     theta = np.full(pm.n_labels, base, dtype=np.float64)
     for _ in range(passes):
         for l in range(pm.n_labels):
@@ -62,46 +67,32 @@ def plain_f1(probs_col, gold_col, theta):
 
 class TestGridSpec:
     def test_default_coarse_grid(self):
-        grid = GridSpec().coarse_grid
+        grid = COARSE_GRID
         assert len(grid) == 13
         assert grid[0] == 0.20
         assert grid[-1] == 0.80
         assert all(b - a == pytest.approx(0.05) for a, b in zip(grid, grid[1:]))
 
     def test_windows_clamp(self):
-        g = GridSpec()
-        assert g.window(0.20) == (pytest.approx(0.10), pytest.approx(0.35))
-        assert g.window(0.80) == (pytest.approx(0.65), pytest.approx(0.90))
-        assert g.window(0.50) == (pytest.approx(0.35), pytest.approx(0.65))
+        assert window(0.20) == (pytest.approx(0.10), pytest.approx(0.35))
+        assert window(0.80) == (pytest.approx(0.65), pytest.approx(0.90))
+        assert window(0.50) == (pytest.approx(0.35), pytest.approx(0.65))
 
     def test_fine_candidates_are_lattice_points(self):
-        g = GridSpec()
-        low = g.fine_candidates(0.20)
+        low = fine_candidates(0.20)
         assert low[0] == 0.10
         assert low[-1] == 0.35
         assert len(low) == 26
-        high = g.fine_candidates(0.80)
+        high = fine_candidates(0.80)
         assert high[0] == 0.65
         assert high[-1] == 0.90
         assert len(high) == 26
-        mid = g.fine_candidates(0.50)
+        mid = fine_candidates(0.50)
         assert len(mid) == 31
         assert 0.29 not in set(mid.tolist())
         assert 0.39 in set(mid.tolist())
         # every candidate is an exact hundredth
         assert all(c == round(c * 100) / 100 for c in mid)
-
-    def test_validation(self):
-        with pytest.raises(DataError, match="ascending"):
-            GridSpec(coarse_grid=(0.5, 0.4))
-        with pytest.raises(DataError, match="coarse grid"):
-            GridSpec(coarse_grid=())
-        with pytest.raises(DataError, match="fine_step"):
-            GridSpec(fine_step=0.0)
-        with pytest.raises(DataError, match="window_clamp"):
-            GridSpec(window_clamp=(0.9, 0.1))
-        with pytest.raises(DataError, match="halfwidth"):
-            GridSpec(window_halfwidth=0.0)
 
 
 class TestThresholdVector:

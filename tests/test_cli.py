@@ -573,6 +573,19 @@ _MODULE_CASES = {
         }).encode() + b"\n" + bytes(8)},
         ["predict", "--model", "m.bin", "--data", "d.jsonl", "--out", "p.probs"],
     ),
+    "split-seed-negative": (
+        2, {"d.jsonl": _CORPUS},
+        ["split", "d.jsonl", "--labels", "label", "--seed", "-1", "--out-train", "a", "--out-val", "b"],
+    ),
+    "synth-seed-negative": (2, {}, ["synth", "--n", "5", "--rates", "0.5", "--out", "s.jsonl", "--seed", "-1"]),
+    "pipeline-seed-2**32": (
+        2, {"d.jsonl": _CORPUS},
+        ["pipeline", "--data", "d.jsonl", "--schema", "subtask1", "--outdir", "run", "--seed", str(2**32)],
+    ),
+    "config-seed-2**32": (
+        1, {"d.jsonl": _CORPUS, "c.cfg": b"seed = 4294967296\n"},
+        ["pipeline", "--data", "d.jsonl", "--schema", "subtask1", "--outdir", "run", "--config", "c.cfg"],
+    ),
     "config-wrong-type": (
         1,
         {"d.jsonl": _GOOD, "c.cfg": b"val-fraction = abc\n"},
@@ -597,6 +610,17 @@ def test_module_exit_status(tmp_path, case):
     )
     assert proc.returncode == status, proc.stderr
     assert "Traceback" not in proc.stderr
+    if status:
+        assert not (tmp_path / "run").exists()
     if status == 1:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_train_checks_options_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.jsonl")
+    args = ["train", "--train", missing, "--val", missing, "--schema", "subtask1",
+            "--hash-dim", "3", "--out-model", str(tmp_path / "m.bin")]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "hash_dim" in err and "missing.jsonl" not in err

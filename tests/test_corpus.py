@@ -113,9 +113,6 @@ def test_schema_validation():
             LabelSchema(names=(bad,))
     schema = LabelSchema(names=("only",))
     assert schema.is_binary and schema.n_labels == 1
-    assert schema.index_of("only") == 0
-    with pytest.raises(DataError, match="unknown label"):
-        schema.index_of("missing")
 
 
 def test_dataset_rejects_width_mismatch_and_duplicate_ids():

@@ -14,9 +14,9 @@ import time
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from polarpipe.linear_model import FeaturizerConfig, featurize, featurize_all
+from polarpipe.linear_model import FeaturizerConfig, featurize_all
 
-from helpers import FNV_PRIME, fnv1a64
+from helpers import FNV_PRIME, featurize, fnv1a64
 
 # ---------------------------------------------------------------------------
 # Oracles

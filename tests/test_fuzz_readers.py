@@ -2,9 +2,11 @@
 
 A mutated file must either load to an object that satisfies its invariants
 or raise ``DataError`` naming the file; any other exception fails the test.
-Covered so far: ``model.bin`` (format v2), ``.probs`` and ``thresholds.tsv``.
+Covered so far: ``model.bin`` (format v2), ``.probs``, ``thresholds.tsv``
+and ``manifest.json``.
 """
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -24,6 +26,7 @@ from polarpipe.linear_model import (
     save_model,
     train,
 )
+from polarpipe.manifest import PipelineManifest, StageRecord, load_manifest, save_manifest
 from polarpipe.probs import ProbabilityMatrix, load_probabilities, save_probabilities
 from polarpipe.synth import generate_synthetic
 
@@ -324,3 +327,121 @@ def test_unmutated_text_files_load(tmp_path, data, load):
     path = tmp_path / "file"
     path.write_bytes(data)
     load(path)
+
+
+# ---------------------------------------------------------------------------
+# manifest.json: JSON, mutated by byte and by field
+
+
+def _digest(name: str) -> str:
+    return hashlib.sha256(name.encode("utf-8")).hexdigest()
+
+
+MANIFEST = PipelineManifest(
+    seed=901,
+    stages=(
+        StageRecord(
+            name="split",
+            config={"strategy": "auto", "val_fraction": 0.2, "seed": 901},
+            inputs={"pool.jsonl": _digest("pool")},
+            outputs={"train.jsonl": _digest("train"), "val.jsonl": _digest("val")},
+            metrics={},
+        ),
+        StageRecord(
+            name="eval",
+            config={"binary_mode": "two-class-macro"},
+            inputs={"eval.probs": _digest("probs"), "thresholds.tsv": _digest("thresholds")},
+            outputs={"report.tsv": _digest("report")},
+            metrics={"macro_f1": 0.5, "micro_f1": 0.625},
+        ),
+    ),
+)
+MANIFEST_BYTES = _saved_text(save_manifest, MANIFEST, "manifest.json")
+STAGE_FIELDS = ("name", "config", "config_sha256", "inputs", "outputs", "metrics")
+
+manifest_values = st.one_of(
+    st.sampled_from(
+        [5, True, None, "zz", "split", [], {}, ["a"], {"a": 1}, {"x": "zz"}, {"x": _digest("x").upper()},
+         {"x": _digest("x") + "0"}, {"x": 7}, _digest("x"), 901, 2**64, -1, 1.0]
+    ),
+    json_values,
+)
+manifest_mutations = st.one_of(
+    st.tuples(st.just("set-top"), st.sampled_from(["format", "version", "seed", "stages", "extra"]), manifest_values),
+    st.tuples(st.just("drop-top"), st.sampled_from(["format", "version", "seed", "stages"])),
+    st.tuples(st.just("set-stage"), st.integers(0, 2), st.sampled_from(STAGE_FIELDS), manifest_values),
+    st.tuples(st.just("drop-stage-field"), st.integers(0, 2), st.sampled_from(STAGE_FIELDS)),
+    st.tuples(st.just("replace-stage"), st.integers(0, 2), manifest_values),
+    st.tuples(st.just("flip"), st.integers(0, len(MANIFEST_BYTES) - 1), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, len(MANIFEST_BYTES) - 1)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=24)),
+)
+
+
+def mutate_manifest(data: bytes, mutation) -> bytes:
+    """One edit of a manifest; a field edit needs the text to still parse."""
+    kind, *args = mutation
+    if kind in ("flip", "truncate", "append"):
+        return mutate_text(data, mutation)
+    try:
+        payload = json.loads(data)
+    except ValueError:
+        return data
+    if not isinstance(payload, dict):
+        return data
+    if kind == "set-top":
+        payload[args[0]] = args[1]
+    elif kind == "drop-top":
+        payload.pop(args[0], None)
+    else:
+        stages = payload.get("stages")
+        if not isinstance(stages, list) or not stages:
+            return data
+        at = args[0] % len(stages)
+        if kind == "replace-stage":
+            stages[at] = args[1]
+        elif isinstance(stages[at], dict):
+            if kind == "set-stage":
+                stages[at][args[1]] = args[2]
+            else:
+                stages[at].pop(args[1], None)
+    return json.dumps(payload).encode("utf-8")
+
+
+def _stage_edit(field, value, at=0):
+    return [("set-stage", at, field, value)]
+
+
+@settings(max_examples=400)
+@given(st.lists(manifest_mutations, min_size=1, max_size=3))
+@example(_stage_edit("name", 5))
+@example(_stage_edit("inputs", ["pool.jsonl"]))
+@example(_stage_edit("outputs", {"report.tsv": "zz"}, at=1))
+@example([("set-top", "seed", True)])
+@example(_stage_edit("metrics", "macro_f1", at=1))
+@example([("set-top", "stages", {"split": {}})])
+@example(_stage_edit("metrics", {"macro_f1": float("nan")}))
+def test_mutated_manifest_loads_valid_or_raises_data_error(tmp_path_factory, edits):
+    data = MANIFEST_BYTES
+    for edit in edits:
+        data = mutate_manifest(data, edit)
+    manifest, path = load_mutated(tmp_path_factory, "fuzzed-manifest.json", data, load_manifest)
+    if manifest is None:
+        return
+    assert type(manifest.seed) is int
+    for stage in manifest.stages:
+        assert type(stage.name) is str
+        assert all(type(v) is dict for v in (stage.config, stage.inputs, stage.outputs, stage.metrics))
+        for digest in (*stage.inputs.values(), *stage.outputs.values()):
+            assert type(digest) is str and len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+    # what loads saves to bytes that load and save back unchanged (NaN metrics included)
+    save_manifest(manifest, path)
+    first = path.read_bytes()
+    save_manifest(load_manifest(path), path)
+    assert path.read_bytes() == first
+
+
+def test_unmutated_manifest_loads(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(MANIFEST_BYTES)
+    assert load_manifest(path) == MANIFEST

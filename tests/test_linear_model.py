@@ -9,24 +9,28 @@ from polarpipe.corpus import DataError, Dataset, Instance, LabelSchema
 from polarpipe.linear_model import (
     FeaturizerConfig,
     LinearModel,
-    SparseVector,
     TrainConfig,
-    featurize,
     featurize_all,
     load_model,
-    loss_and_grad,
     lr_at_step,
     predict_proba,
     save_history,
     save_model,
     train,
-    zero_model,
 )
 from polarpipe.metrics import evaluate
 from polarpipe.synth import generate_synthetic
 from polarpipe.weighting import PosWeights
 
-from helpers import fd_max_rel_err, fnv1a64, mk_dataset, random_fd_case
+from helpers import (
+    fd_max_rel_err,
+    featurize,
+    fnv1a64,
+    loss_and_grad,
+    mk_dataset,
+    random_fd_case,
+    zero_model,
+)
 
 
 class TestFeaturizerConfig:
@@ -121,18 +125,6 @@ class TestFeaturize:
     def test_indices_strictly_increasing(self):
         v = featurize("the quick brown fox jumps over the lazy dog")
         assert np.all(np.diff(v.indices) > 0)
-
-    def test_sparse_vector_validation(self):
-        with pytest.raises(DataError, match="strictly increasing"):
-            SparseVector(
-                indices=np.array([3, 3], dtype=np.int64),
-                values=np.array([1.0, 1.0]),
-                dim=8,
-            )
-        with pytest.raises(DataError, match="out of range"):
-            SparseVector(
-                indices=np.array([9], dtype=np.int64), values=np.array([1.0]), dim=8
-            )
 
     def test_featurize_all_rows_match_featurize(self):
         texts = ["a b", "", "c c d"]
@@ -403,13 +395,17 @@ class TestTrain:
             recalls[mode] = rep.per_label[0].recall
         assert recalls["balanced"] > recalls["none"]
 
-    def test_weighting_records(self):
+    def test_weighting_records(self, tmp_path):
         ds = generate_synthetic(80, [0.3, 0.2], seed=4)
-        model, report = train(ds, ds, TrainConfig(max_epochs=1, warmup_steps=1))
-        assert report.weighting_mode == "balanced"
-        assert isinstance(report.weights_used, PosWeights)
-        _, unweighted = train(ds, ds, TrainConfig(max_epochs=1), weighting_mode="none")
-        assert unweighted.weights_used is None
+        cfg = TrainConfig(max_epochs=1, warmup_steps=1)
+        weighted, report = train(ds, ds, cfg)
+        unweighted, plain = train(ds, ds, cfg, weighting_mode="none")
+        assert not np.array_equal(weighted.weights, unweighted.weights)
+        for mode, rep in (("balanced", report), ("none", plain)):
+            assert rep.weighting_mode == mode
+            save_history(rep, tmp_path / "history.tsv")
+            lines = (tmp_path / "history.tsv").read_text().splitlines()
+            assert lines[-1] == f"# weighting_mode\t{mode}"
 
     def test_determinism_and_seed_sensitivity(self):
         ds = generate_synthetic(60, [0.4, 0.15], seed=2)

@@ -10,8 +10,8 @@ def saved_manifest(tmp_path):
     stage = StageRecord(
         name="train",
         config={"seed": 1, "ngram_orders": (1, 2)},
-        inputs={"train.jsonl": "ab"},
-        outputs={"model.bin": "cd"},
+        inputs={"train.jsonl": "ab" * 32},
+        outputs={"model.bin": "cd" * 32},
         metrics={"best_epoch": 2},
     )
     path = tmp_path / "manifest.json"
@@ -70,6 +70,34 @@ def test_malformed_fields_rejected(tmp_path, edit):
     path = edited(saved_manifest(tmp_path), edit)
     with pytest.raises(DataError):
         load_manifest(path)
+
+
+def _stage_edit(field, value):
+    return lambda p: p["stages"][0].update({field: value})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda p: p.update(stages={"train": {}}), "'stages': must be a list, got dict", id="stages-object"),
+        pytest.param(lambda p: p.update(seed=True), "'seed': must be an integer, got True", id="seed-bool"),
+        pytest.param(lambda p: p.update(seed=1.0), "'seed': must be an integer, got 1.0", id="seed-float"),
+        pytest.param(_stage_edit("name", 5), "stage 0: name must be a string, got 5", id="name-int"),
+        pytest.param(_stage_edit("config", [1]), "stage 0: config must be an object", id="config-list"),
+        pytest.param(_stage_edit("inputs", ["train.jsonl"]), "stage 0: inputs must be an object", id="inputs-list"),
+        pytest.param(_stage_edit("outputs", "model.bin"), "stage 0: outputs must be an object", id="outputs-str"),
+        pytest.param(_stage_edit("metrics", "best"), "stage 0: metrics must be an object", id="metrics-str"),
+        pytest.param(_stage_edit("outputs", {"model.bin": "zz"}), "stage 0: outputs digest of 'model.bin'", id="digest-zz"),
+        pytest.param(_stage_edit("inputs", {"train.jsonl": "AB" * 32}), "stage 0: inputs digest of 'train.jsonl'", id="digest-upper"),
+        pytest.param(_stage_edit("inputs", {"train.jsonl": "ab" * 33}), "stage 0: inputs digest", id="digest-66"),
+        pytest.param(_stage_edit("inputs", {"train.jsonl": 7}), "stage 0: inputs digest", id="digest-int"),
+    ],
+)
+def test_mistyped_fields_name_the_path_and_stage(tmp_path, edit, message):
+    path = edited(saved_manifest(tmp_path), edit)
+    with pytest.raises(DataError, match=message) as info:
+        load_manifest(path)
+    assert str(path) in str(info.value)
 
 
 def test_digest_mismatch_named(tmp_path):

@@ -15,8 +15,8 @@ from polarpipe.splitter import (
 
 
 def assert_partition(ds, result):
-    train_ids = set(result.train_ids)
-    val_ids = set(result.val_ids)
+    train_ids = set(result.train.ids)
+    val_ids = set(result.val.ids)
     assert train_ids | val_ids == set(ds.ids)
     assert not (train_ids & val_ids)
 
@@ -73,9 +73,9 @@ def test_stratified_deterministic_and_seed_sensitive():
     cfg = SplitConfig(val_fraction=0.25, seed=5)
     a = stratified_split(ds, cfg)
     b = stratified_split(ds, cfg)
-    assert a.val_ids == b.val_ids and a.train_ids == b.train_ids
+    assert a.val.ids == b.val.ids and a.train.ids == b.train.ids
     c = stratified_split(ds, SplitConfig(val_fraction=0.25, seed=6))
-    assert c.val_ids != a.val_ids  # 10-of-20 per class leaves room to differ
+    assert c.val.ids != a.val.ids  # 10-of-20 per class leaves room to differ
 
 
 def test_stratified_multiclass_label_vectors():
@@ -124,8 +124,8 @@ def test_iterative_hand_traced_assignment():
     ds = mk_dataset(rows, names=("rare", "common"))
     result = iterative_stratified_split(ds, SplitConfig(val_fraction=0.2, seed=9))
     assert len(result.val) == 2
-    assert "i0005" in result.val_ids
-    other = [i for i in result.val_ids if i != "i0005"]
+    assert "i0005" in result.val.ids
+    other = [i for i in result.val.ids if i != "i0005"]
     assert other[0] in {"i0006", "i0007", "i0008", "i0009"}
     assert_partition(ds, result)
 
@@ -161,7 +161,7 @@ def test_iterative_deterministic():
     cfg = SplitConfig(val_fraction=0.25, seed=4)
     a = iterative_stratified_split(ds, cfg)
     b = iterative_stratified_split(ds, cfg)
-    assert a.val_ids == b.val_ids
+    assert a.val.ids == b.val.ids
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.25, 0.4]))
