@@ -16,6 +16,9 @@ import numpy as np
 
 FNV_BASIS = np.uint64(0xCBF29CE484222325)
 FNV_PRIME = np.uint64(0x100000001B3)
+_PRIME = int(FNV_PRIME)
+_MASK = 2**64 - 1
+_TAIL_SPANS = 8
 
 
 def active_backend() -> str:
@@ -28,14 +31,24 @@ def _fnv_continue(states, buf, starts, lengths):
 
     Works in place on ``states`` (uint64, multiplication wraps mod 2**64) one
     byte column at a time. Spans are sorted longest first, so at column ``j``
-    the spans still running are a prefix of that order.
+    the spans still running are a prefix of that order. Once no more than
+    ``_TAIL_SPANS`` are left, a column's few numpy calls cost more than its
+    bytes, so those spans are finished one byte at a time in Python integers.
     """
     order = np.argsort(-lengths, kind="stable")
     ordered = states[order]
     starts = starts[order]
+    ends = starts + lengths[order]
     # running[j]: how many spans are longer than j
     running = np.searchsorted(-lengths[order], -np.arange(int(lengths.max(initial=0))), side="left")
-    for j, k in enumerate(running):
+    for j, k in enumerate(running.tolist()):
+        if k <= _TAIL_SPANS:
+            for r in range(k):
+                h = int(ordered[r])
+                for byte in buf[starts[r] + j : ends[r]].tobytes():
+                    h = ((h ^ byte) * _PRIME) & _MASK
+                ordered[r] = h
+            break
         head = ordered[:k]
         head ^= buf[starts[:k] + j]
         head *= FNV_PRIME

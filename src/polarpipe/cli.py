@@ -495,6 +495,11 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weighting", choices=["balanced", "none"], default="balanced")
 
 
+def _add_seed_flag(p: argparse.ArgumentParser) -> None:
+    # only the commands that draw at random take a seed
+    p.add_argument("--seed", type=_seed, default=42, help="integer in [0, 2**32 - 1]")
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="polarpipe",
@@ -507,7 +512,6 @@ def _build_parser():
     def add(name: str, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         p.add_argument("--config", help="key=value file; explicit flags override it")
-        p.add_argument("--seed", type=_seed, default=42, help="integer in [0, 2**32 - 1]")
         subparsers[name] = p
         return p
 
@@ -516,6 +520,7 @@ def _build_parser():
     _add_schema_flags(p)
 
     p = add("split", "train/validation split")
+    _add_seed_flag(p)
     p.add_argument("data")
     _add_schema_flags(p)
     p.add_argument("--val-fraction", type=float, default=0.2)
@@ -524,12 +529,14 @@ def _build_parser():
     p.add_argument("--out-val", required=True)
 
     p = add("merge", "balance a binary corpus with donor instances")
+    _add_seed_flag(p)
     p.add_argument("--primary", required=True)
     p.add_argument("--donor", required=True)
     _add_schema_flags(p)
     p.add_argument("--out", required=True)
 
     p = add("train", "train the linear classifier")
+    _add_seed_flag(p)
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     _add_schema_flags(p)
@@ -559,6 +566,7 @@ def _build_parser():
     p.add_argument("--out", required=True)
 
     p = add("synth", "generate a synthetic corpus")
+    _add_seed_flag(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rates", required=True, help="comma-separated per-label positive rates")
     p.add_argument("--noise", type=float, default=0.0)
@@ -566,6 +574,7 @@ def _build_parser():
     p.add_argument("--out", required=True)
 
     p = add("pipeline", "split, train, tune, and evaluate in one run")
+    _add_seed_flag(p)
     p.add_argument("--data", required=True)
     _add_schema_flags(p)
     p.add_argument("--outdir", required=True)

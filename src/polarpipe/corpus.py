@@ -353,6 +353,10 @@ def load_labels(path: str | Path, schema: LabelSchema) -> GoldLabels:
     )
 
 
+# the encoder json.dumps(record, ensure_ascii=False) would build for every record
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset back to JSONL, preserving raw text and label names."""
     path = Path(path)
@@ -365,7 +369,7 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
                 record["labels"] = [
                     name for name, bit in zip(ds.schema.names, inst.labels) if bit
                 ]
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_RECORD_ENCODER.encode(record) + "\n")
 
 
 # ---------------------------------------------------------------------------

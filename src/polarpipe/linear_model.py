@@ -258,43 +258,6 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _loss_and_grad_csr(
-    fm: FeatureMatrix,
-    y: np.ndarray,
-    weights: np.ndarray,
-    bias: np.ndarray,
-    pw: np.ndarray,
-    smoothing: float,
-    weight_decay: float,
-    sample_weights: np.ndarray | None,
-):
-    """Full objective and exact gradient on a featurized batch.
-
-    Elementwise loss is pw*y'*softplus(-z) + (1-y')*softplus(z) with smoothed
-    target y' = y(1-eps) + eps/2, averaged over batch x labels; the decay
-    penalty weight_decay * ||W||^2 / 2 is added on top (bias excluded).
-    """
-    n, n_labels = y.shape
-    z = kernels.csr_logits(fm.indptr, fm.indices, fm.data, weights, bias)
-    y_s = y * (1.0 - smoothing) + smoothing / 2.0
-    elem = pw * y_s * _softplus(-z) + (1.0 - y_s) * _softplus(z)
-    s = _sigmoid(z)
-    dz = s * (1.0 - y_s + pw * y_s) - pw * y_s
-    if sample_weights is not None:
-        elem = elem * sample_weights[:, None]
-        dz = dz * sample_weights[:, None]
-    scale = 1.0 / (n * n_labels)
-    loss = float(np.sum(elem) * scale)
-    dz = dz * scale
-    grad_w = np.zeros_like(weights)
-    kernels.csr_grad_weights(fm.indptr, fm.indices, fm.data, dz, grad_w)
-    grad_b = dz.sum(axis=0)
-    if weight_decay:
-        loss += weight_decay * 0.5 * float(np.sum(weights * weights))
-        grad_w += weight_decay * weights
-    return loss, grad_w, grad_b
-
-
 def train(
     train_ds: Dataset,
     val_ds: Dataset,
@@ -377,22 +340,38 @@ def train(
             # micro-batches on the weight rows they touch, in local column ids
             rows = order[start : start + update_size]
             update = fm.take(rows)
+            indptr, data = update.indptr, update.data
             touched, local = np.unique(update.indices, return_inverse=True)
-            update = FeatureMatrix(update.indptr, local, update.data, touched.size)
             W_rows = scale * V[touched]
+            # logits, loss and logit gradient of every row of the update at
+            # once: all are rowwise, so each row's values are those of its
+            # micro-batch alone. The loss is pw*y'*softplus(-z) +
+            # (1-y')*softplus(z) with smoothed target y' = y(1-eps) + eps/2.
+            z = kernels.csr_logits(indptr, local, data, W_rows, b)
+            y_s = y[rows] * (1.0 - smoothing) + smoothing / 2.0
+            elem = pw_arr * y_s * _softplus(-z) + (1.0 - y_s) * _softplus(z)
+            dz = _sigmoid(z) * (1.0 - y_s + pw_arr * y_s) - pw_arr * y_s
+            if sample_w is not None:
+                sw = sample_w[rows][:, None]
+                elem *= sw
+                dz *= sw
+            # each micro-batch averages over its own rows x labels; the sums
+            # start from zero and run in micro-batch order, as separate
+            # per-micro-batch passes would
             acc_w = np.zeros_like(W_rows)
             acc_b = np.zeros_like(b)
             acc_loss = 0.0
             micro_starts = range(0, rows.size, tcfg.batch_size)
             for lo in micro_starts:
-                batch = np.arange(lo, min(lo + tcfg.batch_size, rows.size))
-                sw = None if sample_w is None else sample_w[rows[batch]]
-                loss, gw, gb = _loss_and_grad_csr(
-                    update.take(batch), y[rows[batch]], W_rows, b, pw_arr, smoothing, 0.0, sw
+                hi = min(lo + tcfg.batch_size, rows.size)
+                inv = 1.0 / ((hi - lo) * n_labels)
+                acc_loss += float(np.sum(elem[lo:hi]) * inv)
+                dz_micro = dz[lo:hi] * inv
+                entries = slice(indptr[lo], indptr[hi])
+                kernels.csr_grad_weights(
+                    indptr[lo : hi + 1], local[entries], data[entries], dz_micro, acc_w
                 )
-                acc_w += gw
-                acc_b += gb
-                acc_loss += loss
+                acc_b += dz_micro.sum(axis=0)
             n_micro = len(micro_starts)
             acc_w /= n_micro
             acc_b /= n_micro

@@ -10,6 +10,7 @@ balanced.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,15 +118,23 @@ def iterative_stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> S
 
     fractions = (1.0 - cfg.val_fraction, cfg.val_fraction)
     capacity = [n - target, target]
-    labels = np.array([inst.labels for inst in ds.instances], dtype=np.int64)
-    totals = labels.sum(axis=0)
+    # plain Python containers: the loop below reads them one row and one
+    # label at a time. Rows share few label vectors, so each distinct vector
+    # gets one tuple of its positive labels.
+    patterns = Counter(inst.labels for inst in ds.instances)
+    totals = [sum(row[l] * count for row, count in patterns.items()) for l in range(width)]
+    positive_labels = {row: tuple(l for l, bit in enumerate(row) if bit) for row in patterns}
+    positives = [positive_labels[inst.labels] for inst in ds.instances]
     # desired positives per (subset, label): fractional demands, drawn down
-    demand = np.array([[totals[l] * f for l in range(width)] for f in fractions])
+    demand = [[totals[l] * f for l in range(width)] for f in fractions]
 
     rng = np.random.RandomState(cfg.seed)
-    assigned = np.full(n, -1, dtype=np.int64)
-    remaining_pos = [set(np.flatnonzero(labels[:, l]).tolist()) for l in range(width)]
-    unassigned_with_labels = {i for i in range(n) if labels[i].any()}
+    assigned = [-1] * n
+    remaining_pos: list[set[int]] = [set() for _ in range(width)]
+    for i, row in enumerate(positives):
+        for l in row:
+            remaining_pos[l].add(i)
+    unassigned_with_labels = {i for i, row in enumerate(positives) if row}
 
     while unassigned_with_labels:
         counts = [
@@ -146,14 +155,14 @@ def iterative_stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> S
             choice = candidates[0] if len(candidates) == 1 else candidates[rng.randint(len(candidates))]
             assigned[i] = choice
             capacity[choice] -= 1
-            for l in np.flatnonzero(labels[i]):
+            for l in positives[i]:
                 demand[choice][l] -= 1.0
                 remaining_pos[l].discard(i)
             unassigned_with_labels.discard(i)
 
-    zero_rows = [i for i in range(n) if assigned[i] == -1]
+    zero_rows = [i for i, side in enumerate(assigned) if side == -1]
     order = rng.permutation(len(zero_rows))
-    for j in order:
+    for j in order.tolist():
         i = zero_rows[j]
         choice = 0 if capacity[0] > 0 else 1
         if capacity[choice] <= 0:
@@ -161,8 +170,8 @@ def iterative_stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> S
         assigned[i] = choice
         capacity[choice] -= 1
 
-    train_indices = [i for i in range(n) if assigned[i] == 0]
-    val_indices = [i for i in range(n) if assigned[i] == 1]
+    train_indices = [i for i, side in enumerate(assigned) if side == 0]
+    val_indices = [i for i, side in enumerate(assigned) if side == 1]
     return SplitResult(train=_subset(ds, train_indices), val=_subset(ds, val_indices))
 
 

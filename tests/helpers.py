@@ -10,13 +10,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from polarpipe import _kernels as kernels
 from polarpipe.calibration import ThresholdVector, _check_shapes, _f1_per_candidate
 from polarpipe.corpus import DataError, Dataset, Instance, LabelSchema
 from polarpipe.linear_model import (
     FeatureMatrix,
     FeaturizerConfig,
     LinearModel,
-    _loss_and_grad_csr,
+    _sigmoid,
+    _softplus,
     featurize_all,
     restrict,
 )
@@ -62,6 +64,45 @@ def random_prob_matrix_values(rng: np.random.RandomState, n: int, width: int, di
         palette = rng.choice(np.arange(1, 100), size=distinct, replace=False) / 100.0
         values[:, l] = palette[rng.randint(0, distinct, size=n)]
     return values
+
+
+def _loss_and_grad_csr(
+    fm: FeatureMatrix,
+    y: np.ndarray,
+    weights: np.ndarray,
+    bias: np.ndarray,
+    pw: np.ndarray,
+    smoothing: float,
+    weight_decay: float,
+    sample_weights: np.ndarray | None,
+):
+    """Full objective and exact gradient on a featurized batch.
+
+    Elementwise loss is pw*y'*softplus(-z) + (1-y')*softplus(z) with smoothed
+    target y' = y(1-eps) + eps/2, averaged over batch x labels; the decay
+    penalty weight_decay * ||W||^2 / 2 is added on top (bias excluded). The
+    trainer once called this per micro-batch; it now computes a whole update
+    in one pass, and must match this bit for bit.
+    """
+    n, n_labels = y.shape
+    z = kernels.csr_logits(fm.indptr, fm.indices, fm.data, weights, bias)
+    y_s = y * (1.0 - smoothing) + smoothing / 2.0
+    elem = pw * y_s * _softplus(-z) + (1.0 - y_s) * _softplus(z)
+    s = _sigmoid(z)
+    dz = s * (1.0 - y_s + pw * y_s) - pw * y_s
+    if sample_weights is not None:
+        elem = elem * sample_weights[:, None]
+        dz = dz * sample_weights[:, None]
+    scale = 1.0 / (n * n_labels)
+    loss = float(np.sum(elem) * scale)
+    dz = dz * scale
+    grad_w = np.zeros_like(weights)
+    kernels.csr_grad_weights(fm.indptr, fm.indices, fm.data, dz, grad_w)
+    grad_b = dz.sum(axis=0)
+    if weight_decay:
+        loss += weight_decay * 0.5 * float(np.sum(weights * weights))
+        grad_w += weight_decay * weights
+    return loss, grad_w, grad_b
 
 
 def random_fd_case(rng, d=16, n_labels=3, n=4):

@@ -582,6 +582,7 @@ _MODULE_CASES = {
         2, {"d.jsonl": _CORPUS},
         ["pipeline", "--data", "d.jsonl", "--schema", "subtask1", "--outdir", "run", "--seed", str(2**32)],
     ),
+    "eval-seed-rejected": (2, {}, _EVAL + ["--seed", "7"]),
     "config-seed-2**32": (
         1, {"d.jsonl": _CORPUS, "c.cfg": b"seed = 4294967296\n"},
         ["pipeline", "--data", "d.jsonl", "--schema", "subtask1", "--outdir", "run", "--config", "c.cfg"],
@@ -615,6 +616,26 @@ def test_module_exit_status(tmp_path, case):
     if status == 1:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+_UNSEEDED = {
+    "stats": _STATS,
+    "predict": ["predict", "--model", "m.bin", "--data", "d.jsonl", "--out", "p.probs"],
+    "tune": ["tune", "--probs", "p.probs", "--gold", "d.jsonl", "--schema", "subtask1", "--out", "t.tsv"],
+    "eval": _EVAL,
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_UNSEEDED))
+def test_seed_only_on_commands_that_draw(tmp_path, monkeypatch, capsys, cmd):
+    # these commands draw nothing at random: --seed is a usage error, and a
+    # seed= config key an unknown key
+    monkeypatch.chdir(tmp_path)
+    assert run(_UNSEEDED[cmd] + ["--seed", "7"]) == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    Path("c.cfg").write_text("seed = 7\n")
+    assert run(_UNSEEDED[cmd] + ["--config", "c.cfg"]) == 1
+    assert capsys.readouterr().err == "error: c.cfg: unknown key 'seed'\n"
 
 
 def test_train_checks_options_before_reading(tmp_path, capsys):

@@ -231,6 +231,23 @@ def test_save_load_round_trip(tmp_path):
     assert json.loads(outb.read_text())["label"] == 1
 
 
+def test_save_dataset_bytes_match_json_dumps(tmp_path):
+    # the shared encoder writes what json.dumps(record, ensure_ascii=False) writes
+    schema = LabelSchema(names=("x", "y"))
+    texts = ['quote " back \\ slash', "tab\tnew\nline\x00", "😊 naïve 日本", "\u2028\u2029 \x7f"]
+    instances = tuple(
+        Instance(id=f"i{k}", raw_text=t, text=t, labels=(k % 2, 1)) for k, t in enumerate(texts)
+    )
+    out = tmp_path / "out.jsonl"
+    save_dataset(Dataset(schema=schema, instances=instances), out)
+    want = ""
+    for inst in instances:
+        names = [name for name, bit in zip(schema.names, inst.labels) if bit]
+        record = {"id": inst.id, "text": inst.raw_text, "labels": names}
+        want += json.dumps(record, ensure_ascii=False) + "\n"
+    assert out.read_bytes() == want.encode("utf-8")
+
+
 def test_max_tokens_truncates_on_load(tmp_path):
     # dropped tokens do not count toward the limit
     raw = "@user http://x.co " + " ".join(f"w{i}" for i in range(130))

@@ -118,3 +118,13 @@ def test_long_token_is_linear():
     assert vector.indices.tobytes() == indices.tobytes()
     assert vector.values.tobytes() == values.tobytes()
     assert elapsed < 5.0
+
+
+def test_long_tokens_among_many_words_match_oracle():
+    # more words than finish in Python integers: the short ones end in numpy
+    # columns, the three long ones (and the bigrams into them) in Python
+    words = [chr(0x61 + k % 26) * (1 + k) for k in range(40)]
+    long_tokens = ["é" * 3000, "x" * 5001, "日" * 2500]
+    texts = [" ".join(words[:20] + long_tokens[:2]), " ".join(long_tokens + words[20:]), "é" * 3000]
+    for cfg in (FeaturizerConfig(), FeaturizerConfig(hash_dim=2**62, ngram_orders=(2,))):
+        assert_same_matrix(texts, cfg)

@@ -62,6 +62,21 @@ def test_fnv_matches_reference_on_all_backends(data):
     assert kernel_fnv(data[half:], reference_fnv1a64(data[:half])) == reference_fnv1a64(data)
 
 
+@given(
+    st.lists(st.tuples(st.binary(max_size=40), st.integers(0, 2**64 - 1)), max_size=3 * kernels._TAIL_SPANS)
+)
+def test_fnv_many_spans_match_reference(spans):
+    # spans run as numpy columns while more than _TAIL_SPANS are left, then
+    # the rest finish in Python integers; every span's state must match
+    buf = b"".join(data for data, _ in spans)
+    lengths = np.array([len(data) for data, _ in spans], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    states = np.array([h for _, h in spans], dtype=np.uint64)
+    got = kernels._fnv_continue(states, np.frombuffer(buf, dtype=np.uint8), starts, lengths)
+    want = [functools.reduce(lambda h, b: ((h ^ b) * 0x100000001B3) % 2**64, data, h) for data, h in spans]
+    assert got.tolist() == want
+
+
 def test_hash_ngrams_layout():
     dim = 2**12
     got = doc_ngrams(["aa", "bb", "cc"], True, True, dim)

@@ -13,6 +13,10 @@ library now keeps rows for the train set's distinct features only and drops
 every other feature's entries (``restrict``); that must change no bit of the
 weights, losses, validation scores or probabilities.
 
+Both trainers run one full pass per micro-batch (``helpers._loss_and_grad_csr``).
+The library makes one logits and loss pass per optimizer update and reads each
+micro-batch's loss and gradients off its rows; that too must change no bit.
+
 ``loop_take`` is ``FeatureMatrix.take`` before it was vectorized.
 """
 
@@ -30,7 +34,6 @@ from polarpipe.linear_model import (
     FeatureMatrix,
     FeaturizerConfig,
     TrainConfig,
-    _loss_and_grad_csr,
     _sigmoid,
     featurize_all,
     lr_at_step,
@@ -38,8 +41,11 @@ from polarpipe.linear_model import (
     restrict,
     train,
 )
+from polarpipe.corpus import Dataset
 from polarpipe.synth import generate_synthetic
 from polarpipe.weighting import class_weights, pos_weights
+
+from helpers import _loss_and_grad_csr
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +408,61 @@ def test_compact_trainer_matches_dense_v_oracle(name, weight_decay):
     assert_matches_dense_v(train_ds, val_ds, tcfg, FeaturizerConfig(hash_dim=2**10), "balanced", new_ds)
 
 
+def with_texts(ds, blank):
+    """``ds`` with the text of every row in ``blank`` emptied: those rows have no tokens."""
+    instances = tuple(
+        dataclasses.replace(inst, raw_text="", text="") if i in blank else inst
+        for i, inst in enumerate(ds.instances)
+    )
+    return Dataset(schema=ds.schema, instances=instances)
+
+
+MULTI_FEW = Dataset(schema=MULTI.schema, instances=MULTI.instances[:5])
+
+EDGE_CASES = {
+    "batch-size-1": (MULTI, MULTI_VAL, TrainConfig(max_epochs=2, batch_size=1)),
+    # 5 rows, micro-batches of 8: every update is one short micro-batch
+    "fewer-rows-than-a-micro-batch": (MULTI_FEW, MULTI_VAL, TrainConfig(max_epochs=3, batch_size=8)),
+    # 90 = 4 * 22 + 2: the last update holds one micro-batch of 2 rows
+    "last-update-one-short-micro-batch": (MULTI, MULTI_VAL, TrainConfig(max_epochs=3, batch_size=11)),
+    "rows-without-tokens": (
+        with_texts(MULTI, set(range(0, 90, 3))),
+        with_texts(MULTI_VAL, {0, 1}),
+        TrainConfig(max_epochs=3, batch_size=4),
+    ),
+    "no-tokens-at-all": (
+        with_texts(MULTI_FEW, set(range(5))),
+        MULTI_VAL,
+        TrainConfig(max_epochs=2, batch_size=2),
+    ),
+    # per-example class weights; 90 = 4 * 20 + 10, so the last update holds
+    # two of its four micro-batches
+    "binary-sample-weights": (
+        BINARY,
+        BINARY_VAL,
+        TrainConfig(max_epochs=3, batch_size=5, accumulation_steps=4),
+    ),
+    "max-epochs-0": (MULTI, MULTI_VAL, TrainConfig(max_epochs=0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+@pytest.mark.parametrize("weight_decay", ["config", 0.0])
+def test_compact_trainer_matches_dense_v_oracle_on_edge_cases(name, weight_decay):
+    train_ds, val_ds, tcfg = EDGE_CASES[name]
+    if weight_decay == 0.0:
+        tcfg = dataclasses.replace(tcfg, weight_decay=0.0)
+    new_ds = BINARY_NEW if train_ds is BINARY else MULTI_NEW
+    assert_matches_dense_v(train_ds, val_ds, tcfg, FeaturizerConfig(hash_dim=2**10), "balanced", new_ds)
+
+
 @settings(max_examples=40)
 @given(
     binary=st.booleans(),
     learning_rate=st.sampled_from([0.02, 0.5, 2.0]),
     weight_decay=st.sampled_from([0.0, 0.01, 0.4, 0.8]),
-    batch_size=st.integers(2, 16),
-    accumulation_steps=st.integers(1, 3),
+    batch_size=st.integers(1, 16),
+    accumulation_steps=st.integers(1, 4),
     max_epochs=st.integers(0, 3),
     max_grad_norm=st.sampled_from([0.05, 1.0]),
     warmup_steps=st.sampled_from([None, 0, 2]),
