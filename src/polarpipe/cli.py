@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from importlib import import_module
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from . import calibration, metrics
 from .corpus import (
     DataError,
     Dataset,
@@ -28,19 +25,11 @@ from .corpus import (
     save_dataset,
     summarize,
 )
-from .linear_model import (
-    FeaturizerConfig,
-    TrainConfig,
-    load_model,
-    predict_proba,
-    save_history,
-    save_model,
-    train,
-)
-from .manifest import PipelineManifest, StageRecord, file_digest, save_manifest
 from .probs import ProbabilityMatrix, load_probabilities, save_probabilities
-from .splitter import SplitConfig, balanced_merge, iterative_stratified_split, stratified_split
-from .synth import generate_synthetic
+
+if TYPE_CHECKING:
+    from .linear_model import FeaturizerConfig, TrainConfig
+    from .manifest import StageRecord
 
 __all__ = ["run", "entry", "SCHEMA_PRESETS"]
 
@@ -56,6 +45,38 @@ SCHEMA_PRESETS = {
         "invalidation",
     ),
 }
+
+
+# ---------------------------------------------------------------------------
+# Stage functions
+#
+# Each command imports only the modules it runs: ``eval`` never loads the
+# trainer, ``predict`` never loads the metrics. The stage functions still
+# are names on this module, which tests and the benchmark's tracer replace,
+# but each one imports its module when it is first called.
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``polarpipe.<module>.<name>`` that imports it at call time."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+train = _deferred("linear_model", "train")
+predict_proba = _deferred("linear_model", "predict_proba")
+save_model = _deferred("linear_model", "save_model")
+load_model = _deferred("linear_model", "load_model")
+save_history = _deferred("linear_model", "save_history")
+stratified_split = _deferred("splitter", "stratified_split")
+iterative_stratified_split = _deferred("splitter", "iterative_stratified_split")
+balanced_merge = _deferred("splitter", "balanced_merge")
+file_digest = _deferred("manifest", "file_digest")
+save_manifest = _deferred("manifest", "save_manifest")
+generate_synthetic = _deferred("synth", "generate_synthetic")
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +128,8 @@ def _resolve_schema(options: dict) -> LabelSchema:
 
 
 def _featurizer_config(options: dict) -> FeaturizerConfig:
+    from .linear_model import FeaturizerConfig
+
     return FeaturizerConfig(
         hash_dim=options["hash_dim"],
         ngram_orders=_parse_ints(options["ngrams"]),
@@ -116,6 +139,8 @@ def _featurizer_config(options: dict) -> FeaturizerConfig:
 
 
 def _train_config(options: dict) -> TrainConfig:
+    from .linear_model import TrainConfig
+
     return TrainConfig(
         learning_rate=options["learning_rate"],
         weight_decay=options["weight_decay"],
@@ -132,6 +157,8 @@ def _train_config(options: dict) -> TrainConfig:
 
 
 def _split_dataset(ds: Dataset, fraction: float, seed: int, strategy: str):
+    from .splitter import SplitConfig
+
     cfg = SplitConfig(val_fraction=fraction, seed=seed)
     if strategy == "auto":
         strategy = "stratified" if ds.schema.is_binary else "iterative"
@@ -142,6 +169,10 @@ def _split_dataset(ds: Dataset, fraction: float, seed: int, strategy: str):
 
 def _tune(pm: ProbabilityMatrix, gold_ds: Dataset | GoldLabels):
     """Tuned thresholds, plus the macro-F1 the tuner maximizes at 0.5 and at them."""
+    import numpy as np
+
+    from . import calibration, metrics
+
     pm, gold = metrics.align(pm, gold_ds)
     tv = calibration.tune(pm, gold)
     before, after = (
@@ -230,6 +261,8 @@ def _cmd_predict(o: dict) -> int:
 
 
 def _cmd_tune(o: dict) -> int:
+    from . import calibration
+
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
     tv, before, after = _tune(pm, load_labels(o["gold"], schema))
@@ -241,6 +274,8 @@ def _cmd_tune(o: dict) -> int:
 
 
 def _cmd_eval(o: dict) -> int:
+    from . import calibration, metrics
+
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
     gold = load_labels(o["gold"], schema)
@@ -290,6 +325,8 @@ def _stage(
     Every file a run writes is written once, before the first record that
     names it, so a path's digest never changes after it is first taken.
     """
+    from .manifest import StageRecord
+
     for path in (*inputs.values(), *outputs.values()):
         if path not in digests:
             digests[path] = file_digest(path)
@@ -303,6 +340,11 @@ def _stage(
 
 
 def _cmd_pipeline(o: dict) -> int:
+    from dataclasses import asdict
+
+    from . import calibration, metrics
+    from .manifest import PipelineManifest
+
     schema = _resolve_schema(o)
     tcfg = _train_config(o)
     fcfg = _featurizer_config(o)
@@ -451,19 +493,6 @@ def _cmd_pipeline(o: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "stats": _cmd_stats,
-    "split": _cmd_split,
-    "merge": _cmd_merge,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "tune": _cmd_tune,
-    "eval": _cmd_eval,
-    "synth": _cmd_synth,
-    "pipeline": _cmd_pipeline,
-}
-
-
 # ---------------------------------------------------------------------------
 # Parser construction and config-file merging
 
@@ -500,26 +529,12 @@ def _add_seed_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=42, help="integer in [0, 2**32 - 1]")
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="polarpipe",
-        description="Imbalanced multi-label text classification pipeline.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
-
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, allow_abbrev=False)
-        p.add_argument("--config", help="key=value file; explicit flags override it")
-        subparsers[name] = p
-        return p
-
-    p = add("stats", "corpus statistics")
+def _stats_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("data")
     _add_schema_flags(p)
 
-    p = add("split", "train/validation split")
+
+def _split_args(p: argparse.ArgumentParser) -> None:
     _add_seed_flag(p)
     p.add_argument("data")
     _add_schema_flags(p)
@@ -528,14 +543,16 @@ def _build_parser():
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-val", required=True)
 
-    p = add("merge", "balance a binary corpus with donor instances")
+
+def _merge_args(p: argparse.ArgumentParser) -> None:
     _add_seed_flag(p)
     p.add_argument("--primary", required=True)
     p.add_argument("--donor", required=True)
     _add_schema_flags(p)
     p.add_argument("--out", required=True)
 
-    p = add("train", "train the linear classifier")
+
+def _train_args(p: argparse.ArgumentParser) -> None:
     _add_seed_flag(p)
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
@@ -545,27 +562,33 @@ def _build_parser():
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-history")
 
-    p = add("predict", "write probabilities for a dataset")
+
+def _predict_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("tune", "two-stage threshold tuning on validation data")
+
+def _tune_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--probs", required=True)
     p.add_argument("--gold", required=True)
     _add_schema_flags(p)
     p.add_argument("--out", required=True)
 
-    p = add("eval", "score probabilities against gold labels")
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
+    from .metrics import BINARY_MODES
+
     p.add_argument("--probs", required=True)
     p.add_argument("--gold", required=True)
     _add_schema_flags(p)
     p.add_argument("--thresholds", help="thresholds file; omitted: 0.5 everywhere")
-    p.add_argument("--binary-mode", choices=list(metrics.BINARY_MODES), default="two-class-macro")
+    p.add_argument("--binary-mode", choices=list(BINARY_MODES), default="two-class-macro")
     p.add_argument("--format", choices=["table", "machine"], default="table")
     p.add_argument("--out", required=True)
 
-    p = add("synth", "generate a synthetic corpus")
+
+def _synth_args(p: argparse.ArgumentParser) -> None:
     _add_seed_flag(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rates", required=True, help="comma-separated per-label positive rates")
@@ -573,7 +596,10 @@ def _build_parser():
     p.add_argument("--labels", help="comma-separated label names")
     p.add_argument("--out", required=True)
 
-    p = add("pipeline", "split, train, tune, and evaluate in one run")
+
+def _pipeline_args(p: argparse.ArgumentParser) -> None:
+    from .metrics import BINARY_MODES
+
     _add_seed_flag(p)
     p.add_argument("--data", required=True)
     _add_schema_flags(p)
@@ -584,9 +610,45 @@ def _build_parser():
     p.add_argument("--strategy", choices=["auto", "stratified", "iterative"], default="auto")
     _add_featurizer_flags(p)
     _add_train_flags(p)
-    p.add_argument("--binary-mode", choices=list(metrics.BINARY_MODES), default="two-class-macro")
+    p.add_argument("--binary-mode", choices=list(BINARY_MODES), default="two-class-macro")
 
-    return parser, subparsers
+
+# name: (help line, arguments, handler), in the order ``--help`` lists them
+_COMMANDS = {
+    "stats": ("corpus statistics", _stats_args, _cmd_stats),
+    "split": ("train/validation split", _split_args, _cmd_split),
+    "merge": ("balance a binary corpus with donor instances", _merge_args, _cmd_merge),
+    "train": ("train the linear classifier", _train_args, _cmd_train),
+    "predict": ("write probabilities for a dataset", _predict_args, _cmd_predict),
+    "tune": ("two-stage threshold tuning on validation data", _tune_args, _cmd_tune),
+    "eval": ("score probabilities against gold labels", _eval_args, _cmd_eval),
+    "synth": ("generate a synthetic corpus", _synth_args, _cmd_synth),
+    "pipeline": ("split, train, tune, and evaluate in one run", _pipeline_args, _cmd_pipeline),
+}
+
+
+def _build_parser(argv: Sequence[str]):
+    """The parser, and the subparser of the command ``argv`` names, or None.
+
+    Every command is listed, but only the named one gets its arguments. The
+    top-level parser takes no option with a value, so the first token that
+    names a command is the command argparse will run.
+    """
+    parser = argparse.ArgumentParser(
+        prog="polarpipe",
+        description="Imbalanced multi-label text classification pipeline.",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    cmd = next((token for token in argv if token in _COMMANDS), None)
+    chosen = None
+    for name, (help_, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        if name == cmd:
+            p.add_argument("--config", help="key=value file; explicit flags override it")
+            add_arguments(p)
+            chosen = p
+    return parser, chosen
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -650,16 +712,16 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse and execute one invocation; returns the process exit status."""
     if argv is None:
         argv = sys.argv[1:]
-    parser, subparsers = _build_parser()
+    parser, subparser = _build_parser(argv)
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if getattr(args, "config", None):
-            _apply_config_file(args, subparsers[args.cmd], argv)
+            _apply_config_file(args, subparser, argv)
         options = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
-        return _HANDLERS[args.cmd](options)
+        return _COMMANDS[args.cmd][2](options)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -207,21 +208,24 @@ def load_emoji_table() -> dict[str, str]:
     return _parse_emoji_lines(text.splitlines(), _BUNDLED_EMOJI_TABLE)
 
 
-_SPACED_NAMES = {key: f" {name} " for key, name in load_emoji_table().items()}
+@cache
+def _emoji_sub():
+    """``sub(text)``: every emoji in ``text`` replaced by its spaced name.
 
-# At an emoji-range codepoint the longest table key there is replaced by its
-# name, or else the codepoint alone is deleted. Every key starts with an
-# emoji-range codepoint and no name holds one, so one pass leaves nothing to
-# match. The lookahead keeps the key alternation off every other position.
-_EMOJI = re.compile(
-    "(?=[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "])"
-    "(?:" + "|".join(map(re.escape, sorted(_SPACED_NAMES, key=len, reverse=True))) + "|.)",
-    re.DOTALL,
-)
-
-
-def _name_of(match: re.Match) -> str:
-    return _SPACED_NAMES.get(match[0], "")
+    Built on the first call, so a command that normalizes no text never
+    reads the table. At an emoji-range codepoint the longest table key there
+    is replaced by its name, or else the codepoint alone is deleted. Every
+    key starts with an emoji-range codepoint and no name holds one, so one
+    pass leaves nothing to match. The lookahead keeps the key alternation off
+    every other position.
+    """
+    spaced = {key: f" {name} " for key, name in load_emoji_table().items()}
+    pattern = re.compile(
+        "(?=[" + "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _EMOJI_RANGES) + "])"
+        "(?:" + "|".join(map(re.escape, sorted(spaced, key=len, reverse=True))) + "|.)",
+        re.DOTALL,
+    )
+    return partial(pattern.sub, lambda match: spaced.get(match[0], ""))
 
 
 def preprocess(raw: str) -> str:
@@ -233,7 +237,7 @@ def preprocess(raw: str) -> str:
     spaces. Stripping ``#`` comes before the token test, so ``#@user`` and
     ``#https://...`` are dropped too, and normalizing twice changes nothing.
     """
-    text = _EMOJI.sub(_name_of, raw).replace("#", "").lower()
+    text = _emoji_sub()(raw).replace("#", "").lower()
     kept = [token for token in text.split() if not token.startswith(_DROPPED_PREFIXES)]
     return " ".join(kept[:MAX_TOKENS])
 

@@ -27,10 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels as kernels, metrics
+from . import _kernels as kernels
 from .corpus import DataError, Dataset, LabelSchema, read_field
 from .probs import ProbabilityMatrix
-from .weighting import class_weights, pos_weights
 
 _MODEL_FORMAT = "polarpipe-model"
 _MODEL_VERSION = 2
@@ -245,17 +244,27 @@ def lr_at_step(step: int, total_steps: int, warmup_steps: int, learning_rate: fl
     return learning_rate * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function of ``z``; ``e`` is ``exp(-|z|)`` when the caller has it.
+
+    Both branches divide by ``1 + e`` with ``e <= 1``, so neither overflows.
+    """
+    if e is None:
+        e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def _loss_terms(z: np.ndarray, y_s: np.ndarray, pw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise loss ``pw*y_s*softplus(-z) + (1-y_s)*softplus(z)`` and its ``z`` gradient.
+
+    ``softplus(+-z) = max(+-z, 0) + log1p(e)`` and the sigmoid share one
+    ``e = exp(-|z|)``.
+    """
+    e = np.exp(-np.abs(z))
+    log1p_e = np.log1p(e)
+    elem = pw * y_s * (np.maximum(-z, 0.0) + log1p_e) + (1.0 - y_s) * (np.maximum(z, 0.0) + log1p_e)
+    dz = _sigmoid(z, e) * (1.0 - y_s + pw * y_s) - pw * y_s
+    return elem, dz
 
 
 def train(
@@ -271,6 +280,9 @@ def train(
     ``balanced`` uses per-example class weights on the binary task and
     per-label positive weights otherwise; ``none`` trains unweighted.
     """
+    from . import metrics
+    from .weighting import class_weights, pos_weights
+
     if tcfg is None:
         tcfg = TrainConfig()
     if fcfg is None:
@@ -349,8 +361,7 @@ def train(
             # (1-y')*softplus(z) with smoothed target y' = y(1-eps) + eps/2.
             z = kernels.csr_logits(indptr, local, data, W_rows, b)
             y_s = y[rows] * (1.0 - smoothing) + smoothing / 2.0
-            elem = pw_arr * y_s * _softplus(-z) + (1.0 - y_s) * _softplus(z)
-            dz = _sigmoid(z) * (1.0 - y_s + pw_arr * y_s) - pw_arr * y_s
+            elem, dz = _loss_terms(z, y_s, pw_arr)
             if sample_w is not None:
                 sw = sample_w[rows][:, None]
                 elem *= sw

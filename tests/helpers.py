@@ -17,8 +17,6 @@ from polarpipe.linear_model import (
     FeatureMatrix,
     FeaturizerConfig,
     LinearModel,
-    _sigmoid,
-    _softplus,
     featurize_all,
     restrict,
 )
@@ -64,6 +62,20 @@ def random_prob_matrix_values(rng: np.random.RandomState, n: int, width: int, di
         palette = rng.choice(np.arange(1, 100), size=distinct, replace=False) / 100.0
         values[:, l] = palette[rng.randint(0, distinct, size=n)]
     return values
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The trainer's logistic function before it shared ``exp(-|z|)`` with the loss."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _softplus(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _loss_and_grad_csr(

@@ -547,6 +547,14 @@ _EVAL = ["eval", "--probs", "p.probs", "--gold", "d.jsonl", "--schema", "subtask
 _MODULE_CASES = {
     "synth": (0, {}, ["synth", "--n", "5", "--rates", "0.5", "--out", "s.jsonl"]),
     "usage-error": (2, {}, ["split", "d.jsonl", "--strategy", "bogus"]),
+    "no-command": (2, {}, []),
+    "unknown-command": (2, {}, ["bogus", "stats"]),
+    "option-before-command": (2, {"d.jsonl": _GOOD}, ["--bogus", *_STATS]),
+    "eval-missing-gold": (2, {}, ["eval", "--probs", "p.probs", "--out", "r.txt"]),
+    "pipeline-bad-binary-mode": (
+        2, {"d.jsonl": _CORPUS},
+        ["pipeline", "--data", "d.jsonl", "--schema", "subtask1", "--outdir", "run", "--binary-mode", "bogus"],
+    ),
     "dataset-not-utf8": (1, {"d.jsonl": _GOOD + b'{"id": "b", "text": "caf\xe9", "label": 0}\n'}, _STATS),
     "id-with-tab": (1, {"d.jsonl": b'{"id": "a\\tb", "text": "t", "label": 1}\n'}, _STATS),
     "id-with-cr": (1, {"d.jsonl": b'{"id": "a\\rb", "text": "t", "label": 1}\n'}, _STATS),
@@ -645,3 +653,24 @@ def test_train_checks_options_before_reading(tmp_path, capsys):
     assert run(args) == 1
     err = capsys.readouterr().err
     assert "hash_dim" in err and "missing.jsonl" not in err
+
+
+_HELP = Path(__file__).resolve().parent / "data" / "help"
+_COMMANDS = ("stats", "split", "merge", "train", "predict", "tune", "eval", "synth", "pipeline")
+
+
+@pytest.mark.parametrize("cmd", [None, *_COMMANDS])
+def test_help_text_is_unchanged(monkeypatch, capsys, cmd):
+    # each command's parser gets its arguments only when that command runs;
+    # every --help must still read as the golden text, written at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([cmd, "--help"] if cmd else ["--help"]) == 0
+    out = capsys.readouterr().out.replace("optional arguments:", "options:")  # Python 3.10
+    assert out == (_HELP / f"{cmd or 'polarpipe'}.txt").read_text(encoding="utf-8")
+
+
+def test_help_lists_every_command(capsys):
+    assert run(["--help"]) == 0
+    listed = capsys.readouterr().out
+    for cmd in _COMMANDS:
+        assert f"\n    {cmd} " in listed, cmd

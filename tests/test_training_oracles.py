@@ -16,6 +16,9 @@ weights, losses, validation scores or probabilities.
 Both trainers run one full pass per micro-batch (``helpers._loss_and_grad_csr``).
 The library makes one logits and loss pass per optimizer update and reads each
 micro-batch's loss and gradients off its rows; that too must change no bit.
+Its loss pass and prediction share one ``exp(-|z|)`` between the softplus
+terms and the sigmoid; ``helpers._softplus`` and ``helpers._sigmoid`` are the
+separate functions they replaced, and the bits must not move.
 
 ``loop_take`` is ``FeatureMatrix.take`` before it was vectorized.
 """
@@ -33,8 +36,9 @@ from polarpipe.linear_model import (
     _SCALE_FLOOR,
     FeatureMatrix,
     FeaturizerConfig,
+    LinearModel,
     TrainConfig,
-    _sigmoid,
+    _loss_terms,
     featurize_all,
     lr_at_step,
     predict_proba,
@@ -45,7 +49,7 @@ from polarpipe.corpus import Dataset
 from polarpipe.synth import generate_synthetic
 from polarpipe.weighting import class_weights, pos_weights
 
-from helpers import _loss_and_grad_csr
+from helpers import _loss_and_grad_csr, _sigmoid, _softplus, mk_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +512,49 @@ def test_gradients_cover_only_touched_rows(monkeypatch):
     assert heights
     # each micro-batch's gradient spans the rows its update touches
     assert all(touched <= height < 2**10 for height, touched in heights)
+
+
+# logits at the edges of the sigmoid and softplus: signed zeros, tiny values,
+# exp underflow and overflow, plus a spread of ordinary values
+EDGE_LOGITS = np.array(
+    [0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.75, -36.75, 709.8, -745.2]
+)
+
+
+def edge_and_random_logits(n_labels):
+    rng = np.random.RandomState(13)
+    z = np.concatenate((EDGE_LOGITS, rng.normal(0.0, 3.0, 300), rng.normal(0.0, 60.0, 60)))
+    return z[: z.size - z.size % n_labels].reshape(-1, n_labels)
+
+
+@pytest.mark.parametrize("n_labels", [1, 6])
+def test_loss_terms_match_separate_softplus_and_sigmoid(n_labels):
+    z = edge_and_random_logits(n_labels)
+    rng = np.random.RandomState(14)
+    y_s = rng.randint(0, 2, size=z.shape) * 0.9 + 0.05
+    pw = rng.uniform(0.5, 20.0, size=n_labels)
+    elem, dz = _loss_terms(z, y_s, pw)
+    assert elem.tobytes() == (pw * y_s * _softplus(-z) + (1.0 - y_s) * _softplus(z)).tobytes()
+    assert dz.tobytes() == (_sigmoid(z) * (1.0 - y_s + pw * y_s) - pw * y_s).tobytes()
+
+
+def test_predict_proba_matches_separate_sigmoid_at_the_edges():
+    # one distinct word per document, valued 1.0, so each logit is its word's weight
+    n_labels = 6
+    z = edge_and_random_logits(n_labels)
+    ds = mk_dataset([(0,) * n_labels] * z.shape[0], texts=[f"word{i}" for i in range(z.shape[0])])
+    fcfg = FeaturizerConfig(ngram_orders=(1,), tf_mode="binary")
+    fm = featurize_all([inst.text for inst in ds.instances], fcfg)
+    feature_ids, rows_of = np.unique(fm.indices, return_inverse=True)
+    assert feature_ids.size == z.shape[0]
+    weights = np.empty_like(z)
+    weights[rows_of] = z
+    bias = np.zeros(n_labels)
+    model = LinearModel(feature_ids, weights, bias, fcfg, ds.schema)
+    logits = kernels.csr_logits(fm.indptr, rows_of, fm.data, weights, bias)
+    assert np.array_equal(logits, z)
+    expected = np.clip(_sigmoid(logits), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    assert predict_proba(model, ds).values.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
