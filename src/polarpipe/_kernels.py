@@ -103,23 +103,25 @@ def hash_ngrams(token_ids, words, doc_lengths, unigrams: bool, bigrams: bool, ha
 
 def _entry_rows(indptr) -> np.ndarray:
     """Row number of every CSR entry, in entry order."""
-    return np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    return np.arange(indptr.shape[0] - 1).repeat(indptr[1:] - indptr[:-1])
 
 
 def csr_logits(indptr, indices, data, weights, bias):
     """Dense ``X @ W + b`` for CSR-encoded X; returns float64 (n, L)."""
     n, n_labels = indptr.shape[0] - 1, weights.shape[1]
     cells = (_entry_rows(indptr)[:, None] * n_labels + np.arange(n_labels)).ravel()
-    products = (weights[indices] * data[:, None]).ravel()
-    return np.bincount(cells, products, minlength=n * n_labels).reshape(n, n_labels) + bias
+    products = weights[indices]
+    products *= data[:, None]
+    return np.bincount(cells, products.ravel(), minlength=n * n_labels).reshape(n, n_labels) + bias
 
 
 def csr_grad_weights(indptr, indices, data, dlogits, out):
     """Accumulate ``X^T @ G`` into ``out`` (shape (n_features, L)); returns out."""
     n_features, n_labels = out.shape
     cells = (indices[:, None] * n_labels + np.arange(n_labels)).ravel()
-    products = (data[:, None] * dlogits[_entry_rows(indptr)]).ravel()
-    out += np.bincount(cells, products, minlength=n_features * n_labels).reshape(out.shape)
+    products = dlogits[_entry_rows(indptr)]
+    products *= data[:, None]
+    out += np.bincount(cells, products.ravel(), minlength=n_features * n_labels).reshape(out.shape)
     return out
 
 

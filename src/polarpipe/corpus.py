@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, partial
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 
 
@@ -238,8 +239,11 @@ def preprocess(raw: str) -> str:
     ``#https://...`` are dropped too, and normalizing twice changes nothing.
     """
     text = _emoji_sub()(raw).replace("#", "").lower()
-    kept = [token for token in text.split() if not token.startswith(_DROPPED_PREFIXES)]
-    return " ".join(kept[:MAX_TOKENS])
+    tokens = text.split()
+    # a token that starts with a dropped prefix puts that prefix in the text
+    if "@" in text or "http" in text or "www." in text:
+        tokens = [token for token in tokens if not token.startswith(_DROPPED_PREFIXES)]
+    return " ".join(tokens[:MAX_TOKENS])
 
 
 # ---------------------------------------------------------------------------
@@ -357,23 +361,29 @@ def load_labels(path: str | Path, schema: LabelSchema) -> GoldLabels:
     )
 
 
-# the encoder json.dumps(record, ensure_ascii=False) would build for every record
-_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write a dataset back to JSONL, preserving raw text and label names."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for inst in ds.instances:
-            record: dict = {"id": inst.id, "text": inst.raw_text}
-            if ds.schema.is_binary:
-                record["label"] = inst.labels[0]
-            else:
-                record["labels"] = [
-                    name for name, bit in zip(ds.schema.names, inst.labels) if bit
-                ]
-            fh.write(_RECORD_ENCODER.encode(record) + "\n")
+    """Write a dataset back to JSONL, preserving raw text and label names.
+
+    Each line is built directly, with the C string encoder that
+    ``json.dumps(record, ensure_ascii=False)`` applies to every str, and is
+    byte for byte the line that call writes.
+    """
+    enc = encode_basestring
+    if ds.schema.is_binary:
+        tails = {0: ', "label": 0}\n', 1: ', "label": 1}\n'}
+        lines = (
+            '{"id": ' + enc(inst.id) + ', "text": ' + enc(inst.raw_text) + tails[inst.labels[0]]
+            for inst in ds.instances
+        )
+    else:
+        names = [enc(name) for name in ds.schema.names]
+        lines = (
+            '{"id": ' + enc(inst.id) + ', "text": ' + enc(inst.raw_text) + ', "labels": ['
+            + ", ".join([name for name, bit in zip(names, inst.labels) if bit]) + "]}\n"
+            for inst in ds.instances
+        )
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import defaultdict
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -131,38 +133,63 @@ def featurize_all(texts: Sequence[str], cfg: FeaturizerConfig | None = None) -> 
     """
     if cfg is None:
         cfg = FeaturizerConfig()
-    vocab: dict[str, int] = {}
+    # each distinct word's id is its place in first-seen order: a missing
+    # word is entered with the vocabulary's size at that moment
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__
     doc_lengths: list[int] = []
 
-    def token_ids():
+    def split_docs():
         for text in texts:
             tokens = text.split()
             doc_lengths.append(len(tokens))
-            for token in tokens:
-                yield vocab.setdefault(token, len(vocab))
+            yield tokens
 
-    ids = np.fromiter(token_ids(), dtype=np.int64)
+    ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(split_docs())), dtype=np.int64)
+    n_rows = len(doc_lengths)
     rows, hashed = kernels.hash_ngrams(
         ids, list(vocab), doc_lengths, 1 in cfg.ngram_orders, 2 in cfg.ngram_orders, cfg.hash_dim
     )
-    order = np.lexsort((hashed, rows))
-    rows, hashed = rows[order], hashed[order]
-    # each run of equal (row, id) pairs is one entry; its length is the count
-    new_entry = np.ones(rows.size, dtype=bool)
-    new_entry[1:] = (rows[1:] != rows[:-1]) | (hashed[1:] != hashed[:-1])
-    starts = np.flatnonzero(new_entry)
-    indptr = np.zeros(len(doc_lengths) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[starts], minlength=len(doc_lengths)), out=indptr[1:])
+    # each run of equal (row, id) pairs, once sorted, is one entry; its
+    # length is the count
+    n_pairs = rows.size
+    new_entry = np.ones(n_pairs, dtype=bool)
+    shift = cfg.hash_dim.bit_length() - 1
+    if n_rows.bit_length() + shift <= 63:
+        # one int64 key per pair, row in the high bits and id in the low
+        # ones, packed and sorted in place
+        keys = rows
+        keys <<= shift
+        keys |= hashed
+        del rows, hashed
+        keys.sort()
+        np.not_equal(keys[1:], keys[:-1], out=new_entry[1:])
+        starts = np.flatnonzero(new_entry)
+        indices = keys[starts]
+        del keys
+        row_counts = np.bincount(indices >> shift, minlength=n_rows)
+        indices &= cfg.hash_dim - 1
+    else:
+        order = np.lexsort((hashed, rows))
+        rows, hashed = rows[order], hashed[order]
+        del order
+        new_entry[1:] = (rows[1:] != rows[:-1]) | (hashed[1:] != hashed[:-1])
+        starts = np.flatnonzero(new_entry)
+        row_counts = np.bincount(rows[starts], minlength=n_rows)
+        indices = hashed[starts]
+        del rows, hashed
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=indptr[1:])
     if cfg.tf_mode == "binary":
         data = np.ones(starts.size, dtype=np.float64)
     else:
-        data = np.diff(np.append(starts, rows.size)).astype(np.float64)
+        data = np.diff(np.append(starts, n_pairs)).astype(np.float64)
     if cfg.l2_normalize and data.size:
         # squared counts are integers, so every summation order gives the same sum
         row_sizes = np.diff(indptr)
         norms = np.sqrt(np.add.reduceat(data * data, indptr[:-1][row_sizes > 0]))
         data = data / np.repeat(norms, row_sizes[row_sizes > 0])
-    return FeatureMatrix(indptr=indptr, indices=hashed[starts], data=data, n_features=cfg.hash_dim)
+    return FeatureMatrix(indptr=indptr, indices=indices, data=data, n_features=cfg.hash_dim)
 
 
 @dataclass(frozen=True)
@@ -262,9 +289,20 @@ def _loss_terms(z: np.ndarray, y_s: np.ndarray, pw: np.ndarray) -> tuple[np.ndar
     """
     e = np.exp(-np.abs(z))
     log1p_e = np.log1p(e)
-    elem = pw * y_s * (np.maximum(-z, 0.0) + log1p_e) + (1.0 - y_s) * (np.maximum(z, 0.0) + log1p_e)
-    dz = _sigmoid(z, e) * (1.0 - y_s + pw * y_s) - pw * y_s
+    pos = pw * y_s
+    neg = 1.0 - y_s
+    elem = pos * (np.maximum(-z, 0.0) + log1p_e) + neg * (np.maximum(z, 0.0) + log1p_e)
+    dz = _sigmoid(z, e) * (neg + pos) - pos
     return elem, dz
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values`` in increasing order: the first of
+    each run of equal values once sorted."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
 
 
 def train(
@@ -303,8 +341,8 @@ def train(
 
     fm = featurize_all([inst.text for inst in train_ds.instances], fcfg)
     # train on local column ids: one weight row per distinct train feature
-    feature_ids, local = np.unique(fm.indices, return_inverse=True)
-    fm = FeatureMatrix(fm.indptr, local, fm.data, feature_ids.size)
+    feature_ids = _distinct(fm.indices)
+    fm = FeatureMatrix(fm.indptr, np.searchsorted(feature_ids, fm.indices), fm.data, feature_ids.size)
     y = np.array([inst.labels for inst in train_ds.instances], dtype=np.float64)
     fm_val = featurize_all([inst.text for inst in val_ds.instances], fcfg)
     fm_val = restrict(fm_val, feature_ids)
@@ -344,51 +382,68 @@ def train(
     stopped_early = False
     step = 0
 
+    # position of each touched row among its update's touched rows; written
+    # for the touched rows only, so one O(k) allocation serves every update
+    pos = np.empty(feature_ids.size, dtype=np.int64)
+
     for epoch in range(1, tcfg.max_epochs + 1):
         order = rng.permutation(n)
+        # smoothed targets y' = y(1-eps) + eps/2 (and the binary task's
+        # per-example weights) of the epoch's rows, in the epoch's order
+        y_s_epoch = y[order] * (1.0 - smoothing) + smoothing / 2.0
+        sw_epoch = None if sample_w is None else sample_w[order][:, None]
         epoch_losses: list[float] = []
         for start in range(0, n, update_size):
             # one optimizer update: accumulate up to accumulation_steps
             # micro-batches on the weight rows they touch, in local column ids
             rows = order[start : start + update_size]
             update = fm.take(rows)
-            indptr, data = update.indptr, update.data
-            touched, local = np.unique(update.indices, return_inverse=True)
+            indptr, cols, data = update.indptr, update.indices, update.data
+            touched = _distinct(cols)
+            t = touched.size
+            pos[touched] = np.arange(t)
+            local = pos[cols]
             W_rows = scale * V[touched]
             # logits, loss and logit gradient of every row of the update at
             # once: all are rowwise, so each row's values are those of its
             # micro-batch alone. The loss is pw*y'*softplus(-z) +
-            # (1-y')*softplus(z) with smoothed target y' = y(1-eps) + eps/2.
+            # (1-y')*softplus(z).
             z = kernels.csr_logits(indptr, local, data, W_rows, b)
-            y_s = y[rows] * (1.0 - smoothing) + smoothing / 2.0
-            elem, dz = _loss_terms(z, y_s, pw_arr)
-            if sample_w is not None:
-                sw = sample_w[rows][:, None]
+            elem, dz = _loss_terms(z, y_s_epoch[start : start + update_size], pw_arr)
+            if sw_epoch is not None:
+                sw = sw_epoch[start : start + update_size]
                 elem *= sw
                 dz *= sw
-            # each micro-batch averages over its own rows x labels; the sums
-            # start from zero and run in micro-batch order, as separate
-            # per-micro-batch passes would
-            acc_w = np.zeros_like(W_rows)
+            # each micro-batch averages over its own rows x labels: scale its
+            # rows of dz, and give its entries their own block of t gradient
+            # rows (micro-batch m's columns are m*t + local). The loss and
+            # bias sums start from zero and run in micro-batch order, as
+            # separate per-micro-batch passes would.
             acc_b = np.zeros_like(b)
             acc_loss = 0.0
             micro_starts = range(0, rows.size, tcfg.batch_size)
             for lo in micro_starts:
                 hi = min(lo + tcfg.batch_size, rows.size)
                 inv = 1.0 / ((hi - lo) * n_labels)
-                acc_loss += float(np.sum(elem[lo:hi]) * inv)
-                dz_micro = dz[lo:hi] * inv
-                entries = slice(indptr[lo], indptr[hi])
-                kernels.csr_grad_weights(
-                    indptr[lo : hi + 1], local[entries], data[entries], dz_micro, acc_w
-                )
+                acc_loss += float(elem[lo:hi].sum() * inv)
+                dz_micro = dz[lo:hi]
+                dz_micro *= inv
                 acc_b += dz_micro.sum(axis=0)
+                if lo:
+                    local[indptr[lo] :] += t
             n_micro = len(micro_starts)
+            grads = np.zeros((n_micro * t, n_labels), dtype=np.float64)
+            kernels.csr_grad_weights(indptr, local, data, dz, grads)
+            # no bincount cell is -0.0, so the first block equals 0 + block
+            blocks = grads.reshape(n_micro, t, n_labels)
+            acc_w = blocks[0]
+            for block in blocks[1:]:
+                acc_w = acc_w + block
             acc_w /= n_micro
             acc_b /= n_micro
             epoch_losses.append(acc_loss / n_micro)
             # untouched rows have zero gradient, so this is the full norm
-            norm = math.sqrt(float(np.sum(acc_w * acc_w)) + float(np.sum(acc_b * acc_b)))
+            norm = math.sqrt(float((acc_w * acc_w).sum()) + float((acc_b * acc_b).sum()))
             if norm > tcfg.max_grad_norm:
                 clip = tcfg.max_grad_norm / norm
                 acc_w *= clip

@@ -248,6 +248,59 @@ def test_save_dataset_bytes_match_json_dumps(tmp_path):
     assert out.read_bytes() == want.encode("utf-8")
 
 
+def oracle_save_dataset(ds: Dataset, path) -> None:
+    """The writer ``save_dataset`` replaced: one shared ``JSONEncoder`` per record."""
+    encoder = json.JSONEncoder(ensure_ascii=False)
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for inst in ds.instances:
+            record: dict = {"id": inst.id, "text": inst.raw_text}
+            if ds.schema.is_binary:
+                record["label"] = inst.labels[0]
+            else:
+                record["labels"] = [name for name, bit in zip(ds.schema.names, inst.labels) if bit]
+            fh.write(encoder.encode(record) + "\n")
+
+
+# every str the writer meets: JSON's escaped characters, C0 and C1 controls,
+# the line and paragraph separators JSON leaves raw, and astral characters
+_JSON_HARD = st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029", "\ufeff", "\b\f\n\r\t",
+     "😊", "\U0001d11e", "é", "日本"]
+)
+_STRINGS = st.lists(
+    st.one_of(_JSON_HARD, st.text(st.characters(exclude_categories=("Cs",)), max_size=6)), max_size=6
+).map("".join)
+_NAMES = st.lists(
+    st.one_of(_JSON_HARD, st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=4)).filter(
+        lambda name: not set(name) & set("\t\n\r")
+    ),
+    min_size=1,
+    max_size=4,
+    unique=True,
+)
+
+
+@st.composite
+def datasets(draw):
+    names = draw(st.one_of(st.just(["pol"]), _NAMES))
+    ids = draw(st.lists(_STRINGS, max_size=6, unique=True))
+    bits = st.tuples(*[st.integers(0, 1)] * len(names))
+    instances = tuple(
+        Instance(id=ident, raw_text=text, text="", labels=draw(bits))
+        for ident, text in zip(ids, draw(st.lists(_STRINGS, min_size=len(ids), max_size=len(ids))))
+    )
+    return Dataset(schema=LabelSchema(names=tuple(names)), instances=instances)
+
+
+@given(datasets())
+def test_save_dataset_matches_encoder_oracle(tmp_path_factory, ds):
+    # binary and multi-label schemas, empty label lists, and every str JSON escapes
+    root = tmp_path_factory.mktemp("save")
+    save_dataset(ds, root / "got.jsonl")
+    oracle_save_dataset(ds, root / "want.jsonl")
+    assert (root / "got.jsonl").read_bytes() == (root / "want.jsonl").read_bytes()
+
+
 def test_max_tokens_truncates_on_load(tmp_path):
     # dropped tokens do not count toward the limit
     raw = "@user http://x.co " + " ".join(f"w{i}" for i in range(130))

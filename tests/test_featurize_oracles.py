@@ -128,3 +128,11 @@ def test_long_tokens_among_many_words_match_oracle():
     texts = [" ".join(words[:20] + long_tokens[:2]), " ".join(long_tokens + words[20:]), "é" * 3000]
     for cfg in (FeaturizerConfig(), FeaturizerConfig(hash_dim=2**62, ngram_orders=(2,))):
         assert_same_matrix(texts, cfg)
+
+
+def test_both_groupings_at_the_packing_boundary():
+    # pairs are packed into one int64 key while the row bits plus log2(hash_dim)
+    # fit in 63 bits, and lexsorted beyond: 3 rows at 2^61 pack, 4 do not
+    texts = ["b a b", "", "a c a b", "c"]
+    for hash_dim, n_rows in ((2**61, 3), (2**61, 4), (2**62, 1), (2**62, 2), (2**10, 4)):
+        assert_same_matrix(texts[:n_rows], FeaturizerConfig(hash_dim=hash_dim))

@@ -2,8 +2,8 @@
 
 A mutated file must either load to an object that satisfies its invariants
 or raise ``DataError`` naming the file; any other exception fails the test.
-Covered so far: ``model.bin`` (format v2), ``.probs``, ``thresholds.tsv``
-and ``manifest.json``.
+Covered so far: ``model.bin`` (format v2), ``.probs``, ``thresholds.tsv``,
+``manifest.json`` and dataset JSONL.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polarpipe.calibration import PROVENANCES, ThresholdVector, load_thresholds, save_thresholds
-from polarpipe.corpus import DataError
+from polarpipe.corpus import DataError, LabelSchema, load_dataset, load_labels, save_dataset
 from polarpipe.linear_model import (
     FeaturizerConfig,
     LinearModel,
@@ -445,3 +445,109 @@ def test_unmutated_manifest_loads(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_bytes(MANIFEST_BYTES)
     assert load_manifest(path) == MANIFEST
+
+
+# ---------------------------------------------------------------------------
+# Dataset JSONL: mutated by byte, by line and by record field
+
+
+def _jsonl(records) -> bytes:
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8")
+
+
+MULTI_SCHEMA = LabelSchema(names=("x", "y", "z"))
+BINARY_SCHEMA = LabelSchema(names=("pol",))
+# every label form the reader accepts, a blank line, and texts that JSON escapes
+MULTI_JSONL = _jsonl(
+    [
+        {"id": "a", "text": "Hello @you #tag 😊 http://x.co", "labels": ["x"]},
+        {"id": "b", "text": 'quote " back \\ \u2028 \U0001d11e \x00', "labels": []},
+        {"id": "c7", "text": "ok", "labels": [1, 0, 1]},
+    ]
+) + b"\n" + _jsonl([{"id": "d", "text": "", "labels": ["z", "y"]}])
+BINARY_JSONL = _jsonl(
+    [
+        {"id": "a", "text": "Hello @you #tag 😊", "label": 1},
+        {"id": "b", "text": "tab\tand\nline", "label": 0},
+        {"id": "c", "text": "www.x.org Caf\u00e9", "label": 0},
+    ]
+)
+
+record_values = st.one_of(
+    st.sampled_from(
+        ["x", "y", "z", "pol", "", "a\tb", "a\nb", "\ud800", 0, 1, 2, -1, True, False, None, 1.0,
+         [], ["x"], ["x", "x"], ["y", "w"], [1, 0, 1], [1, 0], [0, 1, 2], [True, False, True], ["x", 1], {}]
+    ),
+    json_values,
+)
+dataset_mutations = st.one_of(
+    text_mutations,
+    st.tuples(st.just("set-field"), line_no, st.sampled_from(["id", "text", "label", "labels", "extra"]), record_values),
+    st.tuples(st.just("drop-field"), line_no, st.sampled_from(["id", "text", "label", "labels"])),
+)
+
+
+def mutate_dataset(data: bytes, mutation) -> bytes:
+    """One edit of a JSONL file; a field edit needs its line to still parse."""
+    kind, *args = mutation
+    if kind not in ("set-field", "drop-field"):
+        return mutate_text(data, mutation)
+    lines = data.split(b"\n")
+    at = args[0] % len(lines)
+    try:
+        record = json.loads(lines[at])
+    except ValueError:
+        return data
+    if not isinstance(record, dict):
+        return data
+    if kind == "set-field":
+        record[args[1]] = args[2]
+    else:
+        record.pop(args[1], None)
+    lines[at] = json.dumps(record).encode("utf-8")
+    return b"\n".join(lines)
+
+
+def _load_or_error(load, path, schema):
+    try:
+        return load(path, schema), None
+    except DataError as exc:
+        assert str(path) in str(exc)
+        return None, str(exc)
+
+
+@settings(max_examples=400)
+@given(st.booleans(), st.lists(dataset_mutations, min_size=1, max_size=3))
+@example(False, [("set-field", 0, "labels", ["x", 1])])
+@example(False, [("set-field", 2, "labels", [1, 0])])
+@example(True, [("set-field", 1, "label", True)])
+@example(True, [("set-field", 0, "id", "b")])
+@example(True, [("drop-field", 2, "text")])
+@example(False, [("set-field", 1, "id", "\ud800")])
+def test_mutated_dataset_reads_the_same_through_both_readers(tmp_path_factory, binary, edits):
+    schema, data = (BINARY_SCHEMA, BINARY_JSONL) if binary else (MULTI_SCHEMA, MULTI_JSONL)
+    for edit in edits:
+        data = mutate_dataset(data, edit)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.jsonl"
+    path.write_bytes(data)
+    ds, ds_error = _load_or_error(load_dataset, path, schema)
+    gold, gold_error = _load_or_error(load_labels, path, schema)
+    # both readers fail with the same message, or both load the same records
+    assert ds_error == gold_error
+    if ds is None:
+        return
+    assert (tuple(ds.ids), ds.labels) == (gold.ids, gold.labels)
+    # what loads is written back so that it reloads equal and saves again unchanged
+    save_dataset(ds, path)
+    first = path.read_bytes()
+    again = load_dataset(path, schema)
+    assert again.instances == ds.instances
+    save_dataset(again, path)
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("data, schema", [(MULTI_JSONL, MULTI_SCHEMA), (BINARY_JSONL, BINARY_SCHEMA)])
+def test_unmutated_datasets_load(tmp_path, data, schema):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(data)
+    assert len(load_dataset(path, schema)) == len(load_labels(path, schema).ids) == data.count(b"{")

@@ -118,6 +118,30 @@ def test_matches_oracle_on_arbitrary_text(text):
     assert preprocess(text) == oracle_preprocess(text)
 
 
+# preprocess filters tokens only when the lowercased text holds "@", "http" or
+# "www."; these put the marker inside a token, where nothing is dropped, or at
+# a token's start, where it is
+FILTER_CASES = {
+    "a@b": "a@b",
+    "xhttp://y": "xhttp://y",
+    "awww.b": "awww.b",
+    "a@b xhttp://y awww.b https": "a@b xhttp://y awww.b https",
+    "WWW": "www",
+    "a @b c": "a c",
+    "#@b keep": "keep",
+    "HTTP://X.co keep": "keep",
+    "keep https://x": "keep",
+    "Www.x.org keep": "keep",
+    "a@b @c": "a@b",
+    "ok 😊 @x": "ok smiling face with smiling eyes",
+}
+
+
+def test_filter_cases_match_oracle():
+    for raw, expected in FILTER_CASES.items():
+        assert preprocess(raw) == oracle_preprocess(raw) == expected, raw
+
+
 def test_table_facts():
     # One demojize leaves no emoji-range codepoint behind and no key can
     # start elsewhere, so a second one finds nothing.

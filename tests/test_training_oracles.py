@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polarpipe import _kernels as kernels, metrics
 from polarpipe.linear_model import (
@@ -475,6 +475,18 @@ def test_compact_trainer_matches_dense_v_oracle_on_edge_cases(name, weight_decay
     hash_dim=st.sampled_from([2**10, 2**14]),
     weighting_mode=st.sampled_from(["balanced", "none"]),
 )
+# binary runs (one label) of three and four micro-batches per update: 90 rows
+# in updates of 24 end with micro-batches of 8, 8 and 2; in updates of 28,
+# with one micro-batch of 6
+@example(binary=True, learning_rate=0.5, weight_decay=0.01, batch_size=8, accumulation_steps=3,
+         max_epochs=3, max_grad_norm=1.0, warmup_steps=None, patience=3, seed=1, hash_dim=2**10,
+         weighting_mode="balanced")
+@example(binary=True, learning_rate=2.0, weight_decay=0.8, batch_size=7, accumulation_steps=4,
+         max_epochs=2, max_grad_norm=0.05, warmup_steps=0, patience=1, seed=2, hash_dim=2**14,
+         weighting_mode="balanced")
+@example(binary=True, learning_rate=0.02, weight_decay=0.0, batch_size=5, accumulation_steps=4,
+         max_epochs=3, max_grad_norm=1.0, warmup_steps=2, patience=2, seed=3, hash_dim=2**10,
+         weighting_mode="none")
 def test_compact_trainer_matches_dense_v_oracle_on_drawn_configs(
     binary, hash_dim, weighting_mode, **config
 ):
@@ -499,19 +511,29 @@ def test_renormalization_case_crosses_the_floor():
 
 
 def test_gradients_cover_only_touched_rows(monkeypatch):
-    # at hash_dim 2^20 no gradient buffer is taller than the rows its update touches
+    # at hash_dim 2^20 each update makes one gradient call whose buffer holds
+    # one block per micro-batch of exactly the rows the update touches
     heights = []
     grad = kernels.csr_grad_weights
 
     def recording(indptr, indices, data, dlogits, out):
-        heights.append((out.shape[0], np.unique(indices).size))
+        heights.append(out.shape[0])
         return grad(indptr, indices, data, dlogits, out)
 
     monkeypatch.setattr(kernels, "csr_grad_weights", recording)
-    train(MULTI, MULTI_VAL, TrainConfig(max_epochs=1), FeaturizerConfig(hash_dim=2**20))
-    assert heights
-    # each micro-batch's gradient spans the rows its update touches
-    assert all(touched <= height < 2**10 for height, touched in heights)
+    tcfg, fcfg = TrainConfig(max_epochs=1), FeaturizerConfig(hash_dim=2**20)
+    train(MULTI, MULTI_VAL, tcfg, fcfg)
+    fm = featurize_all([inst.text for inst in MULTI.instances], fcfg)
+    order = np.random.RandomState(tcfg.seed).permutation(len(MULTI))
+    update_size = tcfg.batch_size * tcfg.accumulation_steps
+    expected = []
+    for start in range(0, len(MULTI), update_size):
+        rows = order[start : start + update_size]
+        n_micro = -(-rows.size // tcfg.batch_size)
+        expected.append(n_micro * np.unique(fm.take(rows).indices).size)
+    # 90 rows in updates of 64 and 26: two micro-batches, then one
+    assert len(expected) == 2
+    assert heights == expected
 
 
 # logits at the edges of the sigmoid and softplus: signed zeros, tiny values,
