@@ -1,8 +1,9 @@
 """The hot-loop kernels: token hashing, sparse products and threshold sweeps.
 
-One numpy implementation; the modules that use a kernel call it through this
-module's namespace (``kernels.hash_ngrams(...)``), so a profiler can wrap the
-names here.
+One implementation of each; the modules that use a kernel call it through
+this module's namespace (``kernels.hash_ngrams(...)``), so a profiler can wrap
+the names here. The hashing and sparse-product kernels import numpy when they
+run; the threshold sweep is pure Python, so scoring never loads numpy.
 
 Both sparse products are one ``np.bincount`` over flattened (row, label)
 cells. ``bincount`` starts every cell at +0.0 and adds the weights in input
@@ -12,11 +13,10 @@ float64 additions as a row-by-row, entry-by-entry loop, bit for bit.
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_left
 
-FNV_BASIS = np.uint64(0xCBF29CE484222325)
-FNV_PRIME = np.uint64(0x100000001B3)
-_PRIME = int(FNV_PRIME)
+FNV_BASIS = 0xCBF29CE484222325
+FNV_PRIME = 0x100000001B3
 _MASK = 2**64 - 1
 _TAIL_SPANS = 8
 
@@ -35,6 +35,9 @@ def _fnv_continue(states, buf, starts, lengths):
     ``_TAIL_SPANS`` are left, a column's few numpy calls cost more than its
     bytes, so those spans are finished one byte at a time in Python integers.
     """
+    import numpy as np
+
+    prime = np.uint64(FNV_PRIME)
     order = np.argsort(-lengths, kind="stable")
     ordered = states[order]
     starts = starts[order]
@@ -46,12 +49,12 @@ def _fnv_continue(states, buf, starts, lengths):
             for r in range(k):
                 h = int(ordered[r])
                 for byte in buf[starts[r] + j : ends[r]].tobytes():
-                    h = ((h ^ byte) * _PRIME) & _MASK
+                    h = ((h ^ byte) * FNV_PRIME) & _MASK
                 ordered[r] = h
             break
         head = ordered[:k]
         head ^= buf[starts[:k] + j]
-        head *= FNV_PRIME
+        head *= prime
     states[order] = ordered
     return states
 
@@ -72,13 +75,15 @@ def hash_ngrams(token_ids, words, doc_lengths, unigrams: bool, bigrams: bool, ha
     0x20, so in the space-joined buffer the 0x20 bytes are exactly the
     separators. ``hash_dim`` must lie below 2**64.
     """
+    import numpy as np
+
     token_ids = np.asarray(token_ids, dtype=np.int64)
     doc_lengths = np.asarray(doc_lengths, dtype=np.int64)
     buf = np.frombuffer(" ".join(words).encode("utf-8"), dtype=np.uint8)
     spaces = np.flatnonzero(buf == 0x20)
     starts = np.append(0, spaces + 1)[: len(words)]
     lengths = np.append(spaces, buf.size)[: len(words)] - starts
-    states = _fnv_continue(np.full(len(words), FNV_BASIS), buf, starts, lengths)
+    states = _fnv_continue(np.full(len(words), FNV_BASIS, dtype=np.uint64), buf, starts, lengths)
     dim = np.uint64(hash_dim)
     rows = np.repeat(np.arange(doc_lengths.size, dtype=np.int64), doc_lengths)
     out_rows, out_ids = [], []
@@ -92,7 +97,7 @@ def hash_ngrams(token_ids, words, doc_lengths, unigrams: bool, bigrams: bool, ha
         first = np.flatnonzero(first)
         left, right = token_ids[first], token_ids[first + 1]
         pair_states = _fnv_continue(
-            (states[left] ^ np.uint64(0x20)) * FNV_PRIME, buf, starts[right], lengths[right]
+            (states[left] ^ np.uint64(0x20)) * np.uint64(FNV_PRIME), buf, starts[right], lengths[right]
         )
         out_rows.append(rows[first])
         out_ids.append((pair_states % dim).astype(np.int64))
@@ -101,13 +106,17 @@ def hash_ngrams(token_ids, words, doc_lengths, unigrams: bool, bigrams: bool, ha
     return np.concatenate(out_rows), np.concatenate(out_ids)
 
 
-def _entry_rows(indptr) -> np.ndarray:
+def _entry_rows(indptr):
     """Row number of every CSR entry, in entry order."""
+    import numpy as np
+
     return np.arange(indptr.shape[0] - 1).repeat(indptr[1:] - indptr[:-1])
 
 
 def csr_logits(indptr, indices, data, weights, bias):
     """Dense ``X @ W + b`` for CSR-encoded X; returns float64 (n, L)."""
+    import numpy as np
+
     n, n_labels = indptr.shape[0] - 1, weights.shape[1]
     cells = (_entry_rows(indptr)[:, None] * n_labels + np.arange(n_labels)).ravel()
     products = weights[indices]
@@ -117,6 +126,8 @@ def csr_logits(indptr, indices, data, weights, bias):
 
 def csr_grad_weights(indptr, indices, data, dlogits, out):
     """Accumulate ``X^T @ G`` into ``out`` (shape (n_features, L)); returns out."""
+    import numpy as np
+
     n_features, n_labels = out.shape
     cells = (indices[:, None] * n_labels + np.arange(n_labels)).ravel()
     products = dlogits[_entry_rows(indptr)]
@@ -128,11 +139,25 @@ def csr_grad_weights(indptr, indices, data, dlogits, out):
 def sweep_confusion(probs, gold, thetas):
     """tp/fp/fn counts of ``probs >= theta`` against gold, per threshold.
 
-    Returns int64 (K, 3) with columns tp, fp, fn.
+    ``probs`` and ``gold`` are one label's column, ``gold`` true or 1 where
+    the label holds. Each side of the column is sorted once; then for each
+    threshold ``bisect_left`` finds how many of a side lie below it, and the
+    rest are predicted positive. ``p >= theta`` is ``not p < theta`` for any
+    two floats but NaN, and NaN is never ``>=`` anything, so NaN
+    probabilities are left out of the sorted sides and a NaN threshold
+    predicts nothing. Returns one ``(tp, fp, fn)`` tuple of ints per threshold.
     """
-    preds = probs[None, :] >= thetas[:, None]
-    positive = gold.astype(bool)
-    tp = (preds & positive).sum(axis=1)
-    fp = (preds & ~positive).sum(axis=1)
-    fn = (~preds & positive).sum(axis=1)
-    return np.stack([tp, fp, fn], axis=1).astype(np.int64)
+    pos, neg = [], []
+    for p, g in zip(probs, gold):
+        (pos if g else neg).append(p)
+    n_pos = len(pos)
+    pos = sorted(p for p in pos if p == p)
+    neg = sorted(p for p in neg if p == p)
+    counts = []
+    for theta in thetas:
+        if theta != theta:
+            counts.append((0, 0, n_pos))
+            continue
+        tp = len(pos) - bisect_left(pos, theta)
+        counts.append((tp, len(neg) - bisect_left(neg, theta), n_pos - tp))
+    return counts

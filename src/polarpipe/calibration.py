@@ -10,18 +10,20 @@ and predictions are closed at the threshold (1 iff p >= theta).
 Grid points are generated as integer counts of the step divided out at the
 end, never by repeated addition, so thresholds survive a 6-decimal file
 round-trip bit-exactly.
+
+Thresholds are Python floats and loading, saving and checking them never
+loads numpy; only the search in :func:`tune` does, for the mean over labels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import _kernels as kernels
 from .corpus import DataError, open_text
-from .metrics import f1_from_counts
+from .metrics import _is_bits, f1_from_counts
 from .probs import ProbabilityMatrix, check_unit_interval
 
 # no command writes "oracle" thresholds, but files that carry it still load
@@ -40,77 +42,77 @@ def window(base: float) -> tuple[float, float]:
     return lo, hi
 
 
-def fine_candidates(base: float) -> np.ndarray:
+def fine_candidates(base: float) -> tuple[float, ...]:
     """Ascending fine-grid candidates inside the clamped window."""
     lo, hi = window(base)
     per_unit = round(1.0 / FINE_STEP)
-    k_lo = int(np.ceil(lo * per_unit - 1e-9))
-    k_hi = int(np.floor(hi * per_unit + 1e-9))
-    return np.array([k / per_unit for k in range(k_lo, k_hi + 1)], dtype=np.float64)
+    k_lo = math.ceil(lo * per_unit - 1e-9)
+    k_hi = math.floor(hi * per_unit + 1e-9)
+    return tuple(k / per_unit for k in range(k_lo, k_hi + 1))
 
 
 @dataclass(frozen=True)
 class ThresholdVector:
     label_names: tuple[str, ...]
-    theta: np.ndarray  # float64, one per label
+    theta: tuple[float, ...]  # one per label
     base_theta: float | None
     provenance: str
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.shape != (len(self.label_names),):
+        theta = tuple(map(float, self.theta))
+        if len(theta) != len(self.label_names):
             raise DataError(
-                f"theta shape {theta.shape} does not match {len(self.label_names)} labels"
+                f"theta shape ({len(theta)},) does not match {len(self.label_names)} labels"
             )
         check_unit_interval(theta, "thresholds")
         if self.provenance not in PROVENANCES:
             raise DataError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
         if self.base_theta is not None:
-            check_unit_interval(self.base_theta, "base_theta")
+            check_unit_interval((self.base_theta,), "base_theta")
         object.__setattr__(self, "theta", theta)
 
 
 def default_thresholds(label_names: tuple[str, ...]) -> ThresholdVector:
     return ThresholdVector(
         label_names=tuple(label_names),
-        theta=np.full(len(label_names), 0.5),
+        theta=(0.5,) * len(label_names),
         base_theta=0.5,
         provenance="default",
     )
 
 
-def _check_shapes(pm: ProbabilityMatrix, gold: np.ndarray) -> np.ndarray:
-    gold = np.asarray(gold, dtype=np.int64)
-    if gold.shape != pm.values.shape:
-        raise DataError(f"gold shape {gold.shape} does not match probabilities {pm.values.shape}")
-    if gold.size and not np.isin(gold, (0, 1)).all():
+def _check_shapes(pm: ProbabilityMatrix, gold) -> list[tuple]:
+    """The gold matrix's label columns, checked against the probabilities."""
+    if len(gold) != pm.n_instances or any(len(row) != pm.n_labels for row in gold):
+        raise DataError(
+            f"gold shape does not match probabilities: {pm.n_instances} rows of {pm.n_labels} labels"
+        )
+    if not _is_bits(gold):
         raise DataError("gold matrix must be 0/1")
     if pm.n_instances == 0:
         raise DataError("need at least one instance")
-    return gold
+    return list(zip(*gold))
 
 
-def _f1_per_candidate(probs_col: np.ndarray, gold_col: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    counts = kernels.sweep_confusion(probs_col, gold_col, thetas)
-    return np.array([f1_from_counts(*row) for row in counts.tolist()], dtype=np.float64)
+def _f1_per_candidate(probs_col, gold_col, thetas) -> list[float]:
+    return [f1_from_counts(*counts) for counts in kernels.sweep_confusion(probs_col, gold_col, thetas)]
 
 
-def coarse_search(pm: ProbabilityMatrix, gold: np.ndarray) -> float:
+def coarse_search(pm: ProbabilityMatrix, gold) -> float:
     """Best single global threshold on the coarse grid; ties go low."""
-    gold = _check_shapes(pm, gold)
-    thetas = np.asarray(COARSE_GRID, dtype=np.float64)
-    per_label = np.stack(
-        [
-            _f1_per_candidate(pm.values[:, l], gold[:, l], thetas)
-            for l in range(pm.n_labels)
-        ],
-        axis=1,
-    )
-    macro = per_label.mean(axis=1)
-    return float(thetas[int(np.argmax(macro))])
+    import numpy as np
+
+    gold_cols = _check_shapes(pm, gold)
+    per_label = [
+        _f1_per_candidate(probs, golds, COARSE_GRID)
+        for probs, golds in zip(zip(*pm.values), gold_cols)
+    ]
+    # numpy's row mean over a (candidates, labels) array, as the search has always taken it
+    macro = np.array(list(zip(*per_label)), dtype=np.float64).mean(axis=1)
+    return COARSE_GRID[int(np.argmax(macro))]
 
 
-def refine_per_label(pm: ProbabilityMatrix, gold: np.ndarray, base: float) -> ThresholdVector:
+def refine_per_label(pm: ProbabilityMatrix, gold, base: float) -> ThresholdVector:
     """Per-label fine sweep around a base threshold, one pass.
 
     Each label's threshold is replaced by the window argmax of macro-F1 with
@@ -120,12 +122,12 @@ def refine_per_label(pm: ProbabilityMatrix, gold: np.ndarray, base: float) -> Th
     """
     if not 0.0 <= base <= 1.0:
         raise DataError(f"base threshold {base} outside [0, 1]")
-    gold = _check_shapes(pm, gold)
+    gold_cols = _check_shapes(pm, gold)
     candidates = fine_candidates(base)
-    theta = np.full(pm.n_labels, base, dtype=np.float64)
-    for l in range(pm.n_labels):
-        f1 = _f1_per_candidate(pm.values[:, l], gold[:, l], candidates)
-        theta[l] = candidates[int(np.argmax(f1))]
+    theta = []
+    for probs, golds in zip(zip(*pm.values), gold_cols):
+        f1 = _f1_per_candidate(probs, golds, candidates)
+        theta.append(candidates[f1.index(max(f1))])  # the first best: ties go low
     return ThresholdVector(
         label_names=tuple(pm.label_names),
         theta=theta,
@@ -134,14 +136,14 @@ def refine_per_label(pm: ProbabilityMatrix, gold: np.ndarray, base: float) -> Th
     )
 
 
-def tune(pm: ProbabilityMatrix, gold: np.ndarray) -> ThresholdVector:
+def tune(pm: ProbabilityMatrix, gold) -> ThresholdVector:
     """Coarse global search followed by per-label refinement."""
     base = coarse_search(pm, gold)
     tv = refine_per_label(pm, gold, base)
     lo, hi = window(base)
     # Edge candidates may sit one ulp past the float window bounds; allow the
     # same 1e-9 slack fine_candidates() uses when snapping to the lattice.
-    if tv.theta.size and (tv.theta.min() < lo - 1e-9 or tv.theta.max() > hi + 1e-9):
+    if tv.theta and (min(tv.theta) < lo - 1e-9 or max(tv.theta) > hi + 1e-9):
         raise AssertionError("refined threshold escaped its window")
     return tv
 
@@ -192,7 +194,7 @@ def load_thresholds(path: str | Path) -> ThresholdVector:
     try:
         return ThresholdVector(
             label_names=tuple(names),
-            theta=np.array(thetas, dtype=np.float64),
+            theta=thetas,
             base_theta=base,
             provenance=provenance,
         )

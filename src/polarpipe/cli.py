@@ -169,15 +169,13 @@ def _split_dataset(ds: Dataset, fraction: float, seed: int, strategy: str):
 
 def _tune(pm: ProbabilityMatrix, gold_ds: Dataset | GoldLabels):
     """Tuned thresholds, plus the macro-F1 the tuner maximizes at 0.5 and at them."""
-    import numpy as np
-
     from . import calibration, metrics
 
     pm, gold = metrics.align(pm, gold_ds)
     tv = calibration.tune(pm, gold)
     before, after = (
         metrics.score(pm.values, gold, thetas, pm.label_names, "positive-f1").macro_f1
-        for thetas in (np.full(pm.n_labels, 0.5), tv.theta)
+        for thetas in ((0.5,) * pm.n_labels, tv.theta)
     )
     return tv, before, after
 

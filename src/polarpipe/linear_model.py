@@ -346,7 +346,7 @@ def train(
     y = np.array([inst.labels for inst in train_ds.instances], dtype=np.float64)
     fm_val = featurize_all([inst.text for inst in val_ds.instances], fcfg)
     fm_val = restrict(fm_val, feature_ids)
-    y_val = np.array([inst.labels for inst in val_ds.instances], dtype=np.int64)
+    y_val = val_ds.labels
 
     pw_arr = np.ones(n_labels, dtype=np.float64)
     sample_w = None
@@ -466,7 +466,7 @@ def train(
         val_probs = _sigmoid(
             kernels.csr_logits(fm_val.indptr, fm_val.indices, fm_val.data, V, b)
         )
-        score = metrics.score(val_probs, y_val, np.full(n_labels, 0.5), schema.names).macro_f1
+        score = metrics.score(val_probs.tolist(), y_val, (0.5,) * n_labels, schema.names).macro_f1
         val_scores.append(score)
         if score > best_score:
             best_score = score
@@ -499,7 +499,7 @@ def predict_proba(model: LinearModel, ds: Dataset) -> ProbabilityMatrix:
     z = kernels.csr_logits(fm.indptr, fm.indices, fm.data, model.weights, model.bias)
     probs = np.clip(_sigmoid(z), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     return ProbabilityMatrix(
-        ids=tuple(ds.ids), label_names=model.schema.names, values=probs
+        ids=tuple(ds.ids), label_names=model.schema.names, values=probs.tolist()
     )
 
 

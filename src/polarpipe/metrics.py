@@ -6,6 +6,8 @@ micro-F1 pools the counts first. Any F1 with an empty denominator is defined
 as 0. For the binary task the default view scores the negative and the
 positive class as two separate rows ("two-class macro"); ``positive-f1``
 scores only the positive class, which is what threshold tuning maximizes.
+Matrices are sequences of rows (lists, tuples or 2-d arrays); the module
+works on Python values and never loads numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from . import _kernels as kernels
 from .corpus import DataError, Dataset, GoldLabels
@@ -59,35 +59,36 @@ def f1_from_counts(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
-def _check_matrices(values, gold, width: int) -> tuple[np.ndarray, np.ndarray]:
-    values = np.asarray(values, dtype=np.float64)
-    gold = np.asarray(gold)
-    if values.shape != gold.shape:
-        raise DataError(f"shape mismatch: pred {values.shape} vs gold {gold.shape}")
-    if values.ndim != 2 or values.shape[1] != width:
-        raise DataError(f"expected shape (n, {width}), got {values.shape}")
-    if not np.isin(gold, (0, 1)).all():
+def _is_bits(rows) -> bool:
+    return all(v in (0, 1) for row in rows for v in row)
+
+
+def _check_matrices(values, gold, width: int) -> None:
+    if len(values) != len(gold):
+        raise DataError(f"shape mismatch: {len(values)} pred rows vs {len(gold)} gold rows")
+    if any(len(row) != width for row in values) or any(len(row) != width for row in gold):
+        raise DataError(f"expected shape (n, {width}): every row must hold {width} values")
+    if not _is_bits(gold):
         raise DataError("gold matrix must be 0/1")
-    return values, gold
 
 
 def _counts(probs, gold, thetas, label_names: Sequence[str]) -> tuple[ConfusionCounts, ...]:
     """Per-label counts of ``probs >= theta`` against gold; tn is the remainder."""
-    n = probs.shape[0]
+    n = len(probs)
+    empty = [()] * len(label_names)
     rows = []
-    for l, name in enumerate(label_names):
-        swept = kernels.sweep_confusion(probs[:, l], gold[:, l], thetas[l : l + 1])
-        tp, fp, fn = swept[0].tolist()
+    for name, p, g, theta in zip(label_names, list(zip(*probs)) or empty, list(zip(*gold)) or empty, thetas):
+        ((tp, fp, fn),) = kernels.sweep_confusion(p, g, (theta,))
         rows.append(ConfusionCounts(label=name, tp=tp, fp=fp, fn=fn, tn=n - tp - fp - fn))
     return tuple(rows)
 
 
-def confusion(pred: np.ndarray, gold: np.ndarray, label_names: Sequence[str]) -> tuple[ConfusionCounts, ...]:
+def confusion(pred, gold, label_names: Sequence[str]) -> tuple[ConfusionCounts, ...]:
     """Per-label confusion counts for 0/1 matrices of shape (n, L)."""
-    pred, gold = _check_matrices(pred, gold, len(label_names))
-    if not np.isin(pred, (0, 1)).all():
+    _check_matrices(pred, gold, len(label_names))
+    if not _is_bits(pred):
         raise DataError("pred matrix must be 0/1")
-    return _counts(pred, gold, np.full(len(label_names), 0.5), label_names)
+    return _counts(pred, gold, (0.5,) * len(label_names), label_names)
 
 
 def macro_f1(counts: Sequence[ConfusionCounts]) -> float:
@@ -108,22 +109,23 @@ def micro_f1(counts: Sequence[ConfusionCounts]) -> float:
 
 
 def score(
-    probs: np.ndarray,
-    gold: np.ndarray,
+    probs,
+    gold,
     thresholds: Sequence[float],
     label_names: Sequence[str],
     binary_mode: str = "two-class-macro",
 ) -> MetricsReport:
     """Score ``probs >= theta`` per label against row-aligned 0/1 gold.
 
+    ``probs`` and ``gold`` are sequences of rows, one value per label.
     ``binary_mode`` only applies to a single label.
     """
     if binary_mode not in BINARY_MODES:
         raise DataError(f"binary_mode must be one of {BINARY_MODES}, got {binary_mode!r}")
-    probs, gold = _check_matrices(probs, gold, len(label_names))
-    thetas = np.asarray(thresholds, dtype=np.float64)
-    if thetas.shape != (len(label_names),):
-        raise DataError(f"expected {len(label_names)} thresholds, got shape {thetas.shape}")
+    _check_matrices(probs, gold, len(label_names))
+    thetas = tuple(map(float, thresholds))
+    if len(thetas) != len(label_names):
+        raise DataError(f"expected {len(label_names)} thresholds, got {len(thetas)}")
     counts = _counts(probs, gold, thetas, label_names)
     binary = len(label_names) == 1
     if binary and binary_mode == "two-class-macro":
@@ -136,12 +138,14 @@ def score(
         per_label=counts,
         macro_f1=macro_f1(counts),
         micro_f1=micro_f1(counts),
-        n_instances=probs.shape[0],
+        n_instances=len(probs),
         mode=binary_mode if binary else "multi-label",
     )
 
 
-def align(pm: ProbabilityMatrix, ds: Dataset | GoldLabels) -> tuple[ProbabilityMatrix, np.ndarray]:
+def align(
+    pm: ProbabilityMatrix, ds: Dataset | GoldLabels
+) -> tuple[ProbabilityMatrix, tuple[tuple[int, ...], ...]]:
     """Probabilities in the dataset's row order, and the dataset's gold bits.
 
     The dataset's ids set the rows: each must appear in the probability
@@ -156,9 +160,9 @@ def align(pm: ProbabilityMatrix, ds: Dataset | GoldLabels) -> tuple[ProbabilityM
     for ident in ds.ids:
         if ident not in index:
             raise DataError(f"probabilities missing id {ident!r}")
-        rows.append(index[ident])
-    aligned = ProbabilityMatrix(ids=tuple(ds.ids), label_names=pm.label_names, values=pm.values[rows])
-    return aligned, np.array(ds.labels, dtype=np.int64)
+        rows.append(pm.values[index[ident]])
+    aligned = ProbabilityMatrix(ids=tuple(ds.ids), label_names=pm.label_names, values=rows)
+    return aligned, ds.labels
 
 
 def evaluate(

@@ -2,22 +2,21 @@
 
 Probabilities are written with 17 significant digits, enough for an exact
 float64 round-trip, so a file saved and reloaded compares bit-identical.
+Values are Python floats (IEEE float64), so this module never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-
-import numpy as np
 
 from .corpus import DataError, open_text
 
 
 def check_unit_interval(values, what: str) -> None:
-    """Reject any value that is not a finite number in [0, 1], NaN included."""
-    values = np.asarray(values, dtype=np.float64)
-    if not ((values >= 0.0) & (values <= 1.0)).all():
+    """Reject any value that is not a number in [0, 1], NaN included."""
+    if not all(0.0 <= v <= 1.0 for v in values):
         raise DataError(f"{what} must lie in [0, 1] and not be NaN")
 
 
@@ -25,20 +24,21 @@ def check_unit_interval(values, what: str) -> None:
 class ProbabilityMatrix:
     ids: tuple[str, ...]
     label_names: tuple[str, ...]
-    values: np.ndarray  # float64, shape (n_instances, n_labels)
+    values: tuple[tuple[float, ...], ...]  # one row of n_labels floats per instance
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise DataError(f"probability matrix must be 2-d, got shape {values.shape}")
-        if values.shape != (len(self.ids), len(self.label_names)):
+        try:
+            values = tuple(tuple(map(float, row)) for row in self.values)
+        except TypeError:
+            raise DataError("probability matrix must be 2-d") from None
+        width = len(self.label_names)
+        if len(values) != len(self.ids) or any(len(row) != width for row in values):
             raise DataError(
-                f"shape {values.shape} does not match {len(self.ids)} ids x "
-                f"{len(self.label_names)} labels"
+                f"probability rows do not match the shape {len(self.ids)} ids x {width} labels"
             )
         if len(set(self.ids)) != len(self.ids):
             raise DataError("duplicate ids in probability matrix")
-        check_unit_interval(values, "probabilities")
+        check_unit_interval(chain.from_iterable(values), "probabilities")
         object.__setattr__(self, "values", values)
 
     @property
@@ -54,12 +54,10 @@ class ProbabilityMatrix:
 
 
 def save_probabilities(pm: ProbabilityMatrix, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    line = "%s" + "\t%.17e" * pm.n_labels + "\n"
+    with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("id\t" + "\t".join(pm.label_names) + "\n")
-        for ident, row in zip(pm.ids, pm.values):
-            cells = "\t".join("%.17e" % v for v in row)
-            fh.write(f"{ident}\t{cells}\n")
+        fh.writelines(line % (ident, *row) for ident, row in zip(pm.ids, pm.values))
 
 
 def load_probabilities(path: str | Path) -> ProbabilityMatrix:
@@ -71,7 +69,7 @@ def load_probabilities(path: str | Path) -> ProbabilityMatrix:
             raise DataError(f"{path}: bad probability file header")
         label_names = tuple(columns[1:])
         ids: list[str] = []
-        rows: list[list[float]] = []
+        rows: list[tuple[float, ...]] = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -83,15 +81,10 @@ def load_probabilities(path: str | Path) -> ProbabilityMatrix:
                 )
             ids.append(cells[0])
             try:
-                rows.append([float(c) for c in cells[1:]])
+                rows.append(tuple(map(float, cells[1:])))
             except ValueError:
                 raise DataError(f"{path}: non-numeric probability at line {lineno}") from None
-    values = (
-        np.array(rows, dtype=np.float64)
-        if rows
-        else np.zeros((0, len(label_names)), dtype=np.float64)
-    )
     try:
-        return ProbabilityMatrix(ids=tuple(ids), label_names=label_names, values=values)
+        return ProbabilityMatrix(ids=tuple(ids), label_names=label_names, values=rows)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

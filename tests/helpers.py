@@ -238,6 +238,23 @@ def loss_and_grad(
 # Thresholds
 
 
+def oracle_sweep_confusion(probs, gold, thetas):
+    """tp/fp/fn counts of ``probs >= theta`` against gold, per threshold.
+
+    The numpy kernel the sort-and-bisect sweep replaced: one (K, n) boolean
+    comparison. Returns int64 (K, 3) with columns tp, fp, fn.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    gold = np.asarray(gold)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    preds = probs[None, :] >= thetas[:, None]
+    positive = gold.astype(bool)
+    tp = (preds & positive).sum(axis=1)
+    fp = (preds & ~positive).sum(axis=1)
+    fn = (~preds & positive).sum(axis=1)
+    return np.stack([tp, fp, fn], axis=1).astype(np.int64)
+
+
 ORACLE_MAX_INSTANCES = 200
 ORACLE_MAX_LABELS = 4
 
@@ -248,7 +265,8 @@ def apply_thresholds(pm: ProbabilityMatrix, tv: ThresholdVector) -> np.ndarray:
         raise DataError(
             f"label mismatch: thresholds {tv.label_names} vs probabilities {pm.label_names}"
         )
-    return (pm.values >= tv.theta[None, :]).astype(np.int64)
+    values = np.array(pm.values, dtype=np.float64).reshape(pm.n_instances, pm.n_labels)
+    return (values >= np.array(tv.theta)[None, :]).astype(np.int64)
 
 
 def oracle_best_thresholds(
@@ -261,19 +279,20 @@ def oracle_best_thresholds(
     pattern. Macro-F1 splits into independent per-label terms, so the scan
     is per label. Guarded to small inputs.
     """
-    gold = _check_shapes(pm, gold)
+    gold_cols = _check_shapes(pm, gold)
     if pm.n_instances > ORACLE_MAX_INSTANCES or pm.n_labels > ORACLE_MAX_LABELS:
         raise DataError(
             f"oracle guard: at most {ORACLE_MAX_INSTANCES} instances and "
             f"{ORACLE_MAX_LABELS} labels, got {pm.n_instances} x {pm.n_labels}"
         )
+    values = np.array(pm.values, dtype=np.float64)
     theta = np.empty(pm.n_labels, dtype=np.float64)
     best_scores = []
     for l in range(pm.n_labels):
-        distinct = np.unique(pm.values[:, l])
+        distinct = np.unique(values[:, l])
         mids = (distinct[:-1] + distinct[1:]) / 2.0
         candidates = np.concatenate(([0.0], mids, [1.0]))
-        f1 = _f1_per_candidate(pm.values[:, l], gold[:, l], candidates)
+        f1 = _f1_per_candidate(values[:, l], gold_cols[l], candidates)
         k = int(np.argmax(f1))
         theta[l] = candidates[k]
         best_scores.append(float(f1[k]))

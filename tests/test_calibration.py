@@ -42,10 +42,11 @@ def mk_pm(values, names=None):
 def multi_pass_refine(pm, gold, base, passes):
     """The per-label sweep as it was when it took a pass count, kept as an oracle."""
     candidates = fine_candidates(base)
+    values = np.array(pm.values)
     theta = np.full(pm.n_labels, base, dtype=np.float64)
     for _ in range(passes):
         for l in range(pm.n_labels):
-            f1 = _f1_per_candidate(pm.values[:, l], gold[:, l], candidates)
+            f1 = _f1_per_candidate(values[:, l], gold[:, l], candidates)
             theta[l] = candidates[int(np.argmax(f1))]
     return theta
 
@@ -89,8 +90,8 @@ class TestGridSpec:
         assert len(high) == 26
         mid = fine_candidates(0.50)
         assert len(mid) == 31
-        assert 0.29 not in set(mid.tolist())
-        assert 0.39 in set(mid.tolist())
+        assert 0.29 not in set(mid)
+        assert 0.39 in set(mid)
         # every candidate is an exact hundredth
         assert all(c == round(c * 100) / 100 for c in mid)
 
@@ -114,7 +115,7 @@ class TestThresholdVector:
 
     def test_defaults(self):
         tv = default_thresholds(("a", "b"))
-        assert tv.theta.tolist() == [0.5, 0.5]
+        assert tv.theta == (0.5, 0.5)
         assert tv.provenance == "default"
         assert tv.base_theta == 0.5
 
@@ -234,7 +235,7 @@ class TestRefine:
             mk_pm(values[:, perm], names=("c", "a", "b")), gold[:, perm]
         )
         assert permuted.base_theta == tv.base_theta
-        assert permuted.theta.tolist() == tv.theta[perm].tolist()
+        assert list(permuted.theta) == [tv.theta[l] for l in perm]
 
     @given(
         st.integers(1, 60),
@@ -251,7 +252,7 @@ class TestRefine:
         pm = mk_pm(values)
         tv = refine_per_label(pm, gold, base)
         for passes in (1, 3):
-            assert multi_pass_refine(pm, gold, base, passes).tobytes() == tv.theta.tobytes()
+            assert multi_pass_refine(pm, gold, base, passes).tobytes() == np.array(tv.theta).tobytes()
 
     def test_input_validation(self):
         pm = mk_pm([[0.5]])
@@ -283,8 +284,7 @@ class TestTune:
         tv = tune(mk_pm(values), gold)
         lo = max(0.1, tv.base_theta - 0.15)
         hi = min(0.9, tv.base_theta + 0.15)
-        assert np.all(tv.theta >= lo - 1e-12)
-        assert np.all(tv.theta <= hi + 1e-12)
+        assert all(lo - 1e-12 <= t <= hi + 1e-12 for t in tv.theta)
 
     def test_deterministic(self):
         rng = np.random.RandomState(31)
@@ -293,7 +293,7 @@ class TestTune:
         pm = mk_pm(values)
         a = tune(pm, gold)
         b = tune(pm, gold)
-        assert a.theta.tobytes() == b.theta.tobytes()
+        assert np.array(a.theta).tobytes() == np.array(b.theta).tobytes()
         assert a.base_theta == b.base_theta
 
     def test_refined_theta_may_sit_one_ulp_outside_float_window(self):
@@ -416,7 +416,7 @@ class TestThresholdsFile:
         save_thresholds(tv, path)
         back = load_thresholds(path)
         assert back.label_names == tv.label_names
-        assert back.theta.tobytes() == tv.theta.tobytes()
+        assert np.array(back.theta).tobytes() == np.array(tv.theta).tobytes()
         assert back.base_theta == tv.base_theta
         assert back.provenance == "tuned"
 
@@ -449,6 +449,31 @@ class TestThresholdsFile:
             with pytest.raises(DataError, match=message) as info:
                 load_thresholds(path)
             assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "cell, expected",
+        [
+            ("nan", "must lie in [0, 1] and not be NaN"),
+            ("inf", "must lie in [0, 1] and not be NaN"),
+            ("-0.0", "-0x0.0p+0"),
+            ("1e-400", "0x0.0p+0"),  # underflows to +0.0, which is accepted
+            ("1.0000000000000002", "must lie in [0, 1] and not be NaN"),
+        ],
+    )
+    def test_edge_values_load_or_refuse_as_before(self, tmp_path, cell, expected):
+        path = tmp_path / "edge.tsv"
+        for what, text in (
+            ("thresholds", f"__provenance__\ttuned\n__base__\t0.5\nx\t{cell}\n"),
+            ("base_theta", f"__provenance__\ttuned\n__base__\t{cell}\nx\t0.5\n"),
+        ):
+            path.write_text(text)
+            try:
+                tv = load_thresholds(path)
+            except DataError as exc:
+                assert str(exc) == f"{path}: {what} {expected}"
+                continue
+            loaded = tv.theta[0] if what == "thresholds" else tv.base_theta
+            assert type(loaded) is float and loaded.hex() == expected
 
     def test_malformed_files(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -1,5 +1,5 @@
-"""Each command loads only the modules it runs, and the benchmark's tracer still
-finds every layer.
+"""Each command loads only the modules it runs, ``eval`` and ``stats`` run
+without numpy, and the benchmark's tracer still finds every layer.
 
 Both run commands in fresh interpreters, because the test process itself has
 imported every module.
@@ -21,13 +21,14 @@ _ROOT = Path(__file__).resolve().parent.parent
 _ENV = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
 _LABELS = "label0,label1"
 
-# runs one command, then prints the polarpipe modules loaded and whether
-# the emoji pattern was built
+# runs one command, then prints the polarpipe modules loaded, whether the
+# emoji pattern was built and whether numpy was imported
 _PROBE = (
     "import json, sys\n"
     "from polarpipe import cli, corpus\n"
     "status = cli.run(sys.argv[1:])\n"
     "print(json.dumps({'status': status, 'emoji_built': corpus._emoji_sub.cache_info().currsize > 0,\n"
+    "    'numpy': 'numpy' in sys.modules,\n"
     "    'modules': sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('polarpipe.'))}))\n"
 )
 
@@ -59,13 +60,14 @@ def _commands(root: Path) -> dict[str, list[str]]:
     }
 
 
-# command: (modules it must not load, whether it may build the emoji pattern)
+# command: (modules it must not load, whether it may build the emoji pattern,
+# whether it may import numpy)
 _NOT_LOADED = {
-    "predict": ({"calibration", "metrics", "weighting", "splitter", "manifest", "synth"}, True),
-    "eval": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False),
-    "tune": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False),
-    "stats": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, True),
-    "synth": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, True),
+    "predict": ({"calibration", "metrics", "weighting", "splitter", "manifest", "synth"}, True, True),
+    "eval": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False, False),
+    "tune": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False, True),
+    "stats": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, True, False),
+    "synth": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, True, True),
 }
 
 
@@ -78,10 +80,42 @@ def test_command_loads_only_its_modules(run_dir, cmd):
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["status"] == 0, proc.stderr
-    not_loaded, may_build_emoji = _NOT_LOADED[cmd]
+    not_loaded, may_build_emoji, may_load_numpy = _NOT_LOADED[cmd]
     assert not_loaded.isdisjoint(probe["modules"]), probe["modules"]
     if not may_build_emoji:
         assert not probe["emoji_built"]
+    if not may_load_numpy:
+        assert not probe["numpy"]
+
+
+# refuses every import of numpy that follows it
+_BLOCK_NUMPY = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("numpy is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockNumpy())
+"""
+_RUN = "import sys\nfrom polarpipe import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
+
+
+@pytest.mark.parametrize("fmt", ["machine", "table"])
+def test_eval_runs_with_numpy_blocked(run_dir, fmt):
+    runs = {}
+    for blocked in (False, True):
+        report = run_dir / f"report-{fmt}-{blocked}.tsv"
+        argv = [*_commands(run_dir)["eval"][:-1], str(report), "--format", fmt]
+        code = (_BLOCK_NUMPY if blocked else "") + _RUN
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=_ENV, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[blocked] = (proc.stdout, report.read_bytes())
+    assert runs[True] == runs[False]
 
 
 # the layers the tracer records for each command, as it did while every

@@ -150,7 +150,7 @@ def assert_invariants(model: LinearModel) -> None:
     assert np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))
     # a model that loads can score
     ds = mk_dataset([(0,) * n_labels], names=model.schema.names, texts=["topic0tok1 filler3"])
-    values = predict_proba(model, ds).values
+    values = np.array(predict_proba(model, ds).values)
     assert np.all((values > 0.0) & (values < 1.0))
 
 
@@ -290,13 +290,13 @@ def test_mutated_probs_load_valid_or_raise_data_error(tmp_path_factory, edits):
     n, width = len(pm.ids), len(pm.label_names)
     assert width >= 1 and all(isinstance(name, str) for name in pm.label_names)
     assert len(set(pm.ids)) == n and all(isinstance(ident, str) for ident in pm.ids)
-    assert pm.values.dtype == np.float64 and pm.values.shape == (n, width)
-    assert np.all((pm.values >= 0.0) & (pm.values <= 1.0))
+    assert len(pm.values) == n and all(len(row) == width for row in pm.values)
+    assert all(type(v) is float and 0.0 <= v <= 1.0 for row in pm.values for v in row)
     # what loads is written back as it was read
     save_probabilities(pm, path)
     back = load_probabilities(path)
     assert (back.ids, back.label_names) == (pm.ids, pm.label_names)
-    assert back.values.tobytes() == pm.values.tobytes()
+    assert np.array(back.values).tobytes() == np.array(pm.values).tobytes()
 
 
 @settings(max_examples=400)
@@ -310,8 +310,8 @@ def test_mutated_thresholds_load_valid_or_raise_data_error(tmp_path_factory, edi
         return
     assert tv.provenance in PROVENANCES
     assert all(isinstance(name, str) for name in tv.label_names)
-    assert tv.theta.dtype == np.float64 and tv.theta.shape == (len(tv.label_names),)
-    assert np.all((tv.theta >= 0.0) & (tv.theta <= 1.0))
+    assert len(tv.theta) == len(tv.label_names)
+    assert all(type(t) is float and 0.0 <= t <= 1.0 for t in tv.theta)
     assert tv.base_theta is None or 0.0 <= tv.base_theta <= 1.0
     # the file keeps six decimals, so a second save writes the first one's bytes
     save_thresholds(tv, path)

@@ -3,7 +3,8 @@
 Token hashing is checked against published FNV-1a vectors and an independent
 reference; float kernels are held to near-roundoff tolerance against dense
 numpy oracles, and byte for byte against an in-order loop and against the
-scipy CSR products they replaced; confusion counts against a naive loop.
+scipy CSR products they replaced; confusion counts against a naive loop
+and against the numpy sweep the sort-and-bisect one replaced.
 """
 
 import functools
@@ -17,6 +18,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import polarpipe._kernels as kernels
+
+from helpers import oracle_sweep_confusion
 
 
 def reference_fnv1a64(data: bytes) -> int:
@@ -365,14 +368,60 @@ def test_sweep_confusion_matches_naive():
     probs = rng.rand(50)
     gold = (rng.rand(50) < 0.3).astype(np.int64)
     thetas = np.array([0.0, 0.25, 0.5, 0.75, 1.0] + [0.3] * 1)
-    got = kernels.sweep_confusion(probs, gold, thetas)
-    for row, theta in zip(got, thetas):
-        assert tuple(row) == naive_confusion(probs, gold, theta)
+    got = kernels.sweep_confusion(probs.tolist(), gold.tolist(), thetas.tolist())
+    assert got == [naive_confusion(probs, gold, theta) for theta in thetas]
+    assert all(type(v) is int for counts in got for v in counts)
 
 
 def test_sweep_confusion_boundary_closed():
     # the threshold itself predicts positive
-    probs = np.array([0.5, 0.49999999999999994])
-    gold = np.array([1, 0], dtype=np.int64)
-    counts = kernels.sweep_confusion(probs, gold, np.array([0.5]))
-    assert tuple(counts[0]) == (1, 0, 0)
+    counts = kernels.sweep_confusion([0.5, 0.49999999999999994], [1, 0], [0.5])
+    assert counts == [(1, 0, 0)]
+
+
+# values from a small palette, so ties are heavy and many values sit exactly
+# at a threshold; the palette holds both zeros, the ends and NaN
+_PALETTE = [0.0, -0.0, 1.0, 0.5, 0.25, 0.75, 0.1, 0.3, 1e-15, 1.0 - 1e-15, 5e-324, float("nan")]
+_VALUES = st.one_of(st.sampled_from(_PALETTE), st.floats(0.0, 1.0))
+_THETAS = st.one_of(st.sampled_from(_PALETTE), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(0, 40))
+    probs = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    gold = draw(
+        st.one_of(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+            st.just([1] * n),
+            st.just([0] * n),
+        )
+    )
+    # unsorted, with duplicates
+    thetas = draw(st.lists(_THETAS, max_size=12))
+    return probs, gold, thetas
+
+
+@given(sweep_cases())
+def test_sweep_confusion_matches_numpy_oracle(case):
+    probs, gold, thetas = case
+    got = kernels.sweep_confusion(probs, gold, thetas)
+    assert got == [tuple(row) for row in oracle_sweep_confusion(probs, gold, thetas).tolist()]
+    assert all(type(v) is int for counts in got for v in counts)
+
+
+@pytest.mark.parametrize(
+    "probs, gold",
+    [
+        ([0.5, 0.5, 0.0, -0.0, 1.0, 0.5], [1, 0, 1, 0, 1, 1]),
+        ([0.5] * 9, [1, 0, 1] * 3),
+        ([0.2, 0.9, 0.0], [1, 1, 1]),
+        ([0.2, 0.9, 0.0], [0, 0, 0]),
+        ([], []),
+    ],
+    ids=["at-thresholds", "all-tied", "all-positive", "all-negative", "empty"],
+)
+def test_sweep_confusion_edge_columns(probs, gold):
+    thetas = [1.0, 0.5, 0.0, -0.0, 0.5, 0.25, 1.0]
+    expected = oracle_sweep_confusion(probs, gold, thetas).tolist()
+    assert kernels.sweep_confusion(probs, gold, thetas) == [tuple(row) for row in expected]

@@ -12,6 +12,7 @@ def test_import_loads_only_the_kernels():
     code = (
         "import json, sys, polarpipe; print(json.dumps({"
         "'modules': sorted(m for m in sys.modules if m.startswith('polarpipe')),"
+        "'numpy': 'numpy' in sys.modules,"
         "'version': polarpipe.__version__, 'backend': polarpipe.active_backend()}))"
     )
     proc = subprocess.run(
@@ -24,6 +25,7 @@ def test_import_loads_only_the_kernels():
     )
     assert json.loads(proc.stdout) == {
         "modules": ["polarpipe", "polarpipe._kernels"],
+        "numpy": False,
         "version": "0.1.0",
         "backend": "python",
     }

@@ -40,7 +40,7 @@ def test_round_trip_property(values):
     for ident, row in zip(pm.ids, pm.values):
         buf.write(f"{ident}\t{'%.17e' % row[0]}\n")
     parsed = [float(line.split("\t")[1]) for line in buf.getvalue().splitlines()[1:]]
-    assert parsed == list(pm.values[:, 0])
+    assert parsed == [row[0] for row in pm.values]
 
 
 def test_validation():
@@ -83,3 +83,32 @@ def test_load_errors(tmp_path):
     with pytest.raises(DataError, match="not valid UTF-8 at line 3") as info:
         load_probabilities(p)
     assert str(p) in str(info.value)
+
+
+# each cell as the last value of a row, and what loading it gives: the loaded
+# value's float.hex(), or the message of the DataError that names the file
+_EDGE_CELLS = [
+    ("nan", "probabilities must lie in [0, 1] and not be NaN"),
+    ("inf", "probabilities must lie in [0, 1] and not be NaN"),
+    ("-0.0", "-0x0.0p+0"),
+    ("1e-400", "0x0.0p+0"),  # underflows to +0.0, which is accepted
+    ("1.0000000000000002", "probabilities must lie in [0, 1] and not be NaN"),
+]
+
+
+@pytest.mark.parametrize("cell, expected", _EDGE_CELLS)
+def test_edge_cells_load_or_refuse_as_before(tmp_path, cell, expected):
+    path = tmp_path / "edge.probs"
+    path.write_text(f"id\ta\tb\nr1\t0.5\t{cell}\n", encoding="utf-8")
+    try:
+        pm = load_probabilities(path)
+    except DataError as exc:
+        assert str(exc) == f"{path}: {expected}"
+        return
+    assert [v.hex() for v in pm.values[0]] == [(0.5).hex(), expected]
+    assert all(type(v) is float for v in pm.values[0])
+    # what loads is written back as it was read, sign of zero included
+    save_probabilities(pm, path)
+    assert path.read_text(encoding="utf-8").splitlines()[1] == "r1\t" + "\t".join(
+        "%.17e" % v for v in (0.5, float.fromhex(expected))
+    )

@@ -12,11 +12,12 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-import polarpipe._kernels as kernels
 from polarpipe.calibration import ThresholdVector, _f1_per_candidate
 from polarpipe.corpus import LabelSchema
 from polarpipe.metrics import ConfusionCounts, confusion, score
 from polarpipe.probs import ProbabilityMatrix
+
+from helpers import oracle_sweep_confusion
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +67,7 @@ def oracle_binary_two_class_counts(pred, gold, name):
 
 
 def oracle_macro_f1_at(pm, gold, tv):
-    pred = (pm.values >= tv.theta[None, :]).astype(np.int64)
+    pred = (np.array(pm.values) >= np.array(tv.theta)[None, :]).astype(np.int64)
     scores = []
     for l in range(pm.n_labels):
         tp = int(np.sum((pred[:, l] == 1) & (gold[:, l] == 1)))
@@ -87,7 +88,7 @@ def oracle_val_macro_f1_at_half(probs, gold, schema):
 
 
 def oracle_f1_per_candidate(probs_col, gold_col, thetas):
-    counts = kernels.sweep_confusion(probs_col, gold_col, thetas)
+    counts = oracle_sweep_confusion(probs_col, gold_col, thetas)
     denom = 2 * counts[:, 0] + counts[:, 1] + counts[:, 2]
     with np.errstate(invalid="ignore", divide="ignore"):
         f1 = np.where(denom > 0, 2 * counts[:, 0] / np.maximum(denom, 1), 0.0)
@@ -188,5 +189,6 @@ def test_f1_per_candidate_matches_oracle(case):
     candidates = np.arange(0, 21) / 20.0
     for l in range(len(names)):
         got = _f1_per_candidate(probs[:, l], gold[:, l], candidates)
-        assert np.array_equal(got, oracle_f1_per_candidate(probs[:, l], gold[:, l], candidates))
+        assert all(type(f1) is float for f1 in got)
+        assert got == oracle_f1_per_candidate(probs[:, l], gold[:, l], candidates).tolist()
 

@@ -398,7 +398,7 @@ def assert_matches_dense_v(train_ds, val_ds, tcfg, fcfg, weighting_mode, new_ds)
     assert bits(report.epoch_val_macro_f1) == bits(scores_d)
     assert (report.best_epoch, report.stopped_early) == (best_epoch_d, stopped_d)
     for ds in (train_ds, val_ds, new_ds):
-        got = predict_proba(model, ds).values
+        got = np.array(predict_proba(model, ds).values)
         assert got.tobytes() == dense_predict_proba(W_d, b_d, fcfg, ds).tobytes()
 
 
@@ -576,7 +576,7 @@ def test_predict_proba_matches_separate_sigmoid_at_the_edges():
     logits = kernels.csr_logits(fm.indptr, rows_of, fm.data, weights, bias)
     assert np.array_equal(logits, z)
     expected = np.clip(_sigmoid(logits), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    assert predict_proba(model, ds).values.tobytes() == expected.tobytes()
+    assert np.array(predict_proba(model, ds).values).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
