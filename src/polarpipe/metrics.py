@@ -149,12 +149,15 @@ def align(
     """Probabilities in the dataset's row order, and the dataset's gold bits.
 
     The dataset's ids set the rows: each must appear in the probability
-    matrix, and extra probability rows are ignored.
+    matrix, and extra probability rows are ignored. When the ids already match
+    row for row, ``pm`` itself is returned.
     """
     if tuple(pm.label_names) != tuple(ds.schema.names):
         raise DataError(
             f"label mismatch: probabilities {pm.label_names} vs schema {ds.schema.names}"
         )
+    if pm.ids == tuple(ds.ids):
+        return pm, ds.labels
     index = pm.row_index()
     rows = []
     for ident in ds.ids:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polarpipe.corpus import DataError, Dataset, Instance, LabelSchema
+from polarpipe.corpus import DataError, Dataset, GoldLabels, Instance, LabelSchema
 from polarpipe.metrics import (
     BINARY_MODES,
+    align,
     confusion,
     evaluate,
     f1_from_counts,
@@ -221,6 +222,32 @@ class TestEvaluate:
         )
         report = evaluate(pm, ds, [0.5])
         assert report.n_instances == 1
+
+    def test_align_passes_matching_rows_through(self):
+        ds = mk_dataset([(1, 0), (0, 1), (1, 1)])
+        pm = _pm_for(ds, np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.7]]))
+        aligned, gold = align(pm, ds)
+        assert aligned is pm
+        assert gold == ds.labels
+        gold_only = GoldLabels(schema=ds.schema, ids=tuple(ds.ids), labels=ds.labels)
+        assert align(pm, gold_only)[0] is pm
+
+    @pytest.mark.parametrize("order", [(2, 0, 1), (1, 2), (0, 2), (2,)])
+    def test_align_reorders_and_subsets_rows(self, order):
+        ds_full = mk_dataset([(1, 0), (0, 1), (1, 1)])
+        pm = _pm_for(ds_full, np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.7]]))
+        ds = Dataset(schema=ds_full.schema, instances=tuple(ds_full.instances[i] for i in order))
+        aligned, gold = align(pm, ds)
+        assert aligned.ids == tuple(ds.ids)
+        assert aligned.label_names == pm.label_names
+        assert aligned.values == tuple(pm.values[i] for i in order)
+        assert gold == ds.labels
+
+    def test_align_label_mismatch_rejected(self):
+        ds = mk_dataset([(1,)], names=("a",))
+        pm = ProbabilityMatrix(ids=(ds.instances[0].id,), label_names=("b",), values=[[0.9]])
+        with pytest.raises(DataError, match=r"label mismatch: probabilities \('b',\) vs schema \('a',\)"):
+            align(pm, ds)
 
     def test_binary_mode_rows(self):
         schema = LabelSchema(names=("hate",))

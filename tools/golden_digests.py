@@ -1,0 +1,127 @@
+"""Regenerate the golden output digests that ``tests/test_golden_digests.py`` checks.
+
+    PYTHONPATH=src python3 tools/golden_digests.py
+
+Runs a fixed set of small commands in process from a scratch directory and
+writes the SHA-256 of every output file and of each command's stdout to
+``tests/data/golden/digests.json``, next to numpy's version and the SIMD
+targets it dispatches to on this machine: the model and probability bytes
+depend on both. Run it only when a change alters output bytes on purpose,
+and say which digests changed and why.
+
+The cases: a ``subtask3`` synth corpus with its ``stats`` and ``pipeline``;
+a ``subtask1`` corpus with a ``pipeline`` at ``--hash-dim 1048576``; and
+decorated posts from ``perfbench/workloads.social_corpus``, scored with
+``predict``, ``eval`` (machine and table) and ``tune`` against a model that a
+``pipeline`` trains on other posts from the same generator.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden" / "digests.json"
+
+SUBTASK3 = "stereotype,vilification,dehumanization,extreme_language,lack_of_empathy,invalidation"
+SOCIAL_TRAIN_DOCS = 300
+SOCIAL_SCORE_DOCS = 200
+
+
+def _workloads():
+    """``perfbench/workloads.py``, loaded by path: ``perfbench`` is not a package."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look their module up
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _commands(workloads):
+    """(case, argv, output paths); each path is a file or a run directory."""
+    yield "synth-subtask3", ["synth", "--n", "300", "--rates", "0.3,0.2,0.15,0.1,0.06,0.04", "--noise", "0.1",
+                             "--labels", SUBTASK3, "--seed", "7", "--out", "c3.jsonl"], ["c3.jsonl"]
+    yield "stats-subtask3", ["stats", "c3.jsonl", "--schema", "subtask3"], []
+    yield "pipeline-subtask3", ["pipeline", "--data", "c3.jsonl", "--schema", "subtask3",
+                                "--outdir", "run3", "--seed", "7"], ["run3"]
+    yield "synth-subtask1", ["synth", "--n", "300", "--rates", "0.25", "--noise", "0.1",
+                             "--labels", "polarized", "--seed", "8", "--out", "c1.jsonl"], ["c1.jsonl"]
+    yield "pipeline-subtask1", ["pipeline", "--data", "c1.jsonl", "--schema", "subtask1", "--outdir", "run1",
+                                "--seed", "8", "--hash-dim", "1048576"], ["run1"]
+    yield "pipeline-social", ["pipeline", "--data", "social-train.jsonl", "--schema", "subtask2",
+                              "--outdir", "model", "--seed", "9", *workloads.SOCIAL_TRAIN_FLAGS], ["model"]
+    yield "predict-social", ["predict", "--model", "model/model.bin", "--data", "social-score.jsonl",
+                             "--out", "score.probs"], ["score.probs"]
+    gold = ["--probs", "score.probs", "--gold", "social-score.jsonl", "--schema", "subtask2"]
+    yield "eval-machine", ["eval", *gold, "--thresholds", "model/thresholds.tsv", "--format", "machine",
+                           "--out", "report.txt"], ["report.txt"]
+    yield "eval-table", ["eval", *gold, "--thresholds", "model/thresholds.tsv", "--out", "report.tsv"], ["report.tsv"]
+    yield "tune-social", ["tune", *gold, "--out", "tuned.tsv"], ["tuned.tsv"]
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_cases(work: Path) -> dict[str, str]:
+    """``{"<case>/<file>": sha256}`` for every output file and every stdout."""
+    from polarpipe import cli, corpus
+
+    workloads = _workloads()
+    table = workloads.parse_emoji_table(Path(corpus.__file__).parent / "data" / "emoji_table.tsv")
+    digests = {}
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        posts = (("social-train.jsonl", SOCIAL_TRAIN_DOCS, 3), ("social-score.jsonl", SOCIAL_SCORE_DOCS, 4))
+        for name, n_docs, seed in posts:
+            corpus.save_dataset(workloads.social_corpus(n_docs, seed, seed, table)[0], name)
+            digests[f"social-corpus/{name}"] = _sha256(Path(name))
+        for case, argv, outputs in _commands(workloads):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                status = cli.run(argv)
+            if status != 0:
+                raise RuntimeError(f"{case}: polarpipe {' '.join(argv)} exited {status}")
+            digests[f"{case}/stdout"] = hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()
+            for out in map(Path, outputs):
+                for path in sorted(out.iterdir()) if out.is_dir() else [out]:
+                    digests[f"{case}/{path.name}"] = _sha256(path)
+    finally:
+        os.chdir(cwd)
+    return digests
+
+
+def environment() -> dict:
+    """numpy's version and the SIMD targets it dispatches to on this machine."""
+    import numpy as np
+
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    active = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return {"numpy": np.__version__, "dispatch": active}
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as work:
+        digests = run_cases(Path(work))
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN.write_text(json.dumps({**environment(), "digests": digests}, indent=2, sort_keys=True) + "\n")
+    print(f"{len(digests)} digests written to {GOLDEN.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
