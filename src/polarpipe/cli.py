@@ -2,13 +2,13 @@
 
 Every subcommand is a pure function of its input files, flags, and seed.
 ``pipeline`` chains split, train, predict, tune, and eval, and writes a
-manifest recording each stage's config hash and file digests. A flat
-key=value config file can stand in for flags; explicit flags win.
+manifest recording each stage's config hash and file digests.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -21,7 +21,6 @@ from .corpus import (
     LabelSchema,
     load_dataset,
     load_labels,
-    open_text,
     save_dataset,
     summarize,
 )
@@ -91,7 +90,7 @@ def _seed(raw: str) -> int:
     return value
 
 
-_seed.__name__ = "int"  # usage and config-file errors name the wanted type
+_seed.__name__ = "int"  # usage errors name the wanted type
 
 
 def _parse_names(raw: str) -> tuple[str, ...]:
@@ -337,6 +336,19 @@ def _stage(
     )
 
 
+def _refuse_overwriting(inputs: dict[str, Path], written: list[Path]) -> None:
+    """Raise ``DataError`` when an input file is one the run would write."""
+    # os.path.realpath, unlike Path.resolve, leaves a symlink loop to the reader
+    targets = {os.path.realpath(path): path for path in written}
+    for flag, path in inputs.items():
+        target = targets.get(os.path.realpath(path))
+        if target is not None:
+            raise DataError(
+                f"{flag} {path} is the run's output {target}; "
+                "the run would overwrite its own input"
+            )
+
+
 def _cmd_pipeline(o: dict) -> int:
     from dataclasses import asdict
 
@@ -348,22 +360,37 @@ def _cmd_pipeline(o: dict) -> int:
     fcfg = _featurizer_config(o)
     seed = o["seed"]
     outdir = Path(o["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
     data_path = Path(o["data"])
+    carving = not o["eval_data"]
+    pool_path = outdir / "pool.jsonl" if carving else data_path
+    eval_path = outdir / "eval.jsonl" if carving else Path(o["eval_data"])
+    train_path = outdir / "train.jsonl"
+    val_path = outdir / "val.jsonl"
+    model_path = outdir / "model.bin"
+    history_path = outdir / "history.tsv"
+    val_probs_path = outdir / "val.probs"
+    thresholds_path = outdir / "thresholds.tsv"
+    eval_probs_path = outdir / "eval.probs"
+    report_path = outdir / "report.tsv"
+    manifest_path = outdir / "manifest.json"
+    written = [
+        train_path, val_path, model_path, history_path, val_probs_path,
+        thresholds_path, eval_probs_path, report_path, manifest_path,
+    ]
+    inputs = {"--data": data_path}
+    if carving:
+        written += [pool_path, eval_path]
+    else:
+        inputs["--eval-data"] = eval_path
+    _refuse_overwriting(inputs, written)
+    outdir.mkdir(parents=True, exist_ok=True)
     ds = load_dataset(data_path, schema)
     stages: list[StageRecord] = []
     digests: dict[Path, str] = {}
 
-    if o["eval_data"]:
-        eval_path = Path(o["eval_data"])
-        eval_ds = load_dataset(eval_path, schema)
-        pool = ds
-        pool_path = data_path
-    else:
+    if carving:
         carve = _split_dataset(ds, o["eval_fraction"], seed, o["strategy"])
         pool, eval_ds = carve.train, carve.val
-        pool_path = outdir / "pool.jsonl"
-        eval_path = outdir / "eval.jsonl"
         save_dataset(pool, pool_path)
         save_dataset(eval_ds, eval_path)
         stages.append(
@@ -379,10 +406,11 @@ def _cmd_pipeline(o: dict) -> int:
                 {"pool.jsonl": pool_path, "eval.jsonl": eval_path},
             )
         )
+    else:
+        eval_ds = load_dataset(eval_path, schema)
+        pool = ds
 
     split = _split_dataset(pool, o["val_fraction"], seed, o["strategy"])
-    train_path = outdir / "train.jsonl"
-    val_path = outdir / "val.jsonl"
     save_dataset(split.train, train_path)
     save_dataset(split.val, val_path)
     stages.append(
@@ -398,8 +426,6 @@ def _cmd_pipeline(o: dict) -> int:
     model, report = train(
         split.train, split.val, tcfg=tcfg, fcfg=fcfg, weighting_mode=o["weighting"]
     )
-    model_path = outdir / "model.bin"
-    history_path = outdir / "history.tsv"
     save_model(model, model_path)
     save_history(report, history_path)
     best = report.epoch_val_macro_f1[report.best_epoch - 1] if report.best_epoch else 0.0
@@ -420,7 +446,6 @@ def _cmd_pipeline(o: dict) -> int:
     )
 
     val_probs = predict_proba(model, split.val)
-    val_probs_path = outdir / "val.probs"
     save_probabilities(val_probs, val_probs_path)
     stages.append(
         _stage(
@@ -433,7 +458,6 @@ def _cmd_pipeline(o: dict) -> int:
     )
 
     tv, before, after = _tune(val_probs, split.val)
-    thresholds_path = outdir / "thresholds.tsv"
     calibration.save_thresholds(tv, thresholds_path)
     stages.append(
         _stage(
@@ -451,7 +475,6 @@ def _cmd_pipeline(o: dict) -> int:
     )
 
     eval_probs = predict_proba(model, eval_ds)
-    eval_probs_path = outdir / "eval.probs"
     save_probabilities(eval_probs, eval_probs_path)
     stages.append(
         _stage(
@@ -464,7 +487,6 @@ def _cmd_pipeline(o: dict) -> int:
     )
 
     eval_report = metrics.evaluate(eval_probs, eval_ds, tv.theta, binary_mode=o["binary_mode"])
-    report_path = outdir / "report.tsv"
     metrics.save_report(eval_report, report_path)
     stages.append(
         _stage(
@@ -482,17 +504,17 @@ def _cmd_pipeline(o: dict) -> int:
     )
 
     manifest = PipelineManifest(seed=seed, stages=tuple(stages))
-    save_manifest(manifest, outdir / "manifest.json")
+    save_manifest(manifest, manifest_path)
     for stage in stages:
         print(f"stage\t{stage.name}\tok")
     print(f"eval_macro_f1\t{eval_report.macro_f1:.6f}")
     print(f"eval_micro_f1\t{eval_report.micro_f1:.6f}")
-    print(f"manifest\t{outdir / 'manifest.json'}")
+    print(f"manifest\t{manifest_path}")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Parser construction and config-file merging
+# Parser construction
 
 
 def _add_schema_flags(p: argparse.ArgumentParser) -> None:
@@ -625,12 +647,12 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: Sequence[str]):
-    """The parser, and the subparser of the command ``argv`` names, or None.
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser; only the command ``argv`` names gets its arguments.
 
-    Every command is listed, but only the named one gets its arguments. The
-    top-level parser takes no option with a value, so the first token that
-    names a command is the command argparse will run.
+    Every command is listed. The top-level parser takes no option with a
+    value, so the first token that names a command is the command argparse
+    will run.
     """
     parser = argparse.ArgumentParser(
         prog="polarpipe",
@@ -639,86 +661,23 @@ def _build_parser(argv: Sequence[str]):
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
     cmd = next((token for token in argv if token in _COMMANDS), None)
-    chosen = None
     for name, (help_, add_arguments, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         if name == cmd:
-            p.add_argument("--config", help="key=value file; explicit flags override it")
             add_arguments(p)
-            chosen = p
-    return parser, chosen
-
-
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open_text(Path(path)) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc.strerror}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}: line {lineno} is not key=value")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _convert_config_value(action: argparse.Action, raw: str, path: str) -> object:
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise DataError(f"{path}: {action.dest} wants a boolean, got {raw!r}")
-    try:
-        value = action.type(raw) if action.type else raw
-    except ValueError:
-        name = action.type.__name__
-        article = "an" if name[0] in "aeiou" else "a"
-        raise DataError(f"{path}: {action.dest} wants {article} {name}, got {raw!r}") from None
-    if action.choices and value not in action.choices:
-        raise DataError(
-            f"{path}: {action.dest} must be one of {sorted(action.choices)}, got {raw!r}"
-        )
-    return value
-
-
-def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentParser, argv: Sequence[str]) -> None:
-    values = _parse_config_file(args.config)
-    actions = {a.dest: a for a in subparser._actions if a.option_strings}
-    explicit: set[str] = set()
-    for action in actions.values():
-        for optname in action.option_strings:
-            if any(tok == optname or tok.startswith(optname + "=") for tok in argv):
-                explicit.add(action.dest)
-    for key, raw in values.items():
-        if key in ("config", "cmd"):
-            raise DataError(f"{args.config}: key {key!r} is not configurable")
-        if key not in actions:
-            raise DataError(f"{args.config}: unknown key {key!r}")
-        if key in explicit:
-            continue
-        setattr(args, key, _convert_config_value(actions[key], raw, args.config))
+    return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse and execute one invocation; returns the process exit status."""
     if argv is None:
         argv = sys.argv[1:]
-    parser, subparser = _build_parser(argv)
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser(argv).parse_args(list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if getattr(args, "config", None):
-            _apply_config_file(args, subparser, argv)
-        options = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
+        options = {k: v for k, v in vars(args).items() if k != "cmd"}
         return _COMMANDS[args.cmd][2](options)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -237,7 +237,11 @@ class TrainConfig:
             raise DataError("label_smoothing must lie in [0, 1)")
         if self.patience < 1:
             raise DataError("patience must be >= 1")
-        if self.max_grad_norm <= 0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DataError("learning_rate must be finite and positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise DataError("weight_decay must be finite and >= 0")
+        if not self.max_grad_norm > 0:  # inf means never clip; NaN fails
             raise DataError("max_grad_norm must be positive")
         if self.max_epochs < 0 or self.batch_size < 1 or self.accumulation_steps < 1:
             raise DataError("bad epoch/batch configuration")

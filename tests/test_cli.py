@@ -76,6 +76,12 @@ class TestExitCodes:
         assert run(["not-a-command"]) == 2
         assert run(["split", "x.jsonl", "--strategy", "bogus"]) == 2
         capsys.readouterr()
+        # the message names the type the flag wants
+        split = ["split", "x.jsonl", "--out-train", "t", "--out-val", "v"]
+        assert run(split + ["--seed", "1.5"]) == 2
+        assert "argument --seed: invalid int value: '1.5'" in capsys.readouterr().err
+        assert run(split + ["--val-fraction", "abc"]) == 2
+        assert "argument --val-fraction: invalid float value: 'abc'" in capsys.readouterr().err
 
     def test_data_errors_are_1(self, tmp_path, capsys):
         assert run(["stats", str(tmp_path / "missing.jsonl"), "--labels", "a"]) == 1
@@ -297,82 +303,6 @@ class TestSynthCommand:
         capsys.readouterr()
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults_flags_override(self, tmp_path, capsys):
-        data = synth_file(tmp_path, "d.jsonl", 20, [0.5], seed=8)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# split settings\nval-fraction = 0.4\nstrategy = stratified\n"
-        )
-        t, v = tmp_path / "t.jsonl", tmp_path / "v.jsonl"
-        base = [
-            "split", str(data), "--labels", "label0", "--config", str(cfg),
-            "--out-train", str(t), "--out-val", str(v),
-        ]
-        assert run(base) == 0
-        assert out_lines(capsys)[1].startswith("val\t8")  # 20 * 0.4
-
-        assert run(base + ["--val-fraction", "0.25"]) == 0
-        assert out_lines(capsys)[1].startswith("val\t5")  # flag wins
-
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        data = synth_file(tmp_path, "d.jsonl", 10, [0.5], seed=9)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("fraction = 0.4\n")
-        status = run([
-            "split", str(data), "--labels", "label0", "--config", str(cfg),
-            "--out-train", str(tmp_path / "t"), "--out-val", str(tmp_path / "v"),
-        ])
-        assert status == 1
-        assert "unknown key" in capsys.readouterr().err
-
-    def test_reserved_and_malformed_keys(self, tmp_path, capsys):
-        data = synth_file(tmp_path, "d.jsonl", 10, [0.5], seed=9)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("config = other.cfg\n")
-        args = [
-            "split", str(data), "--labels", "label0", "--config", str(cfg),
-            "--out-train", str(tmp_path / "t"), "--out-val", str(tmp_path / "v"),
-        ]
-        assert run(args) == 1
-        assert "not configurable" in capsys.readouterr().err
-        cfg.write_text("just a line\n")
-        assert run(args) == 1
-        assert "not key=value" in capsys.readouterr().err
-        cfg.write_bytes(b"seed = 3\n# caf\xe9\n")
-        assert run(args) == 1
-        assert f"{cfg}: not valid UTF-8 at line 2" in capsys.readouterr().err
-
-    def test_choice_and_bool_values_checked(self, tmp_path, capsys):
-        data = synth_file(tmp_path, "d.jsonl", 10, [0.5], seed=9)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("strategy = sideways\n")
-        args = [
-            "split", str(data), "--labels", "label0", "--config", str(cfg),
-            "--out-train", str(tmp_path / "t"), "--out-val", str(tmp_path / "v"),
-        ]
-        assert run(args) == 1
-        assert "must be one of" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("val-fraction = abc", "val_fraction wants a float, got 'abc'"),
-            ("seed = 1.5", "seed wants an int, got '1.5'"),
-        ],
-    )
-    def test_wrong_type_value_named(self, tmp_path, capsys, line, message):
-        data = synth_file(tmp_path, "d.jsonl", 10, [0.5], seed=9)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        args = [
-            "split", str(data), "--labels", "label0", "--config", str(cfg),
-            "--out-train", str(tmp_path / "t"), "--out-val", str(tmp_path / "v"),
-        ]
-        assert run(args) == 1
-        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
-
-
 class TestPipeline:
     def test_produces_all_artifacts(self, tmp_path, capsys):
         data = synth_file(tmp_path, "d.jsonl", 150, [0.4, 0.1], seed=10)
@@ -425,6 +355,41 @@ class TestPipeline:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "flag, name, extra",
+        [
+            ("--data", "pool.jsonl", []),
+            ("--data", "sub/../manifest.json", []),
+            ("--eval-data", "train.jsonl", ["--data", "d.jsonl"]),
+        ],
+    )
+    def test_refuses_to_overwrite_its_input(self, tmp_path, monkeypatch, capsys, flag, name, extra):
+        monkeypatch.chdir(tmp_path)
+        synth_file(tmp_path, "d.jsonl", 120, [0.4], seed=16)
+        outdir = tmp_path / "run"
+        (outdir / "sub").mkdir(parents=True)
+        target = outdir / Path(name).name
+        synth_file(outdir, target.name, 100, [0.4], seed=17)
+        before = target.read_bytes()
+        args = ["pipeline", *extra, flag, f"run/{name}", "--labels", "label0",
+                "--outdir", "run", "--max-epochs", "1", "--hash-dim", "4096"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag} run/{name} is the run's output run/{target.name}; "
+            "the run would overwrite its own input\n"
+        )
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(["sub", target.name])
+
+    def test_symlink_loop_input_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "a").symlink_to(tmp_path / "b")
+        (tmp_path / "b").symlink_to(tmp_path / "a")
+        args = ["pipeline", "--data", str(tmp_path / "a"), "--labels", "label0", "--outdir", str(tmp_path / "run")]
+        assert run(args) == 1
+        assert "Too many levels of symbolic links" in capsys.readouterr().err
 
     @pytest.mark.parametrize("external_eval", [False, True])
     def test_each_file_digested_once(self, tmp_path, capsys, monkeypatch, external_eval):
@@ -568,7 +533,6 @@ _MODULE_CASES = {
          "t.tsv": b"__provenance__\ttuned\n__base__\t0.5\npolarized\xe9\t0.5\n"},
         _EVAL + ["--thresholds", "t.tsv"],
     ),
-    "config-not-utf8": (1, {"d.jsonl": _GOOD, "c.cfg": b"# caf\xe9\n"}, _STATS + ["--config", "c.cfg"]),
     "pipeline-hash-dim-2**64": (
         1, {"d.jsonl": _CORPUS},
         ["pipeline", "--data", "d.jsonl", "--schema", "subtask1", "--outdir", "run", "--hash-dim", str(2**64)],
@@ -591,16 +555,19 @@ _MODULE_CASES = {
         ["pipeline", "--data", "d.jsonl", "--schema", "subtask1", "--outdir", "run", "--seed", str(2**32)],
     ),
     "eval-seed-rejected": (2, {}, _EVAL + ["--seed", "7"]),
-    "config-seed-2**32": (
-        1, {"d.jsonl": _CORPUS, "c.cfg": b"seed = 4294967296\n"},
-        ["pipeline", "--data", "d.jsonl", "--schema", "subtask1", "--outdir", "run", "--config", "c.cfg"],
-    ),
-    "config-wrong-type": (
-        1,
-        {"d.jsonl": _GOOD, "c.cfg": b"val-fraction = abc\n"},
-        ["split", "d.jsonl", "--schema", "subtask1", "--config", "c.cfg",
-         "--out-train", "t.jsonl", "--out-val", "v.jsonl"],
-    ),
+    **{
+        f"pipeline-{flag}-{value}": (
+            1, {"d.jsonl": _CORPUS},
+            ["pipeline", "--data", "d.jsonl", "--schema", "subtask1", "--outdir", "run", f"--{flag}", value],
+        )
+        for flag, value in [
+            ("learning-rate", "inf"),
+            ("learning-rate", "-1"),
+            ("weight-decay", "inf"),
+            ("weight-decay", "-5"),
+            ("max-grad-norm", "nan"),
+        ]
+    },
 }
 
 
@@ -635,15 +602,10 @@ _UNSEEDED = {
 
 
 @pytest.mark.parametrize("cmd", sorted(_UNSEEDED))
-def test_seed_only_on_commands_that_draw(tmp_path, monkeypatch, capsys, cmd):
-    # these commands draw nothing at random: --seed is a usage error, and a
-    # seed= config key an unknown key
-    monkeypatch.chdir(tmp_path)
+def test_seed_only_on_commands_that_draw(capsys, cmd):
+    # these commands draw nothing at random: --seed is a usage error
     assert run(_UNSEEDED[cmd] + ["--seed", "7"]) == 2
     assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
-    Path("c.cfg").write_text("seed = 7\n")
-    assert run(_UNSEEDED[cmd] + ["--config", "c.cfg"]) == 1
-    assert capsys.readouterr().err == "error: c.cfg: unknown key 'seed'\n"
 
 
 def test_train_checks_options_before_reading(tmp_path, capsys):
@@ -674,3 +636,4 @@ def test_help_lists_every_command(capsys):
     listed = capsys.readouterr().out
     for cmd in _COMMANDS:
         assert f"\n    {cmd} " in listed, cmd
+

@@ -301,8 +301,17 @@ class TestTrainConfig:
             TrainConfig(label_smoothing=1.0)
         with pytest.raises(DataError, match="patience"):
             TrainConfig(patience=0)
-        with pytest.raises(DataError, match="max_grad_norm"):
-            TrainConfig(max_grad_norm=0.0)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(DataError, match="max_grad_norm"):
+                TrainConfig(max_grad_norm=bad)
+        TrainConfig(max_grad_norm=float("inf"))  # never clip
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(DataError, match="learning_rate"):
+                TrainConfig(learning_rate=bad)
+        for bad in (-5.0, float("inf"), float("nan")):
+            with pytest.raises(DataError, match="weight_decay"):
+                TrainConfig(weight_decay=bad)
+        TrainConfig(weight_decay=0.0)
         with pytest.raises(DataError, match="warmup_ratio"):
             TrainConfig(warmup_ratio=1.5)
 
