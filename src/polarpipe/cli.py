@@ -83,7 +83,13 @@ generate_synthetic = _deferred("synth", "generate_synthetic")
 
 
 def _seed(raw: str) -> int:
-    """``int(raw)``, refused outside [0, 2**32 - 1], the seeds numpy's RandomState takes."""
+    """``int(raw)``, refused outside [0, 2**32 - 1].
+
+    A seed names the stream numpy's legacy seeded generator draws from it,
+    which ``_rng.LegacyRandom`` draws with ``random.Random``: the seeds are
+    the ones numpy takes, and each gives the corpora, splits and shuffles it
+    gave when polarpipe drew with numpy.
+    """
     value = int(raw)
     if not 0 <= value < 2**32:
         raise ValueError(f"seed {value} is outside [0, 2**32 - 1]")
@@ -359,6 +365,9 @@ def _cmd_pipeline(o: dict) -> int:
     tcfg = _train_config(o)
     fcfg = _featurizer_config(o)
     seed = o["seed"]
+    if not o["outdir"]:
+        # Path("") is the working directory
+        raise DataError("--outdir is empty")
     outdir = Path(o["outdir"])
     data_path = Path(o["data"])
     carving = not o["eval_data"]
@@ -409,6 +418,13 @@ def _cmd_pipeline(o: dict) -> int:
     else:
         eval_ds = load_dataset(eval_path, schema)
         pool = ds
+        pool_ids = set(pool.ids)
+        shared = next((i for i in eval_ds.ids if i in pool_ids), None)
+        if shared is not None:
+            raise DataError(
+                f"--eval-data {eval_path} shares id {shared!r} with --data {data_path}; "
+                "the run would score rows it trained on"
+            )
 
     split = _split_dataset(pool, o["val_fraction"], seed, o["strategy"])
     save_dataset(split.train, train_path)

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels as kernels
+from ._rng import LegacyRandom
 from .corpus import DataError, Dataset, LabelSchema, read_field
 from .probs import ProbabilityMatrix
 
@@ -376,7 +377,7 @@ def train(
         warmup = int(round(tcfg.warmup_ratio * total_updates))
     update_size = tcfg.batch_size * tcfg.accumulation_steps
 
-    rng = np.random.RandomState(tcfg.seed)
+    rng = LegacyRandom(tcfg.seed)
     losses: list[float] = []
     val_scores: list[float] = []
     best_epoch = 0
@@ -391,7 +392,7 @@ def train(
     pos = np.empty(feature_ids.size, dtype=np.int64)
 
     for epoch in range(1, tcfg.max_epochs + 1):
-        order = rng.permutation(n)
+        order = np.array(rng.permutation(n), dtype=np.int64)
         # smoothed targets y' = y(1-eps) + eps/2 (and the binary task's
         # per-example weights) of the epoch's rows, in the epoch's order
         y_s_epoch = y[order] * (1.0 - smoothing) + smoothing / 2.0

@@ -10,11 +10,11 @@ balanced.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._rng import LegacyRandom
 from .corpus import DataError, Dataset, Instance
 
 
@@ -41,7 +41,7 @@ def _subset(ds: Dataset, indices: list[int]) -> Dataset:
 
 def _val_target(n: int, fraction: float) -> int:
     # round-half-up keeps the validation side non-empty for small corpora
-    return int(np.floor(n * fraction + 0.5))
+    return math.floor(n * fraction + 0.5)
 
 
 def stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> SplitResult:
@@ -68,7 +68,7 @@ def stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> SplitResult
     keys = sorted(groups)
 
     exact = {k: len(groups[k]) * target / n for k in keys}
-    quotas = {k: int(np.floor(exact[k])) for k in keys}
+    quotas = {k: math.floor(exact[k]) for k in keys}
     shortfall = target - sum(quotas.values())
     # ties on the remainder go to the larger class, then to key order
     by_remainder = sorted(
@@ -77,7 +77,7 @@ def stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> SplitResult
     for k in by_remainder[:shortfall]:
         quotas[k] += 1
 
-    rng = np.random.RandomState(cfg.seed)
+    rng = LegacyRandom(cfg.seed)
     val_indices: list[int] = []
     for k in keys:
         members = groups[k]
@@ -128,7 +128,7 @@ def iterative_stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> S
     # desired positives per (subset, label): fractional demands, drawn down
     demand = [[totals[l] * f for l in range(width)] for f in fractions]
 
-    rng = np.random.RandomState(cfg.seed)
+    rng = LegacyRandom(cfg.seed)
     assigned = [-1] * n
     remaining_pos: list[set[int]] = [set() for _ in range(width)]
     for i, row in enumerate(positives):
@@ -152,7 +152,7 @@ def iterative_stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> S
             if len(candidates) > 1:
                 top_cap = max(capacity[j] for j in candidates)
                 candidates = [j for j in candidates if capacity[j] == top_cap]
-            choice = candidates[0] if len(candidates) == 1 else candidates[rng.randint(len(candidates))]
+            choice = candidates[0] if len(candidates) == 1 else candidates[rng.randint(0, len(candidates))]
             assigned[i] = choice
             capacity[choice] -= 1
             for l in positives[i]:
@@ -161,8 +161,7 @@ def iterative_stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> S
             unassigned_with_labels.discard(i)
 
     zero_rows = [i for i, side in enumerate(assigned) if side == -1]
-    order = rng.permutation(len(zero_rows))
-    for j in order.tolist():
+    for j in rng.permutation(len(zero_rows)):
         i = zero_rows[j]
         choice = 0 if capacity[0] > 0 else 1
         if capacity[choice] <= 0:
@@ -208,7 +207,7 @@ def balanced_merge(primary: Dataset, donor: Dataset, seed: int = 42) -> Dataset:
             f"donor has {len(donor_pos)} positives, need {n_neg}"
         )
 
-    rng = np.random.RandomState(seed)
+    rng = LegacyRandom(seed)
     take_neg = sorted(
         donor_neg[j] for j in rng.permutation(len(donor_neg))[:n_pos]
     )

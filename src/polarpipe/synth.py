@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
+from ._rng import LegacyRandom
 from .corpus import DataError, Dataset, Instance, LabelSchema
 
 _FILLER_VOCAB = 40
@@ -49,32 +48,21 @@ def generate_synthetic(
     if len(label_names) != width:
         raise DataError(f"{len(label_names)} label names for {width} rates")
     schema = LabelSchema(names=tuple(label_names))
-    rate_arr = np.asarray(rates, dtype=np.float64)
 
-    rng = np.random.RandomState(seed)
+    rng = LegacyRandom(seed)
     instances = []
     for idx in range(n_instances):
-        true = (rng.random_sample(width) < rate_arr).astype(np.int64)
+        true = [int(rng.random() < rate) for rate in rates]
         n_filler = rng.randint(_MIN_FILLER, _MAX_FILLER + 1)
-        tokens = [f"filler{j:02d}" for j in rng.randint(0, _FILLER_VOCAB, size=n_filler)]
-        for l in np.flatnonzero(true):
-            n_signal = rng.randint(_MIN_SIGNAL, _MAX_SIGNAL + 1)
-            tokens.extend(
-                f"topic{l}tok{j}" for j in rng.randint(0, _SIGNAL_VOCAB, size=n_signal)
-            )
-        order = rng.permutation(len(tokens))
-        text = " ".join(tokens[j] for j in order)
+        tokens = [f"filler{j:02d}" for j in rng.randints(0, _FILLER_VOCAB, n_filler)]
+        for l, bit in enumerate(true):
+            if bit:
+                n_signal = rng.randint(_MIN_SIGNAL, _MAX_SIGNAL + 1)
+                tokens.extend(f"topic{l}tok{j}" for j in rng.randints(0, _SIGNAL_VOCAB, n_signal))
+        text = " ".join(tokens[j] for j in rng.permutation(len(tokens)))
         if noise > 0.0:
-            flips = (rng.random_sample(width) < noise).astype(np.int64)
-            observed = true ^ flips
+            observed = tuple(bit ^ (rng.random() < noise) for bit in true)
         else:
-            observed = true
-        instances.append(
-            Instance(
-                id=f"s{seed}-{idx:05d}",
-                raw_text=text,
-                text=text,
-                labels=tuple(int(v) for v in observed),
-            )
-        )
+            observed = tuple(true)
+        instances.append(Instance(id=f"s{seed}-{idx:05d}", raw_text=text, text=text, labels=observed))
     return Dataset(schema=schema, instances=tuple(instances))

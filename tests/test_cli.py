@@ -384,6 +384,40 @@ class TestPipeline:
         assert target.read_bytes() == before
         assert sorted(p.name for p in outdir.iterdir()) == sorted(["sub", target.name])
 
+    @pytest.mark.parametrize("same_file", [True, False])
+    def test_refuses_eval_data_that_shares_ids(self, tmp_path, capsys, same_file):
+        data = synth_file(tmp_path, "d.jsonl", 60, [0.4], seed=18)
+        heldout = data
+        if not same_file:
+            # other posts, then one of the training file's rows
+            other = generate_synthetic(20, [0.4], seed=19)
+            shared = load_dataset(data, other.schema).instances[7]
+            heldout = tmp_path / "h.jsonl"
+            save_dataset(replace(other, instances=other.instances + (shared,)), heldout)
+        outdir = tmp_path / "run"
+        args = ["pipeline", "--data", str(data), "--eval-data", str(heldout), "--labels", "label0",
+                "--outdir", str(outdir), "--max-epochs", "1", "--hash-dim", "1024"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        first = "s18-00000" if same_file else "s18-00007"
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --eval-data {heldout} shares id {first!r} with --data {data}; "
+            "the run would score rows it trained on\n"
+        )
+        assert not any(outdir.iterdir())
+
+    def test_refuses_an_empty_outdir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        synth_file(tmp_path, "d.jsonl", 60, [0.4], seed=20)
+        args = ["pipeline", "--data", "d.jsonl", "--labels", "label0", "--outdir", "",
+                "--max-epochs", "1", "--hash-dim", "1024"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --outdir is empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
+
     def test_symlink_loop_input_is_a_data_error(self, tmp_path, capsys):
         (tmp_path / "a").symlink_to(tmp_path / "b")
         (tmp_path / "b").symlink_to(tmp_path / "a")

@@ -1,5 +1,6 @@
-"""Each command loads only the modules it runs, ``eval`` and ``stats`` run
-without numpy, and the benchmark's tracer still finds every layer.
+"""Each command loads only the modules it runs, ``eval``, ``stats``,
+``synth``, ``split`` and ``merge`` run without numpy, no command loads
+``numpy.random``, and the benchmark's tracer still finds every layer.
 
 Both run commands in fresh interpreters, because the test process itself has
 imported every module.
@@ -22,13 +23,13 @@ _ENV = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
 _LABELS = "label0,label1"
 
 # runs one command, then prints the polarpipe modules loaded, whether the
-# emoji pattern was built and whether numpy was imported
+# emoji pattern was built and whether numpy and numpy.random were imported
 _PROBE = (
     "import json, sys\n"
     "from polarpipe import cli, corpus\n"
     "status = cli.run(sys.argv[1:])\n"
     "print(json.dumps({'status': status, 'emoji_built': corpus._emoji_sub.cache_info().currsize > 0,\n"
-    "    'numpy': 'numpy' in sys.modules,\n"
+    "    'numpy': 'numpy' in sys.modules, 'numpy_random': 'numpy.random' in sys.modules,\n"
     "    'modules': sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('polarpipe.'))}))\n"
 )
 
@@ -38,6 +39,8 @@ def run_dir(tmp_path_factory):
     """A small corpus and the pipeline run on it: model, probabilities, gold."""
     root = tmp_path_factory.mktemp("commands")
     save_dataset(generate_synthetic(120, [0.4, 0.2], noise=0.05, seed=21), root / "d.jsonl")
+    save_dataset(generate_synthetic(60, [0.3], seed=22), root / "b.jsonl")
+    save_dataset(generate_synthetic(150, [0.5], seed=23), root / "donor.jsonl")
     args = ["pipeline", "--data", str(root / "d.jsonl"), "--labels", _LABELS,
             "--outdir", str(root / "run"), "--max-epochs", "2", "--hash-dim", "4096"]
     assert run(args) == 0
@@ -54,20 +57,30 @@ def _commands(root: Path) -> dict[str, list[str]]:
                  "--thresholds", str(root / "run" / "thresholds.tsv"), "--out", str(root / "r.tsv")],
         "tune": ["tune", "--probs", probs, "--gold", gold, "--labels", _LABELS, "--out", str(root / "t.tsv")],
         "stats": ["stats", str(root / "d.jsonl"), "--labels", _LABELS],
-        "synth": ["synth", "--n", "20", "--rates", "0.3", "--out", str(root / "s.jsonl")],
+        "synth": ["synth", "--n", "20", "--rates", "0.3,0.1", "--noise", "0.1", "--out", str(root / "s.jsonl")],
+        "split": ["split", str(root / "d.jsonl"), "--labels", _LABELS, "--out-train", str(root / "t.jsonl"),
+                  "--out-val", str(root / "v.jsonl")],
+        "merge": ["merge", "--primary", str(root / "b.jsonl"), "--donor", str(root / "donor.jsonl"),
+                  "--labels", "label0", "--out", str(root / "m.jsonl")],
+        "train": ["train", "--train", str(root / "run" / "train.jsonl"), "--val", str(root / "run" / "val.jsonl"),
+                  "--labels", _LABELS, "--max-epochs", "2", "--hash-dim", "4096", "--out-model", str(root / "m.bin")],
         "pipeline": ["pipeline", "--data", str(root / "d.jsonl"), "--labels", _LABELS,
                      "--outdir", str(root / "traced"), "--max-epochs", "2", "--hash-dim", "4096"],
     }
 
 
 # command: (modules it must not load, whether it may build the emoji pattern,
-# whether it may import numpy)
+# whether it may import numpy). No command may import numpy.random.
 _NOT_LOADED = {
     "predict": ({"calibration", "metrics", "weighting", "splitter", "manifest", "synth"}, True, True),
     "eval": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False, False),
     "tune": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False, True),
     "stats": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, True, False),
-    "synth": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, True, True),
+    "synth": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, True, False),
+    "split": ({"linear_model", "metrics", "calibration", "weighting", "manifest", "synth"}, True, False),
+    "merge": ({"linear_model", "metrics", "calibration", "weighting", "manifest", "synth"}, True, False),
+    "train": ({"calibration", "splitter", "manifest", "synth"}, True, True),
+    "pipeline": ({"synth"}, True, True),
 }
 
 
@@ -86,6 +99,7 @@ def test_command_loads_only_its_modules(run_dir, cmd):
         assert not probe["emoji_built"]
     if not may_load_numpy:
         assert not probe["numpy"]
+    assert not probe["numpy_random"]
 
 
 # refuses every import of numpy that follows it
@@ -115,6 +129,21 @@ def test_eval_runs_with_numpy_blocked(run_dir, fmt):
         )
         assert proc.returncode == 0, proc.stderr
         runs[blocked] = (proc.stdout, report.read_bytes())
+    assert runs[True] == runs[False]
+
+
+@pytest.mark.parametrize("cmd", ["synth", "split", "merge"])
+def test_drawing_commands_run_with_numpy_blocked(run_dir, cmd):
+    argv = _commands(run_dir)[cmd]
+    outputs = [Path(argv[i + 1]) for i, flag in enumerate(argv) if flag in ("--out", "--out-train", "--out-val")]
+    runs = {}
+    for blocked in (False, True):
+        code = (_BLOCK_NUMPY if blocked else "") + _RUN
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=_ENV, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[blocked] = (proc.stdout, [path.read_bytes() for path in outputs])
     assert runs[True] == runs[False]
 
 

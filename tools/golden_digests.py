@@ -10,7 +10,9 @@ depend on both. Run it only when a change alters output bytes on purpose,
 and say which digests changed and why.
 
 The cases: a ``subtask3`` synth corpus with its ``stats`` and ``pipeline``;
-a ``subtask1`` corpus with a ``pipeline`` at ``--hash-dim 1048576``; and
+a ``subtask1`` corpus with a ``pipeline`` at ``--hash-dim 1048576``; an
+iterative ``split`` of the first corpus, a stratified ``split`` of the
+second, and a ``merge`` of the second with a synth donor; and
 decorated posts from ``perfbench/workloads.social_corpus``, scored with
 ``predict``, ``eval`` (machine and table) and ``tune`` against a model that a
 ``pipeline`` trains on other posts from the same generator.
@@ -57,6 +59,16 @@ def _commands(workloads):
                              "--labels", "polarized", "--seed", "8", "--out", "c1.jsonl"], ["c1.jsonl"]
     yield "pipeline-subtask1", ["pipeline", "--data", "c1.jsonl", "--schema", "subtask1", "--outdir", "run1",
                                 "--seed", "8", "--hash-dim", "1048576"], ["run1"]
+    yield "split-iterative", ["split", "c3.jsonl", "--schema", "subtask3", "--strategy", "iterative",
+                              "--seed", "11", "--out-train", "s3-train.jsonl", "--out-val", "s3-val.jsonl"], [
+        "s3-train.jsonl", "s3-val.jsonl"]
+    yield "split-stratified", ["split", "c1.jsonl", "--schema", "subtask1", "--strategy", "stratified",
+                               "--seed", "12", "--out-train", "s1-train.jsonl", "--out-val", "s1-val.jsonl"], [
+        "s1-train.jsonl", "s1-val.jsonl"]
+    yield "synth-donor", ["synth", "--n", "600", "--rates", "0.5", "--labels", "polarized", "--seed", "13",
+                          "--out", "donor.jsonl"], ["donor.jsonl"]
+    yield "merge", ["merge", "--primary", "c1.jsonl", "--donor", "donor.jsonl", "--schema", "subtask1",
+                    "--seed", "14", "--out", "merged.jsonl"], ["merged.jsonl"]
     yield "pipeline-social", ["pipeline", "--data", "social-train.jsonl", "--schema", "subtask2",
                               "--outdir", "model", "--seed", "9", *workloads.SOCIAL_TRAIN_FLAGS], ["model"]
     yield "predict-social", ["predict", "--model", "model/model.bin", "--data", "social-score.jsonl",
