@@ -211,6 +211,7 @@ def _cmd_stats(o: dict) -> int:
 
 
 def _cmd_split(o: dict) -> int:
+    _refuse_overwriting({"data": o["data"]}, {"--out-train": o["out_train"], "--out-val": o["out_val"]})
     schema = _resolve_schema(o)
     ds = load_dataset(o["data"], schema)
     result = _split_dataset(ds, o["val_fraction"], o["seed"], o["strategy"])
@@ -222,6 +223,7 @@ def _cmd_split(o: dict) -> int:
 
 
 def _cmd_merge(o: dict) -> int:
+    _refuse_overwriting({"--primary": o["primary"], "--donor": o["donor"]}, {"--out": o["out"]})
     schema = _resolve_schema(o)
     primary = load_dataset(o["primary"], schema)
     donor = load_dataset(o["donor"], schema)
@@ -233,6 +235,10 @@ def _cmd_merge(o: dict) -> int:
 
 
 def _cmd_train(o: dict) -> int:
+    _refuse_overwriting(
+        {"--train": o["train"], "--val": o["val"]},
+        {"--out-model": o["out_model"], "--out-history": o["out_history"]},
+    )
     schema = _resolve_schema(o)
     tcfg = _train_config(o)
     fcfg = _featurizer_config(o)
@@ -255,6 +261,7 @@ def _cmd_train(o: dict) -> int:
 
 
 def _cmd_predict(o: dict) -> int:
+    _refuse_overwriting({"--model": o["model"], "--data": o["data"]}, {"--out": o["out"]})
     model = load_model(o["model"])
     ds = load_dataset(o["data"], model.schema)
     pm = predict_proba(model, ds)
@@ -266,6 +273,7 @@ def _cmd_predict(o: dict) -> int:
 def _cmd_tune(o: dict) -> int:
     from . import calibration
 
+    _refuse_overwriting({"--probs": o["probs"], "--gold": o["gold"]}, {"--out": o["out"]})
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
     tv, before, after = _tune(pm, load_labels(o["gold"], schema))
@@ -279,6 +287,10 @@ def _cmd_tune(o: dict) -> int:
 def _cmd_eval(o: dict) -> int:
     from . import calibration, metrics
 
+    _refuse_overwriting(
+        {"--probs": o["probs"], "--gold": o["gold"], "--thresholds": o["thresholds"]},
+        {"--out": o["out"]},
+    )
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
     gold = load_labels(o["gold"], schema)
@@ -342,15 +354,29 @@ def _stage(
     )
 
 
-def _refuse_overwriting(inputs: dict[str, Path], written: list[Path]) -> None:
-    """Raise ``DataError`` when an input file is one the run would write."""
+def _refuse_overwriting(
+    inputs: dict[str, str | Path | None], outputs: dict[str, str | Path | None]
+) -> None:
+    """Raise ``DataError`` when the run would write one of its inputs, or one file twice.
+
+    Keys name the flags; an option that was not given is ``None``. Commands
+    call this before they read or write anything.
+    """
+    outputs = {flag: path for flag, path in outputs.items() if path is not None}
     # os.path.realpath, unlike Path.resolve, leaves a symlink loop to the reader
-    targets = {os.path.realpath(path): path for path in written}
+    written: dict[str, str] = {}  # resolved path -> the first output flag naming it
+    for flag, path in outputs.items():
+        first = written.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise DataError(
+                f"{first} {outputs[first]} and {flag} {path} are the same file; "
+                "the run would write it twice"
+            )
     for flag, path in inputs.items():
-        target = targets.get(os.path.realpath(path))
+        target = None if path is None else written.get(os.path.realpath(path))
         if target is not None:
             raise DataError(
-                f"{flag} {path} is the run's output {target}; "
+                f"{flag} {path} is the run's output {outputs[target]}; "
                 "the run would overwrite its own input"
             )
 
@@ -391,7 +417,7 @@ def _cmd_pipeline(o: dict) -> int:
         written += [pool_path, eval_path]
     else:
         inputs["--eval-data"] = eval_path
-    _refuse_overwriting(inputs, written)
+    _refuse_overwriting(inputs, {path.name: path for path in written})
     outdir.mkdir(parents=True, exist_ok=True)
     ds = load_dataset(data_path, schema)
     stages: list[StageRecord] = []

@@ -20,6 +20,7 @@ from functools import cache, partial
 from importlib import resources
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Iterator
 
 
 class DataError(ValueError):
@@ -288,13 +289,13 @@ def _labels_from_record(record: dict, schema: LabelSchema, lineno: int) -> tuple
     raise DataError(f"'labels' mixes types at line {lineno}")
 
 
-def _read_records(path: Path, schema: LabelSchema) -> list[tuple[str, str, tuple[int, ...]]]:
+def _read_records(path: Path, schema: LabelSchema) -> Iterator[tuple[str, str, tuple[int, ...]]]:
     """(id, raw text, label bits) of every record in line order, validated.
 
-    Raises :class:`DataError` naming the file and the offending line on
-    malformed records, unknown label names, or duplicate ids.
+    Yields each record as it is read, so a reader keeps only what it needs
+    of it. Raises :class:`DataError` naming the file and the offending line
+    on malformed records, unknown label names, or duplicate ids.
     """
-    records: list[tuple[str, str, tuple[int, ...]]] = []
     seen_ids: set[str] = set()
     with open_text(path) as fh:
         try:
@@ -327,10 +328,9 @@ def _read_records(path: Path, schema: LabelSchema) -> list[tuple[str, str, tuple
                     raise DataError(f"duplicate id {ident!r} at line {lineno}")
                 seen_ids.add(ident)
                 labels = _labels_from_record(record, schema, lineno)
-                records.append((ident, record["text"], labels))
+                yield ident, record["text"], labels
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
-    return records
 
 
 def load_dataset(path: str | Path, schema: LabelSchema) -> Dataset:
@@ -353,12 +353,12 @@ def load_labels(path: str | Path, schema: LabelSchema) -> GoldLabels:
 
     Validates and fails exactly as :func:`load_dataset` does.
     """
-    records = _read_records(Path(path), schema)
-    return GoldLabels(
-        schema=schema,
-        ids=tuple(ident for ident, _, _ in records),
-        labels=tuple(labels for _, _, labels in records),
-    )
+    ids: list[str] = []
+    labels: list[tuple[int, ...]] = []
+    for ident, _, bits in _read_records(Path(path), schema):
+        ids.append(ident)
+        labels.append(bits)
+    return GoldLabels(schema=schema, ids=tuple(ids), labels=tuple(labels))
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:

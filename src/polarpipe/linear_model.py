@@ -39,6 +39,7 @@ _MODEL_VERSION = 2
 _PROB_FLOOR = 1e-15  # keeps predict_proba inside the open interval (0, 1)
 _SCALE_FLOOR = 1e-9  # the weight scale is folded into the weights below this
 _MAX_HASH_DIM = 2**62
+SCORE_BLOCK_ROWS = 256  # rows predict_proba featurizes and scores at a time
 
 
 def _is_int(value) -> bool:
@@ -147,6 +148,9 @@ def featurize_all(texts: Sequence[str], cfg: FeaturizerConfig | None = None) -> 
             yield tokens
 
     ids = np.fromiter(map(vocab.__getitem__, chain.from_iterable(split_docs())), dtype=np.int64)
+    # the factory is the vocabulary's own bound method: unset, the cycle
+    # would keep the vocabulary alive until the next cyclic collection
+    vocab.default_factory = None
     n_rows = len(doc_lengths)
     rows, hashed = kernels.hash_ngrams(
         ids, list(vocab), doc_lengths, 1 in cfg.ngram_orders, 2 in cfg.ngram_orders, cfg.hash_dim
@@ -496,16 +500,29 @@ def train(
 
 
 def predict_proba(model: LinearModel, ds: Dataset) -> ProbabilityMatrix:
-    """Sigmoid probabilities for every instance; values stay inside (0, 1)."""
+    """Sigmoid probabilities for every instance; values stay inside (0, 1).
+
+    Rows are featurized and scored ``SCORE_BLOCK_ROWS`` at a time, so the
+    memory scoring takes beyond the returned rows does not grow with the
+    dataset. Every step is rowwise, so each row's bits do not depend on the
+    rows scored with it: ids are sorted within a row, squared counts are
+    integers, each logit cell sums its row's entries in order from +0.0, and
+    the sigmoid and the clip are elementwise.
+    """
     if ds.schema.names != model.schema.names:
         raise DataError("dataset schema does not match model schema")
-    fm = featurize_all([inst.text for inst in ds.instances], model.featurizer)
-    fm = restrict(fm, model.feature_ids)
-    z = kernels.csr_logits(fm.indptr, fm.indices, fm.data, model.weights, model.bias)
-    probs = np.clip(_sigmoid(z), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    return ProbabilityMatrix(
-        ids=tuple(ds.ids), label_names=model.schema.names, values=probs.tolist()
-    )
+
+    def rows():
+        instances = ds.instances
+        for start in range(0, len(instances), SCORE_BLOCK_ROWS):
+            texts = [inst.text for inst in instances[start : start + SCORE_BLOCK_ROWS]]
+            fm = restrict(featurize_all(texts, model.featurizer), model.feature_ids)
+            z = kernels.csr_logits(fm.indptr, fm.indices, fm.data, model.weights, model.bias)
+            yield from np.clip(_sigmoid(z), _PROB_FLOOR, 1.0 - _PROB_FLOOR).tolist()
+
+    # the matrix converts each row as it is drawn, so one block's rows are
+    # the only ones alive twice
+    return ProbabilityMatrix(ids=tuple(ds.ids), label_names=model.schema.names, values=rows())
 
 
 # ---------------------------------------------------------------------------

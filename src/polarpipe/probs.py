@@ -20,6 +20,13 @@ def check_unit_interval(values, what: str) -> None:
         raise DataError(f"{what} must lie in [0, 1] and not be NaN")
 
 
+def _float_row(row) -> tuple[float, ...]:
+    try:
+        return tuple(map(float, row))
+    except TypeError:
+        raise DataError("probability matrix must be 2-d") from None
+
+
 @dataclass(frozen=True)
 class ProbabilityMatrix:
     ids: tuple[str, ...]
@@ -27,10 +34,14 @@ class ProbabilityMatrix:
     values: tuple[tuple[float, ...], ...]  # one row of n_labels floats per instance
 
     def __post_init__(self):
+        # ``values`` may be an iterator that computes its rows as they are
+        # drawn, so only a TypeError of ``iter`` or of one row's conversion
+        # means a bad shape
         try:
-            values = tuple(tuple(map(float, row)) for row in self.values)
+            rows = iter(self.values)
         except TypeError:
             raise DataError("probability matrix must be 2-d") from None
+        values = tuple(map(_float_row, rows))
         width = len(self.label_names)
         if len(values) != len(self.ids) or any(len(row) != width for row in values):
             raise DataError(

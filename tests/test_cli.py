@@ -452,6 +452,68 @@ class TestPipeline:
                 assert digest == current[name], (stage.name, name)
 
 
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    """Inputs for every command: corpora, a model, probabilities and thresholds."""
+    root = tmp_path_factory.mktemp("run_files")
+    synth_file(root, "d.jsonl", 50, [0.4], seed=24)
+    synth_file(root, "donor.jsonl", 80, [0.5], seed=25)
+    args = ["pipeline", "--data", str(root / "d.jsonl"), "--labels", "label0",
+            "--outdir", str(root / "run"), "--max-epochs", "1", "--hash-dim", "4096"]
+    assert run(args) == 0
+    for name in ("train.jsonl", "val.jsonl", "model.bin", "val.probs", "thresholds.tsv"):
+        shutil.copy(root / "run" / name, root / name)
+    shutil.rmtree(root / "run")
+    return root
+
+
+# command, then (flag, file) pairs; the last two files must clash
+_CLASHES = {
+    "split-same-outputs": ["split", ("", "d.jsonl"), ("--out-train", "x.jsonl"), ("--out-val", "x.jsonl")],
+    "split-train-is-input": ["split", ("--out-val", "v.jsonl"), ("data", "d.jsonl"), ("--out-train", "d.jsonl")],
+    "split-val-is-input": ["split", ("--out-train", "t.jsonl"), ("data", "d.jsonl"), ("--out-val", "d.jsonl")],
+    "merge-out-is-primary": ["merge", ("--donor", "donor.jsonl"), ("--primary", "d.jsonl"), ("--out", "d.jsonl")],
+    "merge-out-is-donor": ["merge", ("--primary", "d.jsonl"), ("--donor", "donor.jsonl"), ("--out", "donor.jsonl")],
+    "train-model-is-train": ["train", ("--val", "val.jsonl"), ("--train", "train.jsonl"),
+                             ("--out-model", "train.jsonl")],
+    "train-history-is-val": ["train", ("--train", "train.jsonl"), ("--out-model", "m.bin"), ("--val", "val.jsonl"),
+                             ("--out-history", "val.jsonl")],
+    "train-same-outputs": ["train", ("--train", "train.jsonl"), ("--val", "val.jsonl"), ("--out-model", "h.tsv"),
+                           ("--out-history", "h.tsv")],
+    "predict-out-is-data": ["predict", ("--model", "model.bin"), ("--data", "val.jsonl"), ("--out", "val.jsonl")],
+    "predict-out-is-model": ["predict", ("--data", "val.jsonl"), ("--model", "model.bin"), ("--out", "model.bin")],
+    "tune-out-is-probs": ["tune", ("--gold", "val.jsonl"), ("--probs", "val.probs"), ("--out", "val.probs")],
+    "tune-out-is-gold": ["tune", ("--probs", "val.probs"), ("--gold", "val.jsonl"), ("--out", "val.jsonl")],
+    "eval-out-is-probs": ["eval", ("--gold", "val.jsonl"), ("--probs", "val.probs"), ("--out", "val.probs")],
+    "eval-out-is-gold": ["eval", ("--probs", "val.probs"), ("--gold", "val.jsonl"), ("--out", "sub/../val.jsonl")],
+    "eval-out-is-thresholds": ["eval", ("--probs", "val.probs"), ("--gold", "val.jsonl"),
+                               ("--thresholds", "thresholds.tsv"), ("--out", "thresholds.tsv")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLASHES))
+def test_commands_refuse_to_overwrite(run_files, tmp_path, monkeypatch, capsys, case):
+    cmd, *pairs = _CLASHES[case]
+    for path in run_files.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = [cmd, "--labels", "label0"] if cmd in ("split", "merge", "train", "tune", "eval") else [cmd]
+    for flag, name in pairs:
+        argv += [name] if flag in ("", "data") else [flag, name]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (flag_a, a), (flag_b, b) = pairs[-2:]
+    if flag_a.startswith("--out"):
+        expected = f"{flag_a} {a} and {flag_b} {b} are the same file; the run would write it twice"
+    else:
+        expected = f"{flag_a} {a} is the run's output {b}; the run would overwrite its own input"
+    assert captured.err == f"error: {expected}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
 class TestTunedMetricIsEvaluated:
     """``tune`` reports the same macro-F1 that ``eval`` computes on the same rows."""
 

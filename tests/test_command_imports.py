@@ -14,12 +14,14 @@ from pathlib import Path
 
 import pytest
 
+import polarpipe
 from polarpipe.cli import run
 from polarpipe.corpus import save_dataset
 from polarpipe.synth import generate_synthetic
 
 _ROOT = Path(__file__).resolve().parent.parent
-_ENV = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+# the children import the same polarpipe as this process, wherever it came from
+_ENV = {**os.environ, "PYTHONPATH": str(Path(polarpipe.__file__).resolve().parent.parent)}
 _LABELS = "label0,label1"
 
 # runs one command, then prints the polarpipe modules loaded, whether the

@@ -13,6 +13,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from polarpipe.linear_model import SCORE_BLOCK_ROWS
+
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden_digests.py"
 _spec = importlib.util.spec_from_file_location("golden_digests", _TOOL)
 golden_digests = importlib.util.module_from_spec(_spec)
@@ -32,3 +34,9 @@ def test_outputs_match_golden_digests(tmp_path):
         f"{', '.join(here['dispatch'])}. If the bytes changed on purpose, regenerate them "
         "with tools/golden_digests.py."
     )
+
+
+def test_multi_block_predict_case_ends_in_a_partial_block():
+    # more than three scoring blocks, the last one partial
+    full, rest = divmod(golden_digests.SOCIAL_BLOCKS_DOCS, SCORE_BLOCK_ROWS)
+    assert full >= 3 and rest > 0

@@ -46,6 +46,8 @@ def test_round_trip_property(values):
 def test_validation():
     with pytest.raises(DataError, match="2-d"):
         ProbabilityMatrix(ids=("a",), label_names=("x",), values=np.zeros(3))
+    with pytest.raises(DataError, match="2-d"):
+        ProbabilityMatrix(ids=("a",), label_names=("x",), values=5)
     with pytest.raises(DataError, match="shape"):
         ProbabilityMatrix(ids=("a",), label_names=("x",), values=np.zeros((2, 1)))
     with pytest.raises(DataError, match="duplicate"):

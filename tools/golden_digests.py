@@ -15,7 +15,9 @@ iterative ``split`` of the first corpus, a stratified ``split`` of the
 second, and a ``merge`` of the second with a synth donor; and
 decorated posts from ``perfbench/workloads.social_corpus``, scored with
 ``predict``, ``eval`` (machine and table) and ``tune`` against a model that a
-``pipeline`` trains on other posts from the same generator.
+``pipeline`` trains on other posts from the same generator. A second
+``predict`` scores more posts from that generator, enough for several of
+``predict_proba``'s row blocks and a partial last one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ GOLDEN = ROOT / "tests" / "data" / "golden" / "digests.json"
 SUBTASK3 = "stereotype,vilification,dehumanization,extreme_language,lack_of_empathy,invalidation"
 SOCIAL_TRAIN_DOCS = 300
 SOCIAL_SCORE_DOCS = 200
+SOCIAL_BLOCKS_DOCS = 1000  # more than three scoring blocks of 256 rows, the last one partial
 
 
 def _workloads():
@@ -73,6 +76,8 @@ def _commands(workloads):
                               "--outdir", "model", "--seed", "9", *workloads.SOCIAL_TRAIN_FLAGS], ["model"]
     yield "predict-social", ["predict", "--model", "model/model.bin", "--data", "social-score.jsonl",
                              "--out", "score.probs"], ["score.probs"]
+    yield "predict-social-blocks", ["predict", "--model", "model/model.bin", "--data", "social-blocks.jsonl",
+                                    "--out", "blocks.probs"], ["blocks.probs"]
     gold = ["--probs", "score.probs", "--gold", "social-score.jsonl", "--schema", "subtask2"]
     yield "eval-machine", ["eval", *gold, "--thresholds", "model/thresholds.tsv", "--format", "machine",
                            "--out", "report.txt"], ["report.txt"]
@@ -94,7 +99,11 @@ def run_cases(work: Path) -> dict[str, str]:
     cwd = os.getcwd()
     os.chdir(work)
     try:
-        posts = (("social-train.jsonl", SOCIAL_TRAIN_DOCS, 3), ("social-score.jsonl", SOCIAL_SCORE_DOCS, 4))
+        posts = (
+            ("social-train.jsonl", SOCIAL_TRAIN_DOCS, 3),
+            ("social-score.jsonl", SOCIAL_SCORE_DOCS, 4),
+            ("social-blocks.jsonl", SOCIAL_BLOCKS_DOCS, 5),
+        )
         for name, n_docs, seed in posts:
             corpus.save_dataset(workloads.social_corpus(n_docs, seed, seed, table)[0], name)
             digests[f"social-corpus/{name}"] = _sha256(Path(name))
