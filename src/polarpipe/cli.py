@@ -211,7 +211,7 @@ def _cmd_stats(o: dict) -> int:
 
 
 def _cmd_split(o: dict) -> int:
-    _refuse_overwriting({"data": o["data"]}, {"--out-train": o["out_train"], "--out-val": o["out_val"]})
+    _check_outputs({"data": o["data"]}, {"--out-train": o["out_train"], "--out-val": o["out_val"]})
     schema = _resolve_schema(o)
     ds = load_dataset(o["data"], schema)
     result = _split_dataset(ds, o["val_fraction"], o["seed"], o["strategy"])
@@ -223,7 +223,7 @@ def _cmd_split(o: dict) -> int:
 
 
 def _cmd_merge(o: dict) -> int:
-    _refuse_overwriting({"--primary": o["primary"], "--donor": o["donor"]}, {"--out": o["out"]})
+    _check_outputs({"--primary": o["primary"], "--donor": o["donor"]}, {"--out": o["out"]})
     schema = _resolve_schema(o)
     primary = load_dataset(o["primary"], schema)
     donor = load_dataset(o["donor"], schema)
@@ -235,7 +235,7 @@ def _cmd_merge(o: dict) -> int:
 
 
 def _cmd_train(o: dict) -> int:
-    _refuse_overwriting(
+    _check_outputs(
         {"--train": o["train"], "--val": o["val"]},
         {"--out-model": o["out_model"], "--out-history": o["out_history"]},
     )
@@ -261,7 +261,7 @@ def _cmd_train(o: dict) -> int:
 
 
 def _cmd_predict(o: dict) -> int:
-    _refuse_overwriting({"--model": o["model"], "--data": o["data"]}, {"--out": o["out"]})
+    _check_outputs({"--model": o["model"], "--data": o["data"]}, {"--out": o["out"]})
     model = load_model(o["model"])
     ds = load_dataset(o["data"], model.schema)
     pm = predict_proba(model, ds)
@@ -273,7 +273,7 @@ def _cmd_predict(o: dict) -> int:
 def _cmd_tune(o: dict) -> int:
     from . import calibration
 
-    _refuse_overwriting({"--probs": o["probs"], "--gold": o["gold"]}, {"--out": o["out"]})
+    _check_outputs({"--probs": o["probs"], "--gold": o["gold"]}, {"--out": o["out"]})
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
     tv, before, after = _tune(pm, load_labels(o["gold"], schema))
@@ -287,7 +287,7 @@ def _cmd_tune(o: dict) -> int:
 def _cmd_eval(o: dict) -> int:
     from . import calibration, metrics
 
-    _refuse_overwriting(
+    _check_outputs(
         {"--probs": o["probs"], "--gold": o["gold"], "--thresholds": o["thresholds"]},
         {"--out": o["out"]},
     )
@@ -314,6 +314,7 @@ def _cmd_eval(o: dict) -> int:
 
 
 def _cmd_synth(o: dict) -> int:
+    _check_outputs({}, {"--out": o["out"]})
     names = _parse_names(o["labels"]) if o["labels"] else None
     ds = generate_synthetic(
         o["n"],
@@ -354,31 +355,59 @@ def _stage(
     )
 
 
+def _file_keys(path: str | Path) -> set[tuple[int, int] | str]:
+    """What identifies the file at ``path``: its resolved path, and also its
+    device and inode, which hard links share, once it exists."""
+    # os.path.realpath, unlike Path.resolve, leaves a symlink loop to the reader;
+    # it also resolves ``..`` under a directory that does not exist yet, which
+    # os.stat of the path as given cannot
+    resolved = os.path.realpath(path)
+    try:
+        st = os.stat(resolved)
+    except OSError:
+        return {resolved}
+    return {resolved, (st.st_dev, st.st_ino)}
+
+
 def _refuse_overwriting(
     inputs: dict[str, str | Path | None], outputs: dict[str, str | Path | None]
 ) -> None:
     """Raise ``DataError`` when the run would write one of its inputs, or one file twice.
 
-    Keys name the flags; an option that was not given is ``None``. Commands
-    call this before they read or write anything.
+    Keys name the flags; an option that was not given is ``None``. Two paths
+    are one file when any of their ``_file_keys`` match. Commands call this
+    before they read or write anything.
     """
     outputs = {flag: path for flag, path in outputs.items() if path is not None}
-    # os.path.realpath, unlike Path.resolve, leaves a symlink loop to the reader
-    written: dict[str, str] = {}  # resolved path -> the first output flag naming it
+    written: dict[tuple[int, int] | str, str] = {}  # file key -> the first output flag naming it
     for flag, path in outputs.items():
-        first = written.setdefault(os.path.realpath(path), flag)
-        if first != flag:
+        keys = _file_keys(path)
+        first = next((written[key] for key in keys if key in written), None)
+        if first is not None:
             raise DataError(
                 f"{first} {outputs[first]} and {flag} {path} are the same file; "
                 "the run would write it twice"
             )
+        written.update(dict.fromkeys(keys, flag))
     for flag, path in inputs.items():
-        target = None if path is None else written.get(os.path.realpath(path))
+        keys = set() if path is None else _file_keys(path)
+        target = next((written[key] for key in keys if key in written), None)
         if target is not None:
             raise DataError(
                 f"{flag} {path} is the run's output {outputs[target]}; "
                 "the run would overwrite its own input"
             )
+
+
+def _check_outputs(
+    inputs: dict[str, str | Path | None], outputs: dict[str, str | Path | None]
+) -> None:
+    """``_refuse_overwriting``, then a ``DataError`` for an output whose directory is missing."""
+    _refuse_overwriting(inputs, outputs)
+    for flag, path in outputs.items():
+        parent = os.path.dirname(path or "") or "."
+        if not os.path.isdir(parent):
+            raise DataError(f"{flag} {path}: {parent} is not a directory")
 
 
 def _cmd_pipeline(o: dict) -> int:

