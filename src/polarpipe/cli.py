@@ -294,6 +294,8 @@ def _cmd_eval(o: dict) -> int:
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
     gold = load_labels(o["gold"], schema)
+    if not gold.ids:
+        raise DataError(f"--gold {o['gold']} has no instances; there is nothing to score")
     if o.get("thresholds"):
         tv = calibration.load_thresholds(o["thresholds"])
         if tuple(tv.label_names) != tuple(schema.names):
@@ -472,6 +474,8 @@ def _cmd_pipeline(o: dict) -> int:
         )
     else:
         eval_ds = load_dataset(eval_path, schema)
+        if not len(eval_ds):
+            raise DataError(f"--eval-data {eval_path} has no instances; there is nothing to score")
         pool = ds
         pool_ids = set(pool.ids)
         shared = next((i for i in eval_ds.ids if i in pool_ids), None)
@@ -522,7 +526,7 @@ def _cmd_pipeline(o: dict) -> int:
         _stage(
             digests,
             "predict_val",
-            {},
+            asdict(fcfg),
             {"model.bin": model_path, "val.jsonl": val_path},
             {"val.probs": val_probs_path},
         )
@@ -551,7 +555,7 @@ def _cmd_pipeline(o: dict) -> int:
         _stage(
             digests,
             "predict_eval",
-            {},
+            asdict(fcfg),
             {"model.bin": model_path, eval_path.name: eval_path},
             {"eval.probs": eval_probs_path},
         )

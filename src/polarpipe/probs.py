@@ -1,7 +1,9 @@
 """Per-instance probability matrices and their on-disk TSV form.
 
-Probabilities are written with 17 significant digits, enough for an exact
-float64 round-trip, so a file saved and reloaded compares bit-identical.
+Each probability is written as its shortest round-trip decimal, ``repr``
+of the float: the fewest digits that ``float`` reads back to the same
+float64, so a file saved and reloaded compares bit-identical. Any float
+literal loads, so files in an older, longer form load to the same values.
 Values are Python floats (IEEE float64), so this module never loads numpy.
 """
 
@@ -65,7 +67,7 @@ class ProbabilityMatrix:
 
 
 def save_probabilities(pm: ProbabilityMatrix, path: str | Path) -> None:
-    line = "%s" + "\t%.17e" * pm.n_labels + "\n"
+    line = "%s" + "\t%r" * pm.n_labels + "\n"  # %r of a float: its shortest round-trip decimal
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("id\t" + "\t".join(pm.label_names) + "\n")
         fh.writelines(line % (ident, *row) for ident, row in zip(pm.ids, pm.values))

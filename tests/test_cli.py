@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from polarpipe.cli import SCHEMA_PRESETS, run
 from polarpipe.corpus import LabelSchema, load_dataset
 from polarpipe.manifest import file_digest, load_manifest
 from polarpipe.metrics import evaluate
-from polarpipe.probs import load_probabilities
+from polarpipe.probs import ProbabilityMatrix, load_probabilities, save_probabilities
 from polarpipe.synth import generate_synthetic
 from polarpipe.corpus import save_dataset
 
@@ -282,6 +283,56 @@ class TestIdAlignment:
                 assert "probabilities missing id" in capsys.readouterr().err
 
 
+    def test_empty_gold_exits_1_for_tune_and_eval(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text("")
+        probs = tmp_path / "p.probs"
+        probs.write_text("id\tlabel0\nr1\t0.5\n")
+        common = ["--probs", str(probs), "--gold", str(gold), "--labels", "label0"]
+        assert run(["tune", *common, "--out", str(tmp_path / "th.tsv")]) == 1
+        assert "need at least one instance" in capsys.readouterr().err
+        assert run(["eval", *common, "--out", str(tmp_path / "r.tsv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --gold {gold} has no instances; there is nothing to score\n"
+        assert not (tmp_path / "r.tsv").exists()
+
+
+class TestOldProbsLayout:
+    """A ``.probs`` file written with the old ``%.17e`` cells scores like the shortest form."""
+
+    def test_eval_and_tune_write_the_same_bytes(self, tmp_path, capsys):
+        gold = synth_file(tmp_path, "gold.jsonl", 60, [0.4, 0.15], noise=0.2, seed=5)
+        ids = load_dataset(gold, LabelSchema(names=("label0", "label1"))).ids
+        rng = random.Random(5)
+        pm = ProbabilityMatrix(
+            ids=ids, label_names=("label0", "label1"),
+            values=[(rng.random(), rng.random()) for _ in ids],
+        )
+        new = tmp_path / "new.probs"
+        save_probabilities(pm, new)
+        old = tmp_path / "old.probs"
+        old.write_text("id\tlabel0\tlabel1\n" + "".join(
+            f"{i}\t{a:.17e}\t{b:.17e}\n" for i, (a, b) in zip(ids, pm.values)
+        ))
+        assert old.read_bytes() != new.read_bytes()
+
+        def outputs(probs):
+            common = ["--probs", str(probs), "--gold", str(gold), "--labels", "label0,label1"]
+            got = []
+            for argv in (
+                ["tune", *common],
+                ["eval", *common, "--format", "machine"],
+                ["eval", *common, "--format", "table"],
+            ):
+                out = tmp_path / f"{probs.stem}-{len(got)}.out"
+                assert run([*argv, "--out", str(out)]) == 0
+                got.append((capsys.readouterr().out, out.read_bytes()))
+            return got
+
+        assert outputs(old) == outputs(new)
+
+
 class TestSynthCommand:
     def test_writes_corpus(self, tmp_path, capsys):
         out = tmp_path / "s.jsonl"
@@ -322,6 +373,14 @@ class TestPipeline:
         assert [s.name for s in manifest.stages] == [
             "carve", "split", "train", "predict_val", "tune", "predict_eval", "eval",
         ]
+        # both predict stages record the featurizer config they scored with
+        stages = {s.name: s for s in manifest.stages}
+        featurizer = {
+            "hash_dim": 4096, "ngram_orders": [1, 2], "tf_mode": "count", "l2_normalize": True,
+        }
+        for name in ("predict_val", "predict_eval"):
+            assert stages[name].config == featurizer
+        assert stages["train"].config.items() >= featurizer.items()
         lines = out_lines(capsys)
         assert any(l.startswith("eval_macro_f1\t") for l in lines)
 
@@ -341,6 +400,21 @@ class TestPipeline:
         assert [s.name for s in manifest.stages][0] == "split"
         eval_stage = manifest.stages[-1]
         assert "h.jsonl" in eval_stage.inputs
+
+    def test_empty_eval_data_exits_1(self, tmp_path, capsys):
+        data = synth_file(tmp_path, "d.jsonl", 100, [0.4], seed=11)
+        heldout = tmp_path / "h.jsonl"
+        heldout.write_text("")
+        status = run([
+            "pipeline", "--data", str(data), "--labels", "label0",
+            "--eval-data", str(heldout), "--outdir", str(tmp_path / "run"),
+            "--max-epochs", "2", "--hash-dim", "4096",
+        ])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"error: --eval-data {heldout} has no instances; there is nothing to score\n"
+        )
+        assert not list(tmp_path.glob("run/*"))
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         data = synth_file(tmp_path, "d.jsonl", 120, [0.4, 0.1], seed=13)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from polarpipe.corpus import DataError
 from polarpipe.probs import ProbabilityMatrix, load_probabilities, save_probabilities
@@ -18,7 +20,7 @@ def test_round_trip_bit_exact(tmp_path):
     back = load_probabilities(path)
     assert back.ids == pm.ids
     assert back.label_names == pm.label_names
-    assert np.array_equal(back.values, pm.values)  # %.17e reproduces float64
+    assert np.array_equal(back.values, pm.values)  # repr reproduces float64
 
     # saving the loaded matrix yields identical bytes
     path2 = tmp_path / "p2.probs"
@@ -26,21 +28,47 @@ def test_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20))
-def test_round_trip_property(values):
-    import io
+# both zeros, the smallest and the largest subnormal, and values next to 0 and 1
+_EDGE_PROBS = [
+    -0.0, 0.0, 5e-324, math.nextafter(2.2250738585072014e-308, 0.0),
+    1e-15, 1 - 1e-15, math.nextafter(1.0, 0.0), 1.0,
+]
+_EDGE_ROWS = list(zip(_EDGE_PROBS[::2], _EDGE_PROBS[1::2]))
+_cells = st.one_of(st.sampled_from(_EDGE_PROBS), st.floats(min_value=0.0, max_value=1.0))
 
+
+@given(st.lists(st.tuples(_cells, _cells), min_size=1, max_size=20))
+@example(_EDGE_ROWS)
+def test_round_trip_property(tmp_path_factory, rows):
     pm = ProbabilityMatrix(
-        ids=tuple(f"x{i}" for i in range(len(values))),
-        label_names=("only",),
-        values=np.array(values)[:, None],
+        ids=tuple(f"x{i}" for i in range(len(rows))), label_names=("a", "b"), values=rows
     )
-    buf = io.StringIO()
-    buf.write("id\tonly\n")
-    for ident, row in zip(pm.ids, pm.values):
-        buf.write(f"{ident}\t{'%.17e' % row[0]}\n")
-    parsed = [float(line.split("\t")[1]) for line in buf.getvalue().splitlines()[1:]]
-    assert parsed == [row[0] for row in pm.values]
+    path = tmp_path_factory.getbasetemp() / "property.probs"
+    save_probabilities(pm, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "id\ta\tb"
+    assert lines[1:] == [f"x{i}\t{a!r}\t{b!r}" for i, (a, b) in enumerate(rows)]
+    back = load_probabilities(path)
+    assert [[v.hex() for v in row] for row in back.values] == [[v.hex() for v in row] for row in rows]
+
+
+def test_old_fixed_width_files_load_to_the_same_floats(tmp_path):
+    # files written before the shortest form, with "%.17e", load bit for bit,
+    # and saving what they load writes the shortest form
+    rows = [*_EDGE_ROWS, (0.1, 1 / 3)]
+    old = tmp_path / "old.probs"
+    old.write_text(
+        "id\ta\tb\n" + "".join(f"r{i}\t{a:.17e}\t{b:.17e}\n" for i, (a, b) in enumerate(rows)),
+        encoding="utf-8",
+    )
+    pm = load_probabilities(old)
+    assert [[v.hex() for v in row] for row in pm.values] == [[v.hex() for v in row] for row in rows]
+    new = tmp_path / "new.probs"
+    save_probabilities(pm, new)
+    assert new.read_text(encoding="utf-8").splitlines()[1:] == [
+        f"r{i}\t{a!r}\t{b!r}" for i, (a, b) in enumerate(rows)
+    ]
+    assert new.stat().st_size < old.stat().st_size
 
 
 def test_validation():
@@ -109,8 +137,8 @@ def test_edge_cells_load_or_refuse_as_before(tmp_path, cell, expected):
         return
     assert [v.hex() for v in pm.values[0]] == [(0.5).hex(), expected]
     assert all(type(v) is float for v in pm.values[0])
-    # what loads is written back as it was read, sign of zero included
+    # what loads is written back as its shortest round-trip decimal, sign of zero included
     save_probabilities(pm, path)
     assert path.read_text(encoding="utf-8").splitlines()[1] == "r1\t" + "\t".join(
-        "%.17e" % v for v in (0.5, float.fromhex(expected))
+        repr(v) for v in (0.5, float.fromhex(expected))
     )

@@ -7,7 +7,8 @@ writes the SHA-256 of every output file and of each command's stdout to
 ``tests/data/golden/digests.json``, next to numpy's version and the SIMD
 targets it dispatches to on this machine: the model and probability bytes
 depend on both. Run it only when a change alters output bytes on purpose,
-and say which digests changed and why.
+and say which digests changed and why: it prints the name of every digest
+that changed, was added or was removed against the file it replaces.
 
 The cases: a ``subtask3`` synth corpus with its ``stats`` and ``pipeline``;
 a ``subtask1`` corpus with a ``pipeline`` at ``--hash-dim 1048576``; an
@@ -138,9 +139,17 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as work:
         digests = run_cases(Path(work))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"] if GOLDEN.exists() else {}
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps({**environment(), "digests": digests}, indent=2, sort_keys=True) + "\n")
     print(f"{len(digests)} digests written to {GOLDEN.relative_to(ROOT)}")
+    for name in sorted(old.keys() | digests.keys()):
+        if name not in old:
+            print(f"added\t{name}")
+        elif name not in digests:
+            print(f"removed\t{name}")
+        elif old[name] != digests[name]:
+            print(f"changed\t{name}")
     return 0
 
 
