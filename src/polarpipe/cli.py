@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager, suppress
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -185,6 +186,14 @@ def _tune(pm: ProbabilityMatrix, gold_ds: Dataset | GoldLabels):
     return tv, before, after
 
 
+def _load_gold(path: str, schema: LabelSchema) -> GoldLabels:
+    """``--gold``'s ids and labels; a file with no instances raises DataError."""
+    gold = load_labels(path, schema)
+    if not gold.ids:
+        raise DataError(f"--gold {path} has no instances; there is nothing to score")
+    return gold
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -276,7 +285,7 @@ def _cmd_tune(o: dict) -> int:
     _check_outputs({"--probs": o["probs"], "--gold": o["gold"]}, {"--out": o["out"]})
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
-    tv, before, after = _tune(pm, load_labels(o["gold"], schema))
+    tv, before, after = _tune(pm, _load_gold(o["gold"], schema))
     calibration.save_thresholds(tv, o["out"])
     print(f"macro_f1_before\t{before:.6f}")
     print(f"macro_f1_after\t{after:.6f}")
@@ -293,9 +302,7 @@ def _cmd_eval(o: dict) -> int:
     )
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
-    gold = load_labels(o["gold"], schema)
-    if not gold.ids:
-        raise DataError(f"--gold {o['gold']} has no instances; there is nothing to score")
+    gold = _load_gold(o["gold"], schema)
     if o.get("thresholds"):
         tv = calibration.load_thresholds(o["thresholds"])
         if tuple(tv.label_names) != tuple(schema.names):
@@ -412,6 +419,28 @@ def _check_outputs(
             raise DataError(f"{flag} {path}: {parent} is not a directory")
 
 
+@contextmanager
+def _removed_on_failure(outdir: Path, outputs: list[Path]):
+    """Create ``outdir`` for the body; if the body raises, remove every path
+    in ``outputs`` and each directory created here, then re-raise.
+
+    A failed run then leaves no partial run directory, and any other file
+    already in ``outdir`` stays.
+    """
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for path in outputs:
+            with suppress(OSError):
+                path.unlink(missing_ok=True)
+        for d in created:  # deepest first; one that holds other files stays
+            with suppress(OSError):
+                d.rmdir()
+        raise
+
+
 def _cmd_pipeline(o: dict) -> int:
     from dataclasses import asdict
 
@@ -449,29 +478,10 @@ def _cmd_pipeline(o: dict) -> int:
     else:
         inputs["--eval-data"] = eval_path
     _refuse_overwriting(inputs, {path.name: path for path in written})
-    outdir.mkdir(parents=True, exist_ok=True)
     ds = load_dataset(data_path, schema)
-    stages: list[StageRecord] = []
-    digests: dict[Path, str] = {}
-
     if carving:
         carve = _split_dataset(ds, o["eval_fraction"], seed, o["strategy"])
         pool, eval_ds = carve.train, carve.val
-        save_dataset(pool, pool_path)
-        save_dataset(eval_ds, eval_path)
-        stages.append(
-            _stage(
-                digests,
-                "carve",
-                {
-                    "strategy": o["strategy"],
-                    "eval_fraction": o["eval_fraction"],
-                    "seed": seed,
-                },
-                {data_path.name: data_path},
-                {"pool.jsonl": pool_path, "eval.jsonl": eval_path},
-            )
-        )
     else:
         eval_ds = load_dataset(eval_path, schema)
         if not len(eval_ds):
@@ -484,102 +494,123 @@ def _cmd_pipeline(o: dict) -> int:
                 f"--eval-data {eval_path} shares id {shared!r} with --data {data_path}; "
                 "the run would score rows it trained on"
             )
-
     split = _split_dataset(pool, o["val_fraction"], seed, o["strategy"])
-    save_dataset(split.train, train_path)
-    save_dataset(split.val, val_path)
-    stages.append(
-        _stage(
-            digests,
-            "split",
-            {"strategy": o["strategy"], "val_fraction": o["val_fraction"], "seed": seed},
-            {pool_path.name: pool_path},
-            {"train.jsonl": train_path, "val.jsonl": val_path},
-        )
-    )
+    stages: list[StageRecord] = []
+    digests: dict[Path, str] = {}
+    with _removed_on_failure(outdir, written):
+        if carving:
+            save_dataset(pool, pool_path)
+            save_dataset(eval_ds, eval_path)
+            stages.append(
+                _stage(
+                    digests,
+                    "carve",
+                    {
+                        "strategy": o["strategy"],
+                        "eval_fraction": o["eval_fraction"],
+                        "seed": seed,
+                    },
+                    {data_path.name: data_path},
+                    {"pool.jsonl": pool_path, "eval.jsonl": eval_path},
+                )
+            )
 
-    model, report = train(
-        split.train, split.val, tcfg=tcfg, fcfg=fcfg, weighting_mode=o["weighting"]
-    )
-    save_model(model, model_path)
-    save_history(report, history_path)
-    best = report.epoch_val_macro_f1[report.best_epoch - 1] if report.best_epoch else 0.0
-    stages.append(
-        _stage(
-            digests,
-            "train",
-            {"weighting": o["weighting"], **asdict(tcfg), **asdict(fcfg)},
-            {"train.jsonl": train_path, "val.jsonl": val_path},
-            {"model.bin": model_path, "history.tsv": history_path},
-            {
-                "epochs_run": len(report.epoch_train_loss),
-                "best_epoch": report.best_epoch,
-                "best_val_macro_f1": best,
-                "stopped_early": report.stopped_early,
-            },
+        save_dataset(split.train, train_path)
+        save_dataset(split.val, val_path)
+        stages.append(
+            _stage(
+                digests,
+                "split",
+                {"strategy": o["strategy"], "val_fraction": o["val_fraction"], "seed": seed},
+                {pool_path.name: pool_path},
+                {"train.jsonl": train_path, "val.jsonl": val_path},
+            )
         )
-    )
 
-    val_probs = predict_proba(model, split.val)
-    save_probabilities(val_probs, val_probs_path)
-    stages.append(
-        _stage(
-            digests,
-            "predict_val",
-            asdict(fcfg),
-            {"model.bin": model_path, "val.jsonl": val_path},
-            {"val.probs": val_probs_path},
+        model, report = train(
+            split.train, split.val, tcfg=tcfg, fcfg=fcfg, weighting_mode=o["weighting"]
         )
-    )
-
-    tv, before, after = _tune(val_probs, split.val)
-    calibration.save_thresholds(tv, thresholds_path)
-    stages.append(
-        _stage(
-            digests,
-            "tune",
-            {},
-            {"val.probs": val_probs_path, "val.jsonl": val_path},
-            {"thresholds.tsv": thresholds_path},
-            {
-                "macro_f1_before": before,
-                "macro_f1_after": after,
-                "base_theta": tv.base_theta,
-            },
+        save_model(model, model_path)
+        save_history(report, history_path)
+        best = report.epoch_val_macro_f1[report.best_epoch - 1] if report.best_epoch else 0.0
+        stages.append(
+            _stage(
+                digests,
+                "train",
+                {"weighting": o["weighting"], **asdict(tcfg), **asdict(fcfg)},
+                {"train.jsonl": train_path, "val.jsonl": val_path},
+                {"model.bin": model_path, "history.tsv": history_path},
+                {
+                    "epochs_run": len(report.epoch_train_loss),
+                    "best_epoch": report.best_epoch,
+                    "best_val_macro_f1": best,
+                    "stopped_early": report.stopped_early,
+                },
+            )
         )
-    )
 
-    eval_probs = predict_proba(model, eval_ds)
-    save_probabilities(eval_probs, eval_probs_path)
-    stages.append(
-        _stage(
-            digests,
-            "predict_eval",
-            asdict(fcfg),
-            {"model.bin": model_path, eval_path.name: eval_path},
-            {"eval.probs": eval_probs_path},
+        val_probs = predict_proba(model, split.val)
+        save_probabilities(val_probs, val_probs_path)
+        stages.append(
+            _stage(
+                digests,
+                "predict_val",
+                asdict(fcfg),
+                {"model.bin": model_path, "val.jsonl": val_path},
+                {"val.probs": val_probs_path},
+            )
         )
-    )
 
-    eval_report = metrics.evaluate(eval_probs, eval_ds, tv.theta, binary_mode=o["binary_mode"])
-    metrics.save_report(eval_report, report_path)
-    stages.append(
-        _stage(
-            digests,
-            "eval",
-            {"binary_mode": o["binary_mode"]},
-            {
-                "eval.probs": eval_probs_path,
-                eval_path.name: eval_path,
-                "thresholds.tsv": thresholds_path,
-            },
-            {"report.tsv": report_path},
-            {"macro_f1": eval_report.macro_f1, "micro_f1": eval_report.micro_f1},
+        tv, before, after = _tune(val_probs, split.val)
+        calibration.save_thresholds(tv, thresholds_path)
+        stages.append(
+            _stage(
+                digests,
+                "tune",
+                {},
+                {"val.probs": val_probs_path, "val.jsonl": val_path},
+                {"thresholds.tsv": thresholds_path},
+                {
+                    "macro_f1_before": before,
+                    "macro_f1_after": after,
+                    "base_theta": tv.base_theta,
+                },
+            )
         )
-    )
 
-    manifest = PipelineManifest(seed=seed, stages=tuple(stages))
-    save_manifest(manifest, manifest_path)
+        eval_probs = predict_proba(model, eval_ds)
+        save_probabilities(eval_probs, eval_probs_path)
+        stages.append(
+            _stage(
+                digests,
+                "predict_eval",
+                asdict(fcfg),
+                {"model.bin": model_path, eval_path.name: eval_path},
+                {"eval.probs": eval_probs_path},
+            )
+        )
+
+        eval_report = metrics.evaluate(
+            eval_probs, eval_ds, tv.theta, binary_mode=o["binary_mode"]
+        )
+        metrics.save_report(eval_report, report_path)
+        stages.append(
+            _stage(
+                digests,
+                "eval",
+                {"binary_mode": o["binary_mode"]},
+                {
+                    "eval.probs": eval_probs_path,
+                    eval_path.name: eval_path,
+                    "thresholds.tsv": thresholds_path,
+                },
+                {"report.tsv": report_path},
+                {"macro_f1": eval_report.macro_f1, "micro_f1": eval_report.micro_f1},
+            )
+        )
+
+        manifest = PipelineManifest(seed=seed, stages=tuple(stages))
+        save_manifest(manifest, manifest_path)
     for stage in stages:
         print(f"stage\t{stage.name}\tok")
     print(f"eval_macro_f1\t{eval_report.macro_f1:.6f}")

@@ -114,9 +114,14 @@ class LabelSchema:
         return len(self.names) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
-    """One text example: id, raw text, normalized text, gold bit vector."""
+    """One text example: id, raw text, normalized text, gold bit vector.
+
+    Slotted, so an instance carries no ``__dict__``. ``text`` may be the
+    ``raw_text`` object itself, and ``labels`` may be shared with other
+    instances of the same file (both are immutable).
+    """
 
     id: str
     raw_text: str
@@ -238,13 +243,15 @@ def preprocess(raw: str) -> str:
     dropped, and the first :data:`MAX_TOKENS` tokens are joined by single
     spaces. Stripping ``#`` comes before the token test, so ``#@user`` and
     ``#https://...`` are dropped too, and normalizing twice changes nothing.
+    An already-normalized ``raw`` is returned itself, not an equal copy.
     """
     text = _emoji_sub()(raw).replace("#", "").lower()
     tokens = text.split()
     # a token that starts with a dropped prefix puts that prefix in the text
     if "@" in text or "http" in text or "www." in text:
         tokens = [token for token in tokens if not token.startswith(_DROPPED_PREFIXES)]
-    return " ".join(tokens[:MAX_TOKENS])
+    text = " ".join(tokens[:MAX_TOKENS])
+    return raw if text == raw else text
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +300,12 @@ def _read_records(path: Path, schema: LabelSchema) -> Iterator[tuple[str, str, t
     """(id, raw text, label bits) of every record in line order, validated.
 
     Yields each record as it is read, so a reader keeps only what it needs
-    of it. Raises :class:`DataError` naming the file and the offending line
-    on malformed records, unknown label names, or duplicate ids.
+    of it. Equal label vectors of one file are one shared tuple. Raises
+    :class:`DataError` naming the file and the offending line on malformed
+    records, unknown label names, or duplicate ids.
     """
     seen_ids: set[str] = set()
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     with open_text(path) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -328,7 +337,7 @@ def _read_records(path: Path, schema: LabelSchema) -> Iterator[tuple[str, str, t
                     raise DataError(f"duplicate id {ident!r} at line {lineno}")
                 seen_ids.add(ident)
                 labels = _labels_from_record(record, schema, lineno)
-                yield ident, record["text"], labels
+                yield ident, record["text"], shared.setdefault(labels, labels)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
 
@@ -337,9 +346,10 @@ def load_dataset(path: str | Path, schema: LabelSchema) -> Dataset:
     """Read a JSONL dataset, normalizing text and mapping labels to the schema.
 
     Raw text is preserved on each instance; ``text`` holds the normalized,
-    truncated form. Line order is preserved. Raises :class:`DataError` naming
-    the file and the offending line on malformed records, unknown label
-    names, or duplicate ids.
+    truncated form, and is the ``raw_text`` object itself when normalizing
+    changes nothing. Equal label vectors are one shared tuple. Line order is
+    preserved. Raises :class:`DataError` naming the file and the offending
+    line on malformed records, unknown label names, or duplicate ids.
     """
     instances = tuple(
         Instance(id=ident, raw_text=raw, text=preprocess(raw), labels=labels)
@@ -350,6 +360,8 @@ def load_dataset(path: str | Path, schema: LabelSchema) -> Dataset:
 
 def load_labels(path: str | Path, schema: LabelSchema) -> GoldLabels:
     """Ids and label bits of a JSONL dataset, without normalizing its text.
+
+    Equal label vectors are one shared tuple.
 
     Validates and fails exactly as :func:`load_dataset` does.
     """

@@ -63,6 +63,7 @@ def test_medians_quartiles_and_wins(tmp_path):
     # better on seeds 1, 3 and 4; worse on 2; a tie on 5 counts for neither
     assert docs["change_wins"] == "3/5"
     assert entry["end_to_end"]["setup_s"]["change_wins"] == "0/5"
+    assert entry["end_to_end"]["setup_s"]["verdict"] == "within_bound"
     assert json.loads(out.read_text())["incorrect_runs"] == {"parent": "0/5", "change": "0/5"}
 
 
@@ -91,3 +92,50 @@ def test_no_common_seed_names_the_workload(tmp_path):
     change = write_side(tmp_path / "change", "c", {("w", 1): 11.0, ("score-social", 2): 5.0})
     with pytest.raises(SystemExit, match="share no seed for workload score-social"):
         run_tool(parent, change, tmp_path / "b.json")
+
+
+# docs_per_s: higher is better, bound 0.20 of the parent's median
+_PARENT_TIGHT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartile spread 5.5
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        # 10/10 wins, medians 20 apart against a spread of 5.5
+        (_PARENT_TIGHT, [v + 20 for v in _PARENT_TIGHT], "gain"),
+        # 8/10 wins is short of nine tenths
+        (_PARENT_TIGHT, [v + 20 for v in _PARENT_TIGHT[:8]] + [90, 90], "within_bound"),
+        # 10/10 wins, but the medians are only 3 apart
+        (_PARENT_TIGHT, [v + 3 for v in _PARENT_TIGHT], "within_bound"),
+        # median 25% below the parent's, past the 20% bound
+        (_PARENT_TIGHT, [v * 0.75 for v in _PARENT_TIGHT], "regression"),
+        # 10% below: inside the bound
+        (_PARENT_TIGHT, [v * 0.9 for v in _PARENT_TIGHT], "within_bound"),
+        # the parent's own spread (about 50% of its median) is wider than the bound
+        ([50, 60, 70, 80, 90, 110, 120, 130, 140, 150], [95] * 10, "unresolved"),
+        # ... unless every change run beats every parent run
+        ([50, 60, 70, 80, 90, 110, 120, 130, 140, 150], [151] * 10, "within_bound"),
+    ],
+    ids=["gain", "too-few-wins", "inside-noise", "regression", "inside-bound", "unresolved",
+         "all-runs-better"],
+)
+def test_verdict(tmp_path, parent, change, expected):
+    seeds = range(1, len(parent) + 1)
+    p = write_side(tmp_path / "parent", "p", {("w", s): v for s, v in zip(seeds, parent)})
+    c = write_side(tmp_path / "change", "c", {("w", s): v for s, v in zip(seeds, change)})
+    out = tmp_path / "bench.json"
+    assert run_tool(p, c, out) == 0
+    metrics = json.loads(out.read_text())["workloads"]["w"]["end_to_end"]
+    assert metrics["docs_per_s"]["verdict"] == expected
+    assert metrics["peak_rss_mb"]["verdict"] == "within_bound"
+
+
+@pytest.mark.parametrize(
+    "change, expected",
+    [([80.0] * 10, "gain"), ([95.0] * 10, "regression"), ([90.1] * 10, "within_bound")],
+)
+def test_verdict_lower_is_better(change, expected):
+    metric = {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}
+    parent = [90.0 + i / 10 for i in range(10)]
+    wins = sum(c < p for p, c in zip(parent, change))
+    assert bench_summary.verdict(metric, parent, change, wins) == expected

@@ -289,13 +289,14 @@ class TestIdAlignment:
         probs = tmp_path / "p.probs"
         probs.write_text("id\tlabel0\nr1\t0.5\n")
         common = ["--probs", str(probs), "--gold", str(gold), "--labels", "label0"]
-        assert run(["tune", *common, "--out", str(tmp_path / "th.tsv")]) == 1
-        assert "need at least one instance" in capsys.readouterr().err
-        assert run(["eval", *common, "--out", str(tmp_path / "r.tsv")]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: --gold {gold} has no instances; there is nothing to score\n"
-        assert not (tmp_path / "r.tsv").exists()
+        for cmd, out in (("tune", "th.tsv"), ("eval", "r.tsv")):
+            assert run([cmd, *common, "--out", str(tmp_path / out)]) == 1, cmd
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: --gold {gold} has no instances; there is nothing to score\n"
+            )
+            assert not (tmp_path / out).exists()
 
 
 class TestOldProbsLayout:
@@ -414,7 +415,81 @@ class TestPipeline:
         assert capsys.readouterr().err == (
             f"error: --eval-data {heldout} has no instances; there is nothing to score\n"
         )
-        assert not list(tmp_path.glob("run/*"))
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--val-fraction", "0.01"], "val_fraction 0.01 leaves an empty subset for 32 instances"),
+            (["--eval-fraction", "0.99"], "val_fraction 0.99 leaves an empty subset for 40 instances"),
+        ],
+        ids=["val-fraction", "eval-fraction"],
+    )
+    def test_refused_split_leaves_no_run_dir(self, tmp_path, capsys, flags, message):
+        data = synth_file(tmp_path, "d.jsonl", 40, [0.4, 0.2], seed=3)
+        status = run([
+            "pipeline", "--data", str(data), "--labels", "label0,label1",
+            "--outdir", str(tmp_path / "run"), "--max-epochs", "1", "--hash-dim", "1024", *flags,
+        ])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_refused_run_keeps_an_existing_outdir(self, tmp_path, capsys):
+        data = synth_file(tmp_path, "d.jsonl", 40, [0.4], seed=3)
+        heldout = tmp_path / "h.jsonl"
+        heldout.write_text("")
+        outdir = tmp_path / "run"
+        outdir.mkdir()
+        (outdir / "notes.txt").write_text("kept\n")
+        args = ["pipeline", "--data", str(data), "--eval-data", str(heldout), "--labels", "label0",
+                "--outdir", str(outdir), "--max-epochs", "1", "--hash-dim", "1024"]
+        assert run(args) == 1
+        assert "has no instances" in capsys.readouterr().err
+        assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
+        assert (outdir / "notes.txt").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_after_writing_removes_the_run(self, tmp_path, monkeypatch, capsys, existing):
+        """A run that fails part-way removes what it wrote, and the
+        directories it created; other files in ``--outdir`` stay."""
+        data = synth_file(tmp_path, "d.jsonl", 80, [0.4], seed=3)
+        outdir = tmp_path / "a" / "b" / "run"
+        if existing:
+            outdir.mkdir(parents=True)
+            (outdir / "notes.txt").write_text("kept\n")
+            (outdir / "manifest.json").write_text("{}\n")  # an earlier run's
+
+        def fail_mid_write(manifest, path):
+            Path(path).write_text('{"seed"')
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "save_manifest", fail_mid_write)
+        args = ["pipeline", "--data", str(data), "--labels", "label0",
+                "--outdir", str(outdir), "--max-epochs", "1", "--hash-dim", "1024"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: No space left on device\n"
+        if existing:
+            assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
+        else:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
+
+    def test_interrupted_run_removes_the_run(self, tmp_path, monkeypatch):
+        data = synth_file(tmp_path, "d.jsonl", 80, [0.4], seed=3)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "predict_proba", interrupt)
+        args = ["pipeline", "--data", str(data), "--labels", "label0",
+                "--outdir", str(tmp_path / "run"), "--max-epochs", "1", "--hash-dim", "1024"]
+        with pytest.raises(KeyboardInterrupt):
+            run(args)
+        assert not (tmp_path / "run").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         data = synth_file(tmp_path, "d.jsonl", 120, [0.4, 0.1], seed=13)
@@ -479,7 +554,7 @@ class TestPipeline:
             f"error: --eval-data {heldout} shares id {first!r} with --data {data}; "
             "the run would score rows it trained on\n"
         )
-        assert not any(outdir.iterdir())
+        assert not outdir.exists()
 
     def test_refuses_an_empty_outdir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

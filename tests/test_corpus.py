@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,12 @@ def test_golden_file_has_thirty_cases():
 
 @pytest.mark.parametrize("case", load_golden(), ids=lambda c: c["id"])
 def test_preprocess_golden(case):
-    assert preprocess(case["raw"]) == case["expected"]
+    raw = case["raw"]
+    out = preprocess(raw)
+    assert out == case["expected"]
+    # a text that normalizing leaves as it is comes back as the same object
+    assert (out is raw) == (out == raw)
+    assert preprocess(out) is out
 
 
 # A fuzz alphabet biased toward the constructs preprocessing handles:
@@ -58,7 +65,7 @@ _FUZZ_CHUNKS = st.sampled_from(
 def test_preprocess_idempotent(chunks):
     text = "".join(chunks)
     once = preprocess(text)
-    assert preprocess(once) == once
+    assert preprocess(once) is once
 
 
 @given(st.text(max_size=40))
@@ -310,6 +317,74 @@ def test_max_tokens_truncates_on_load(tmp_path):
     assert MAX_TOKENS == 128
     assert ds.instances[0].text == " ".join(f"w{i}" for i in range(128))
     assert ds.instances[0].raw_text == raw
+
+
+# ---------------------------------------------------------------------------
+# Each loaded document is held once
+
+
+def test_load_dataset_shares_normalized_text_and_label_tuples(tmp_path):
+    from polarpipe.synth import generate_synthetic
+
+    path = tmp_path / "d.jsonl"
+    save_dataset(generate_synthetic(300, [0.4, 0.3, 0.2], noise=0.1, seed=3), path)
+    schema = LabelSchema(names=("label0", "label1", "label2"))
+    ds = load_dataset(path, schema)
+    assert all(inst.text is inst.raw_text for inst in ds.instances)
+    for labels in (ds.labels, load_labels(path, schema).labels):
+        assert len({id(bits) for bits in labels}) == len(set(labels)) <= 8
+
+
+def test_equal_label_vectors_are_one_tuple_whatever_their_form(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(path, [
+        {"id": "a", "text": "x", "labels": []},
+        {"id": "b", "text": "x", "labels": [0, 0]},
+        {"id": "c", "text": "x", "labels": ["q"]},
+        {"id": "d", "text": "x", "labels": [0, 1]},
+        {"id": "e", "text": "x", "labels": []},
+    ])
+    schema = LabelSchema(names=("p", "q"))
+    for labels in (load_dataset(path, schema).labels, load_labels(path, schema).labels):
+        assert labels == ((0, 0), (0, 0), (0, 1), (0, 1), (0, 0))
+        assert labels[0] is labels[1] is labels[4]
+        assert labels[2] is labels[3]
+
+
+def test_instance_is_slotted_and_replaceable():
+    inst = Instance(id="a", raw_text="Hi", text="hi", labels=(1,))
+    assert not hasattr(inst, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.text = "x"
+    assert dataclasses.replace(inst, text="x") == Instance(
+        id="a", raw_text="Hi", text="x", labels=(1,)
+    )
+
+
+def test_load_dataset_memory_per_document(tmp_path):
+    from polarpipe.synth import generate_synthetic
+
+    n = 2000
+    # tracemalloc does not see a tuple that CPython takes from its free lists,
+    # so nothing is freed before the load: the source corpus stays alive, and
+    # the emoji pattern and the reader are warmed up on a small file
+    source = generate_synthetic(n, [0.30, 0.20, 0.15, 0.10, 0.06, 0.04], noise=0.1, seed=901)
+    path = tmp_path / "d.jsonl"
+    save_dataset(source, path)
+    small = tmp_path / "small.jsonl"
+    save_dataset(generate_synthetic(20, [0.3, 0.2], seed=1), small)
+    load_dataset(small, LabelSchema(names=("label0", "label1")))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = load_dataset(path, source.schema)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == n
+    # each text once, a slotted instance, shared label tuples: ~281 B; with
+    # a second copy of the text, a __dict__ and a tuple per row it was ~553 B
+    assert retained / n < 350
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ Each results directory holds the records ``perfbench/run.py`` writes, one per
 workload, seed and trace setting. Every directory must come from one source
 tree (one ``source_sha256``). For each workload the output lists the seeds,
 and for every end-to-end metric in ``BENCHMARK.json`` the median and
-quartiles of each side plus how many same-seed pairs the change won (ties
-count for neither). Traced runs give each side's per-layer values. The
+quartiles of each side, how many same-seed pairs the change won (ties
+count for neither) and a verdict (see ``verdict``). Traced runs give each side's per-layer values. The
 environment block of each side is copied from its records, and
 ``incorrect_runs`` counts, per side, the records whose outputs failed the
 benchmark's checks (``correct`` not true), naming each one's workload and seed.
@@ -53,6 +53,33 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": len(values)}
 
 
+def verdict(metric: dict, parent: list[float], change: list[float], wins: int) -> str:
+    """``gain``, ``regression``, ``unresolved`` or ``within_bound`` for one metric.
+
+    ``gain``: the change won at least nine tenths of the pairs and its median
+    is better than the parent's by more than the parent's quartile spread.
+    ``regression``: its median is worse than the parent's by more than the
+    metric's bound, a fraction of the parent's median. ``unresolved``: the
+    parent's quartile spread is wider than that bound and not every run of
+    the change beats every run of the parent. ``within_bound``: otherwise.
+    """
+    higher = metric["better"] == "higher"
+    sign = 1 if higher else -1
+    p, c = spread(parent), spread(change)
+    gap = sign * (c["median"] - p["median"])  # > 0: the change is better
+    noise = p["q3"] - p["q1"]
+    bound = metric["bound"] * abs(p["median"])
+    # every change run beats every parent run
+    apart = min(change) > max(parent) if higher else max(change) < min(parent)
+    if wins >= 0.9 * len(parent) and gap > noise:
+        return "gain"
+    if -gap > bound:
+        return "regression"
+    if noise > bound and not apart:
+        return "unresolved"
+    return "within_bound"
+
+
 def by_key(records: list[dict], trace: int) -> dict[tuple[str, int], dict]:
     return {(r["workload"], r["seed"]): r for r in records if r["trace"] == trace}
 
@@ -89,6 +116,7 @@ def summarize(spec: dict, records: dict[str, list[dict]]) -> dict:
                 "parent": spread(values["parent"]),
                 "change": spread(values["change"]),
                 "change_wins": f"{wins}/{len(seeds)}",
+                "verdict": verdict(metric, values["parent"], values["change"], wins),
             }
         layer_seeds = common_seeds(traced, workload)
         if layer_seeds:
