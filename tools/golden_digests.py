@@ -12,11 +12,13 @@ that changed, was added or was removed against the file it replaces.
 
 The cases: a ``subtask3`` synth corpus with its ``stats`` and ``pipeline``;
 a ``subtask1`` corpus with a ``pipeline`` at ``--hash-dim 1048576``; an
-iterative ``split`` of the first corpus, a stratified ``split`` of the
-second, and a ``merge`` of the second with a synth donor; and
-decorated posts from ``perfbench/workloads.social_corpus``, scored with
-``predict``, ``eval`` (machine and table) and ``tune`` against a model that a
-``pipeline`` trains on other posts from the same generator. A second
+iterative ``split`` of the first corpus and a ``train`` on its two halves, a
+stratified ``split`` of the second, and a ``merge`` of the second with a
+synth donor; an ``eval`` of the first pipeline's held-out probabilities at
+the 0.5 default thresholds; and decorated posts from
+``perfbench/workloads.social_corpus``, scored with ``predict``, ``eval``
+(machine and table) and ``tune`` against a model that a ``pipeline`` trains
+on other posts from the same generator. A second
 ``predict`` scores more posts from that generator, enough for several of
 ``predict_proba``'s row blocks and a partial last one.
 """
@@ -66,6 +68,9 @@ def _commands(workloads):
     yield "split-iterative", ["split", "c3.jsonl", "--schema", "subtask3", "--strategy", "iterative",
                               "--seed", "11", "--out-train", "s3-train.jsonl", "--out-val", "s3-val.jsonl"], [
         "s3-train.jsonl", "s3-val.jsonl"]
+    yield "train-subtask3", ["train", "--train", "s3-train.jsonl", "--val", "s3-val.jsonl", "--schema", "subtask3",
+                             "--seed", "11", "--out-model", "t3-model.bin", "--out-history", "t3-history.tsv"], [
+        "t3-model.bin", "t3-history.tsv"]
     yield "split-stratified", ["split", "c1.jsonl", "--schema", "subtask1", "--strategy", "stratified",
                                "--seed", "12", "--out-train", "s1-train.jsonl", "--out-val", "s1-val.jsonl"], [
         "s1-train.jsonl", "s1-val.jsonl"]
@@ -83,6 +88,9 @@ def _commands(workloads):
     yield "eval-machine", ["eval", *gold, "--thresholds", "model/thresholds.tsv", "--format", "machine",
                            "--out", "report.txt"], ["report.txt"]
     yield "eval-table", ["eval", *gold, "--thresholds", "model/thresholds.tsv", "--out", "report.tsv"], ["report.tsv"]
+    # the first pipeline tuned some thresholds away from 0.5, the social one none
+    yield "eval-default", ["eval", "--probs", "run3/eval.probs", "--gold", "run3/eval.jsonl", "--schema", "subtask3",
+                           "--out", "report-default.tsv"], ["report-default.tsv"]
     yield "tune-social", ["tune", *gold, "--out", "tuned.tsv"], ["tuned.tsv"]
 
 
