@@ -1,8 +1,9 @@
 """Command-line interface: one executable, subcommand per pipeline stage.
 
 Every subcommand is a pure function of its input files, flags, and seed.
-``pipeline`` chains split, train, predict, tune, and eval, and writes a
-manifest recording each stage's config hash and file digests.
+``pipeline`` chains split, train, predict, tune, and eval through the same
+stage functions the commands call, and writes a manifest recording each
+stage's config hash and file digests.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ SCHEMA_PRESETS = {
 
 
 # ---------------------------------------------------------------------------
-# Stage functions
+# Layer functions
 #
 # Each command imports only the modules it runs: ``eval`` never loads the
-# trainer, ``predict`` never loads the metrics. The stage functions still
+# trainer, ``predict`` never loads the metrics. The layer functions still
 # are names on this module, which tests and the benchmark's tracer replace,
 # but each one imports its module when it is first called.
 
@@ -173,25 +174,86 @@ def _split_dataset(ds: Dataset, fraction: float, seed: int, strategy: str):
     return iterative_stratified_split(ds, cfg)
 
 
-def _tune(pm: ProbabilityMatrix, gold_ds: Dataset | GoldLabels):
-    """Tuned thresholds, plus the macro-F1 the tuner maximizes at 0.5 and at them."""
-    from . import calibration, metrics
-
-    pm, gold = metrics.align(pm, gold_ds)
-    tv = calibration.tune(pm, gold)
-    before, after = (
-        metrics.score(pm.values, gold, thetas, pm.label_names, "positive-f1").macro_f1
-        for thetas in ((0.5,) * pm.n_labels, tv.theta)
-    )
-    return tv, before, after
+def _scorable(gold: Dataset | GoldLabels, flag: str, path: str | Path):
+    """``gold``, or a ``DataError`` naming ``flag`` when it has no instances."""
+    if not gold.ids:
+        raise DataError(f"{flag} {path} has no instances; there is nothing to score")
+    return gold
 
 
 def _load_gold(path: str, schema: LabelSchema) -> GoldLabels:
     """``--gold``'s ids and labels; a file with no instances raises DataError."""
-    gold = load_labels(path, schema)
-    if not gold.ids:
-        raise DataError(f"--gold {path} has no instances; there is nothing to score")
-    return gold
+    return _scorable(load_labels(path, schema), "--gold", path)
+
+
+def _print_metrics(metrics_: dict) -> None:
+    """A stage's metrics, one per line: floats at 6 places (``base_theta`` at
+    2), booleans in lowercase."""
+    for key, value in metrics_.items():
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, float):
+            value = f"{value:.2f}" if key == "base_theta" else f"{value:.6f}"
+        print(f"{key}\t{value}")
+
+
+# ---------------------------------------------------------------------------
+# Stages
+#
+# One function per stage of the paper's chain. Each takes values in memory,
+# writes the stage's outputs, and returns its result and the metrics that its
+# command prints and the manifest records. The commands call them on what
+# they read from files; ``pipeline`` calls them on what it already holds.
+
+
+def _run_split(split, train_path, val_path) -> None:
+    save_dataset(split.train, train_path)
+    save_dataset(split.val, val_path)
+
+
+def _run_train(
+    train_ds: Dataset, val_ds: Dataset, tcfg, fcfg, weighting: str, model_path, history_path
+):
+    model, report = train(train_ds, val_ds, tcfg=tcfg, fcfg=fcfg, weighting_mode=weighting)
+    save_model(model, model_path)
+    if history_path:
+        save_history(report, history_path)
+    best = report.epoch_val_macro_f1[report.best_epoch - 1] if report.best_epoch else 0.0
+    return model, {
+        "epochs_run": len(report.epoch_train_loss),
+        "best_epoch": report.best_epoch,
+        "best_val_macro_f1": best,
+        "stopped_early": report.stopped_early,
+    }
+
+
+def _run_predict(model, ds: Dataset, path) -> ProbabilityMatrix:
+    pm = predict_proba(model, ds)
+    save_probabilities(pm, path)
+    return pm
+
+
+def _run_tune(pm: ProbabilityMatrix, gold: Dataset | GoldLabels, path):
+    """Tuned thresholds, and the macro-F1 the tuner maximizes at 0.5 and at them."""
+    from . import calibration, metrics
+
+    pm, labels = metrics.align(pm, gold)
+    tv = calibration.tune(pm, labels)
+    before, after = (
+        metrics.score(pm.values, labels, thetas, pm.label_names, "positive-f1").macro_f1
+        for thetas in ((0.5,) * pm.n_labels, tv.theta)
+    )
+    calibration.save_thresholds(tv, path)
+    return tv, {"macro_f1_before": before, "macro_f1_after": after, "base_theta": tv.base_theta}
+
+
+def _run_eval(pm, gold, thresholds, binary_mode: str, path, format_: str = "table") -> dict:
+    from . import metrics
+
+    report = metrics.evaluate(pm, gold, thresholds, binary_mode=binary_mode)
+    render = metrics.format_machine if format_ == "machine" else metrics.format_report
+    Path(path).write_text(render(report), encoding="utf-8")
+    return {"macro_f1": report.macro_f1, "micro_f1": report.micro_f1}
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +286,7 @@ def _cmd_split(o: dict) -> int:
     schema = _resolve_schema(o)
     ds = load_dataset(o["data"], schema)
     result = _split_dataset(ds, o["val_fraction"], o["seed"], o["strategy"])
-    save_dataset(result.train, o["out_train"])
-    save_dataset(result.val, o["out_val"])
+    _run_split(result, o["out_train"], o["out_val"])
     print(f"train\t{len(result.train)}\t{o['out_train']}")
     print(f"val\t{len(result.val)}\t{o['out_val']}")
     return 0
@@ -253,48 +314,32 @@ def _cmd_train(o: dict) -> int:
     fcfg = _featurizer_config(o)
     train_ds = load_dataset(o["train"], schema)
     val_ds = load_dataset(o["val"], schema)
-    model, report = train(
-        train_ds, val_ds, tcfg=tcfg, fcfg=fcfg, weighting_mode=o["weighting"]
+    _, metrics_ = _run_train(
+        train_ds, val_ds, tcfg, fcfg, o["weighting"], o["out_model"], o["out_history"]
     )
-    save_model(model, o["out_model"])
-    if o["out_history"]:
-        save_history(report, o["out_history"])
-    best = (
-        report.epoch_val_macro_f1[report.best_epoch - 1] if report.best_epoch else 0.0
-    )
-    print(f"epochs_run\t{len(report.epoch_train_loss)}")
-    print(f"best_epoch\t{report.best_epoch}")
-    print(f"best_val_macro_f1\t{best:.6f}")
-    print(f"stopped_early\t{str(report.stopped_early).lower()}")
+    _print_metrics(metrics_)
     return 0
 
 
 def _cmd_predict(o: dict) -> int:
     _check_outputs({"--model": o["model"], "--data": o["data"]}, {"--out": o["out"]})
     model = load_model(o["model"])
-    ds = load_dataset(o["data"], model.schema)
-    pm = predict_proba(model, ds)
-    save_probabilities(pm, o["out"])
+    pm = _run_predict(model, load_dataset(o["data"], model.schema), o["out"])
     print(f"probabilities\t{pm.n_instances}x{pm.n_labels}\t{o['out']}")
     return 0
 
 
 def _cmd_tune(o: dict) -> int:
-    from . import calibration
-
     _check_outputs({"--probs": o["probs"], "--gold": o["gold"]}, {"--out": o["out"]})
     schema = _resolve_schema(o)
     pm = load_probabilities(o["probs"])
-    tv, before, after = _tune(pm, _load_gold(o["gold"], schema))
-    calibration.save_thresholds(tv, o["out"])
-    print(f"macro_f1_before\t{before:.6f}")
-    print(f"macro_f1_after\t{after:.6f}")
-    print(f"base_theta\t{tv.base_theta:.2f}")
+    _, metrics_ = _run_tune(pm, _load_gold(o["gold"], schema), o["out"])
+    _print_metrics(metrics_)
     return 0
 
 
 def _cmd_eval(o: dict) -> int:
-    from . import calibration, metrics
+    from . import calibration
 
     _check_outputs(
         {"--probs": o["probs"], "--gold": o["gold"], "--thresholds": o["thresholds"]},
@@ -311,14 +356,7 @@ def _cmd_eval(o: dict) -> int:
             )
     else:
         tv = calibration.default_thresholds(schema.names)
-    report = metrics.evaluate(pm, gold, tv.theta, binary_mode=o["binary_mode"])
-    if o["format"] == "machine":
-        text = metrics.format_machine(report)
-    else:
-        text = metrics.format_report(report)
-    Path(o["out"]).write_text(text, encoding="utf-8")
-    print(f"macro_f1\t{report.macro_f1:.6f}")
-    print(f"micro_f1\t{report.micro_f1:.6f}")
+    _print_metrics(_run_eval(pm, gold, tv.theta, o["binary_mode"], o["out"], o["format"]))
     return 0
 
 
@@ -341,27 +379,39 @@ def _stage(
     digests: dict[Path, str],
     name: str,
     config: dict,
-    inputs: dict[str, Path],
-    outputs: dict[str, Path],
+    inputs: tuple[Path, ...],
+    outputs: tuple[Path, ...],
     metrics_: dict | None = None,
 ) -> StageRecord:
-    """A stage record; ``digests`` caches each path's digest for the whole run.
-
-    Every file a run writes is written once, before the first record that
-    names it, so a path's digest never changes after it is first taken.
-    """
+    """A stage record naming each file by its base name; ``digests`` caches
+    each path's digest across the run, which writes every file once, before
+    it makes the records."""
     from .manifest import StageRecord
 
-    for path in (*inputs.values(), *outputs.values()):
+    for path in (*inputs, *outputs):
         if path not in digests:
             digests[path] = file_digest(path)
     return StageRecord(
         name=name,
         config=config,
-        inputs={n: digests[p] for n, p in sorted(inputs.items())},
-        outputs={n: digests[p] for n, p in sorted(outputs.items())},
+        inputs=dict(sorted((path.name, digests[path]) for path in inputs)),
+        outputs=dict(sorted((path.name, digests[path]) for path in outputs)),
         metrics=metrics_ or {},
     )
+
+
+def _refuse_shared_names(stages: dict[str, tuple], given: dict[str, Path]) -> None:
+    """Raise ``DataError`` when a file that a flag gives shares its base name with
+    another input, or output, of one of ``stages`` (name: (config, inputs, outputs))."""
+    for stage, (_, *groups) in stages.items():
+        for paths in groups:
+            for flag, path in given.items():
+                twin = next((p for p in paths if p.name == path.name and p != path), None)
+                if path in paths and twin is not None:
+                    raise DataError(
+                        f"{flag} {path} and the run's {twin} share the name {path.name}; "
+                        f"the manifest's {stage} stage would record one digest for both"
+                    )
 
 
 def _file_keys(path: str | Path) -> set[tuple[int, int] | str]:
@@ -444,7 +494,6 @@ def _removed_on_failure(outdir: Path, outputs: list[Path]):
 def _cmd_pipeline(o: dict) -> int:
     from dataclasses import asdict
 
-    from . import calibration, metrics
     from .manifest import PipelineManifest
 
     schema = _resolve_schema(o)
@@ -468,24 +517,45 @@ def _cmd_pipeline(o: dict) -> int:
     eval_probs_path = outdir / "eval.probs"
     report_path = outdir / "report.tsv"
     manifest_path = outdir / "manifest.json"
-    written = [
-        train_path, val_path, model_path, history_path, val_probs_path,
-        thresholds_path, eval_probs_path, report_path, manifest_path,
-    ]
-    inputs = {"--data": data_path}
-    if carving:
-        written += [pool_path, eval_path]
-    else:
-        inputs["--eval-data"] = eval_path
-    _refuse_overwriting(inputs, {path.name: path for path in written})
+    # name: (config, inputs, outputs), in the order the stages run
+    stages = {
+        "carve": (
+            {"strategy": o["strategy"], "eval_fraction": o["eval_fraction"], "seed": seed},
+            (data_path,),
+            (pool_path, eval_path),
+        ),
+        "split": (
+            {"strategy": o["strategy"], "val_fraction": o["val_fraction"], "seed": seed},
+            (pool_path,),
+            (train_path, val_path),
+        ),
+        "train": (
+            {"weighting": o["weighting"], **asdict(tcfg), **asdict(fcfg)},
+            (train_path, val_path),
+            (model_path, history_path),
+        ),
+        "predict_val": (asdict(fcfg), (model_path, val_path), (val_probs_path,)),
+        "tune": ({}, (val_probs_path, val_path), (thresholds_path,)),
+        "predict_eval": (asdict(fcfg), (model_path, eval_path), (eval_probs_path,)),
+        "eval": (
+            {"binary_mode": o["binary_mode"]},
+            (eval_probs_path, eval_path, thresholds_path),
+            (report_path,),
+        ),
+    }
+    given = {"--data": data_path}
+    if not carving:
+        given["--eval-data"] = eval_path
+        del stages["carve"]
+    written = [path for _, _, outputs in stages.values() for path in outputs] + [manifest_path]
+    _refuse_overwriting(given, {path.name: path for path in written})
+    _refuse_shared_names(stages, given)
     ds = load_dataset(data_path, schema)
     if carving:
         carve = _split_dataset(ds, o["eval_fraction"], seed, o["strategy"])
         pool, eval_ds = carve.train, carve.val
     else:
-        eval_ds = load_dataset(eval_path, schema)
-        if not len(eval_ds):
-            raise DataError(f"--eval-data {eval_path} has no instances; there is nothing to score")
+        eval_ds = _scorable(load_dataset(eval_path, schema), "--eval-data", eval_path)
         pool = ds
         pool_ids = set(pool.ids)
         shared = next((i for i in eval_ds.ids if i in pool_ids), None)
@@ -495,126 +565,27 @@ def _cmd_pipeline(o: dict) -> int:
                 "the run would score rows it trained on"
             )
     split = _split_dataset(pool, o["val_fraction"], seed, o["strategy"])
-    stages: list[StageRecord] = []
-    digests: dict[Path, str] = {}
+    metrics_ = {}
     with _removed_on_failure(outdir, written):
         if carving:
-            save_dataset(pool, pool_path)
-            save_dataset(eval_ds, eval_path)
-            stages.append(
-                _stage(
-                    digests,
-                    "carve",
-                    {
-                        "strategy": o["strategy"],
-                        "eval_fraction": o["eval_fraction"],
-                        "seed": seed,
-                    },
-                    {data_path.name: data_path},
-                    {"pool.jsonl": pool_path, "eval.jsonl": eval_path},
-                )
-            )
-
-        save_dataset(split.train, train_path)
-        save_dataset(split.val, val_path)
-        stages.append(
-            _stage(
-                digests,
-                "split",
-                {"strategy": o["strategy"], "val_fraction": o["val_fraction"], "seed": seed},
-                {pool_path.name: pool_path},
-                {"train.jsonl": train_path, "val.jsonl": val_path},
-            )
+            _run_split(carve, pool_path, eval_path)
+        _run_split(split, train_path, val_path)
+        model, metrics_["train"] = _run_train(
+            split.train, split.val, tcfg, fcfg, o["weighting"], model_path, history_path
         )
-
-        model, report = train(
-            split.train, split.val, tcfg=tcfg, fcfg=fcfg, weighting_mode=o["weighting"]
+        val_probs = _run_predict(model, split.val, val_probs_path)
+        tv, metrics_["tune"] = _run_tune(val_probs, split.val, thresholds_path)
+        eval_probs = _run_predict(model, eval_ds, eval_probs_path)
+        metrics_["eval"] = _run_eval(eval_probs, eval_ds, tv.theta, o["binary_mode"], report_path)
+        digests: dict[Path, str] = {}
+        records = tuple(
+            _stage(digests, name, *files, metrics_.get(name)) for name, files in stages.items()
         )
-        save_model(model, model_path)
-        save_history(report, history_path)
-        best = report.epoch_val_macro_f1[report.best_epoch - 1] if report.best_epoch else 0.0
-        stages.append(
-            _stage(
-                digests,
-                "train",
-                {"weighting": o["weighting"], **asdict(tcfg), **asdict(fcfg)},
-                {"train.jsonl": train_path, "val.jsonl": val_path},
-                {"model.bin": model_path, "history.tsv": history_path},
-                {
-                    "epochs_run": len(report.epoch_train_loss),
-                    "best_epoch": report.best_epoch,
-                    "best_val_macro_f1": best,
-                    "stopped_early": report.stopped_early,
-                },
-            )
-        )
-
-        val_probs = predict_proba(model, split.val)
-        save_probabilities(val_probs, val_probs_path)
-        stages.append(
-            _stage(
-                digests,
-                "predict_val",
-                asdict(fcfg),
-                {"model.bin": model_path, "val.jsonl": val_path},
-                {"val.probs": val_probs_path},
-            )
-        )
-
-        tv, before, after = _tune(val_probs, split.val)
-        calibration.save_thresholds(tv, thresholds_path)
-        stages.append(
-            _stage(
-                digests,
-                "tune",
-                {},
-                {"val.probs": val_probs_path, "val.jsonl": val_path},
-                {"thresholds.tsv": thresholds_path},
-                {
-                    "macro_f1_before": before,
-                    "macro_f1_after": after,
-                    "base_theta": tv.base_theta,
-                },
-            )
-        )
-
-        eval_probs = predict_proba(model, eval_ds)
-        save_probabilities(eval_probs, eval_probs_path)
-        stages.append(
-            _stage(
-                digests,
-                "predict_eval",
-                asdict(fcfg),
-                {"model.bin": model_path, eval_path.name: eval_path},
-                {"eval.probs": eval_probs_path},
-            )
-        )
-
-        eval_report = metrics.evaluate(
-            eval_probs, eval_ds, tv.theta, binary_mode=o["binary_mode"]
-        )
-        metrics.save_report(eval_report, report_path)
-        stages.append(
-            _stage(
-                digests,
-                "eval",
-                {"binary_mode": o["binary_mode"]},
-                {
-                    "eval.probs": eval_probs_path,
-                    eval_path.name: eval_path,
-                    "thresholds.tsv": thresholds_path,
-                },
-                {"report.tsv": report_path},
-                {"macro_f1": eval_report.macro_f1, "micro_f1": eval_report.micro_f1},
-            )
-        )
-
-        manifest = PipelineManifest(seed=seed, stages=tuple(stages))
-        save_manifest(manifest, manifest_path)
-    for stage in stages:
-        print(f"stage\t{stage.name}\tok")
-    print(f"eval_macro_f1\t{eval_report.macro_f1:.6f}")
-    print(f"eval_micro_f1\t{eval_report.micro_f1:.6f}")
+        save_manifest(PipelineManifest(seed=seed, stages=records), manifest_path)
+    for record in records:
+        print(f"stage\t{record.name}\tok")
+    print(f"eval_macro_f1\t{metrics_['eval']['macro_f1']:.6f}")
+    print(f"eval_micro_f1\t{metrics_['eval']['micro_f1']:.6f}")
     print(f"manifest\t{manifest_path}")
     return 0
 

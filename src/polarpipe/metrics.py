@@ -13,7 +13,6 @@ works on Python values and never loads numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from . import _kernels as kernels
@@ -221,7 +220,3 @@ def format_machine(report: MetricsReport) -> str:
     lines.append(f"n_instances\t{report.n_instances}")
     lines.append(f"mode\t{report.mode}")
     return "\n".join(lines) + "\n"
-
-
-def save_report(report: MetricsReport, path: str | Path) -> None:
-    Path(path).write_text(format_report(report), encoding="utf-8")

@@ -115,9 +115,13 @@ _PARENT_TIGHT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartile s
         ([50, 60, 70, 80, 90, 110, 120, 130, 140, 150], [95] * 10, "unresolved"),
         # ... unless every change run beats every parent run
         ([50, 60, 70, 80, 90, 110, 120, 130, 140, 150], [151] * 10, "within_bound"),
+        # 3/3 wins far outside the noise, but three pairs are too few to claim a gain
+        (_PARENT_TIGHT[:3], [v + 20 for v in _PARENT_TIGHT[:3]], "within_bound"),
+        # nine pairs are still too few
+        (_PARENT_TIGHT[:9], [v + 20 for v in _PARENT_TIGHT[:9]], "within_bound"),
     ],
     ids=["gain", "too-few-wins", "inside-noise", "regression", "inside-bound", "unresolved",
-         "all-runs-better"],
+         "all-runs-better", "three-pairs", "nine-pairs"],
 )
 def test_verdict(tmp_path, parent, change, expected):
     seeds = range(1, len(parent) + 1)

@@ -556,6 +556,48 @@ class TestPipeline:
         )
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "name, stage",
+        [("model.bin", "predict_eval"), ("eval.probs", "eval"), ("thresholds.tsv", "eval")],
+    )
+    def test_refuses_eval_data_named_like_a_stage_file(self, tmp_path, monkeypatch, capsys, name, stage):
+        """The manifest names a stage's files by base name: two inputs of one
+        stage with the same name would leave one digest for both."""
+        data = synth_file(tmp_path, "d.jsonl", 60, [0.4], seed=18)
+        (tmp_path / "ext").mkdir()
+        heldout = synth_file(tmp_path / "ext", name, 20, [0.4], seed=19)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the run read a dataset before it refused")
+
+        monkeypatch.setattr(cli, "load_dataset", no_read)
+        outdir = tmp_path / "run"
+        args = ["pipeline", "--data", str(data), "--eval-data", str(heldout), "--labels", "label0",
+                "--outdir", str(outdir), "--max-epochs", "1", "--hash-dim", "1024"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --eval-data {heldout} and the run's {outdir / name} share the name {name}; "
+            f"the manifest's {stage} stage would record one digest for both\n"
+        )
+        assert not outdir.exists()
+
+    def test_inputs_may_share_a_name_with_another_stages_file(self, tmp_path, capsys):
+        (tmp_path / "ext").mkdir()
+        data = synth_file(tmp_path / "ext", "train.jsonl", 80, [0.4], seed=18)
+        heldout = synth_file(tmp_path / "ext", "val.jsonl", 20, [0.4], seed=19)
+        outdir = tmp_path / "run"
+        args = ["pipeline", "--data", str(data), "--eval-data", str(heldout), "--labels", "label0",
+                "--outdir", str(outdir), "--max-epochs", "1", "--hash-dim", "1024"]
+        assert run(args) == 0
+        capsys.readouterr()
+        stages = {s.name: s for s in load_manifest(outdir / "manifest.json").stages}
+        assert stages["split"].inputs == {"train.jsonl": file_digest(data)}
+        assert stages["split"].outputs["train.jsonl"] == file_digest(outdir / "train.jsonl")
+        assert stages["eval"].inputs["val.jsonl"] == file_digest(heldout)
+        assert stages["tune"].inputs["val.jsonl"] == file_digest(outdir / "val.jsonl")
+
     def test_refuses_an_empty_outdir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         synth_file(tmp_path, "d.jsonl", 60, [0.4], seed=20)

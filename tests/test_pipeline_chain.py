@@ -4,13 +4,15 @@ For a binary and a multi-label corpus, carving the held-out set and taking it
 from ``--eval-data``, every file of the pipeline's run directory except the
 manifest must equal, byte for byte, the file that ``split``, ``train``,
 ``predict``, ``tune``, ``predict`` and ``eval`` write with the same seed and
-flags.
+flags. The metrics the manifest records for ``train``, ``tune`` and ``eval``
+must be what those commands print.
 """
 
 import pytest
 
 from polarpipe.cli import run
 from polarpipe.corpus import save_dataset
+from polarpipe.manifest import load_manifest
 from polarpipe.synth import generate_synthetic
 
 _SEED = "7"
@@ -23,8 +25,11 @@ _CORPORA = {
 }
 
 
-def _chain(root, data, eval_data, labels):
-    """Run the commands in turn, writing into ``root`` the files the pipeline writes."""
+def _chain(root, data, eval_data, labels, capsys):
+    """Run the commands in turn, writing into ``root`` the files the pipeline writes.
+
+    Returns each command's stdout as ``{key: value}``, keyed by the command.
+    """
     schema = ["--labels", labels]
     if eval_data is None:
         eval_data = root / "eval.jsonl"
@@ -47,8 +52,24 @@ def _chain(root, data, eval_data, labels):
         ["eval", "--probs", str(root / "eval.probs"), "--gold", str(eval_data), *schema,
          "--thresholds", str(root / "thresholds.tsv"), "--out", str(root / "report.tsv")],
     ]
+    printed = {}
     for argv in steps:
         assert run(argv) == 0, argv
+        printed[argv[0]] = _fields(capsys.readouterr().out)
+    return printed
+
+
+def _fields(stdout):
+    return dict(line.split("\t", 1) for line in stdout.splitlines())
+
+
+def _as_printed(key, value):
+    """A manifest metric in its command's format."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.2f}" if key == "base_theta" else f"{value:.6f}"
+    return str(value)
 
 
 @pytest.mark.parametrize("carving", [True, False], ids=["carve", "eval-data"])
@@ -67,9 +88,16 @@ def test_pipeline_equals_the_commands_in_sequence(tmp_path, capsys, corpus, carv
         save_dataset(heldout, eval_data)
         argv += ["--eval-data", str(eval_data)]
     assert run(argv) == 0
+    pipeline_printed = _fields(capsys.readouterr().out)
     (tmp_path / "chain").mkdir()
-    _chain(tmp_path / "chain", data, eval_data, labels)
-    capsys.readouterr()
+    printed = _chain(tmp_path / "chain", data, eval_data, labels, capsys)
+
+    stages = {s.name: s for s in load_manifest(tmp_path / "run" / "manifest.json").stages}
+    for command in ("train", "tune", "eval"):
+        recorded = {k: _as_printed(k, v) for k, v in stages[command].metrics.items()}
+        assert printed[command] == recorded, command
+    for key in ("macro_f1", "micro_f1"):
+        assert printed["eval"][key] == pipeline_printed[f"eval_{key}"], key
 
     written = sorted(p.name for p in (tmp_path / "run").iterdir() if p.name != "manifest.json")
     expected = ["eval.probs", "history.tsv", "model.bin", "report.tsv", "thresholds.tsv",

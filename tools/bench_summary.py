@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GAIN_PAIRS = 10  # the fewest same-seed pairs a gain can be claimed on
 
 
 def read_side(results: Path) -> tuple[dict, list[dict]]:
@@ -56,8 +57,9 @@ def spread(values: list[float]) -> dict:
 def verdict(metric: dict, parent: list[float], change: list[float], wins: int) -> str:
     """``gain``, ``regression``, ``unresolved`` or ``within_bound`` for one metric.
 
-    ``gain``: the change won at least nine tenths of the pairs and its median
-    is better than the parent's by more than the parent's quartile spread.
+    ``gain``: there are at least ``GAIN_PAIRS`` pairs, the change won at least
+    nine tenths of them and its median is better than the parent's by more
+    than the parent's quartile spread; with fewer pairs the other verdicts apply.
     ``regression``: its median is worse than the parent's by more than the
     metric's bound, a fraction of the parent's median. ``unresolved``: the
     parent's quartile spread is wider than that bound and not every run of
@@ -71,7 +73,7 @@ def verdict(metric: dict, parent: list[float], change: list[float], wins: int) -
     bound = metric["bound"] * abs(p["median"])
     # every change run beats every parent run
     apart = min(change) > max(parent) if higher else max(change) < min(parent)
-    if wins >= 0.9 * len(parent) and gap > noise:
+    if len(parent) >= GAIN_PAIRS and wins >= 0.9 * len(parent) and gap > noise:
         return "gain"
     if -gap > bound:
         return "regression"
