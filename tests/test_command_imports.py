@@ -189,7 +189,7 @@ def test_pipeline_manifest_is_the_same_from_hashlib(run_dir):
 
 
 # the layers the tracer records for each command, as it did while every
-# stage function was imported at the top of polarpipe.cli
+# layer function was imported at the top of polarpipe.cli
 _LAYERS = {
     "predict": {
         "corpus.load_dataset", "linear_model.load_model", "linear_model.predict_proba",
