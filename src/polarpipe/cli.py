@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import asdict, fields, replace
 from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -31,6 +32,7 @@ from .probs import ProbabilityMatrix, load_probabilities, save_probabilities
 if TYPE_CHECKING:
     from .linear_model import FeaturizerConfig, TrainConfig
     from .manifest import StageRecord
+    from .splitter import SplitConfig
 
 __all__ = ["run", "entry", "SCHEMA_PRESETS"]
 
@@ -134,39 +136,34 @@ def _resolve_schema(options: dict) -> LabelSchema:
     raise DataError("a schema is required: pass --schema <preset> or --labels a,b,c")
 
 
+def _config(cls, options: dict, **translated):
+    """A ``cls`` from ``translated`` and the options named after its fields; a
+    flag that was not given is not an option, so its field keeps its default."""
+    return cls(**{f.name: options[f.name] for f in fields(cls) if f.name in options}, **translated)
+
+
 def _featurizer_config(options: dict) -> FeaturizerConfig:
     from .linear_model import FeaturizerConfig
 
-    return FeaturizerConfig(
-        hash_dim=options["hash_dim"],
-        ngram_orders=_parse_ints(options["ngrams"]),
-        tf_mode=options["tf_mode"],
-        l2_normalize=not options["no_l2_normalize"],
-    )
+    translated = {"l2_normalize": False} if "no_l2_normalize" in options else {}
+    if "ngrams" in options:
+        translated["ngram_orders"] = _parse_ints(options["ngrams"])
+    return _config(FeaturizerConfig, options, **translated)
 
 
 def _train_config(options: dict) -> TrainConfig:
     from .linear_model import TrainConfig
 
-    return TrainConfig(
-        learning_rate=options["learning_rate"],
-        weight_decay=options["weight_decay"],
-        max_epochs=options["max_epochs"],
-        batch_size=options["batch_size"],
-        accumulation_steps=options["accumulation_steps"],
-        warmup_ratio=options["warmup_ratio"],
-        warmup_steps=options["warmup_steps"],
-        max_grad_norm=options["max_grad_norm"],
-        label_smoothing=options["label_smoothing"],
-        patience=options["patience"],
-        seed=options["seed"],
-    )
+    return _config(TrainConfig, options)
 
 
-def _split_dataset(ds: Dataset, fraction: float, seed: int, strategy: str):
+def _split_config(options: dict) -> SplitConfig:
     from .splitter import SplitConfig
 
-    cfg = SplitConfig(val_fraction=fraction, seed=seed)
+    return _config(SplitConfig, options)
+
+
+def _split_dataset(ds: Dataset, cfg: SplitConfig, strategy: str):
     if strategy == "auto":
         strategy = "stratified" if ds.schema.is_binary else "iterative"
     if strategy == "stratified":
@@ -211,10 +208,8 @@ def _run_split(split, train_path, val_path) -> None:
     save_dataset(split.val, val_path)
 
 
-def _run_train(
-    train_ds: Dataset, val_ds: Dataset, tcfg, fcfg, weighting: str, model_path, history_path
-):
-    model, report = train(train_ds, val_ds, tcfg=tcfg, fcfg=fcfg, weighting_mode=weighting)
+def _run_train(train_ds: Dataset, val_ds: Dataset, tcfg, fcfg, model_path, history_path):
+    model, report = train(train_ds, val_ds, tcfg=tcfg, fcfg=fcfg)
     save_model(model, model_path)
     if history_path:
         save_history(report, history_path)
@@ -285,7 +280,7 @@ def _cmd_split(o: dict) -> int:
     _check_outputs({"data": o["data"]}, {"--out-train": o["out_train"], "--out-val": o["out_val"]})
     schema = _resolve_schema(o)
     ds = load_dataset(o["data"], schema)
-    result = _split_dataset(ds, o["val_fraction"], o["seed"], o["strategy"])
+    result = _split_dataset(ds, _split_config(o), o["strategy"])
     _run_split(result, o["out_train"], o["out_val"])
     print(f"train\t{len(result.train)}\t{o['out_train']}")
     print(f"val\t{len(result.val)}\t{o['out_val']}")
@@ -314,9 +309,7 @@ def _cmd_train(o: dict) -> int:
     fcfg = _featurizer_config(o)
     train_ds = load_dataset(o["train"], schema)
     val_ds = load_dataset(o["val"], schema)
-    _, metrics_ = _run_train(
-        train_ds, val_ds, tcfg, fcfg, o["weighting"], o["out_model"], o["out_history"]
-    )
+    _, metrics_ = _run_train(train_ds, val_ds, tcfg, fcfg, o["out_model"], o["out_history"])
     _print_metrics(metrics_)
     return 0
 
@@ -492,13 +485,12 @@ def _removed_on_failure(outdir: Path, outputs: list[Path]):
 
 
 def _cmd_pipeline(o: dict) -> int:
-    from dataclasses import asdict
-
     from .manifest import PipelineManifest
 
     schema = _resolve_schema(o)
     tcfg = _train_config(o)
     fcfg = _featurizer_config(o)
+    split_cfg = _split_config(o)
     seed = o["seed"]
     if not o["outdir"]:
         # Path("") is the working directory
@@ -525,12 +517,12 @@ def _cmd_pipeline(o: dict) -> int:
             (pool_path, eval_path),
         ),
         "split": (
-            {"strategy": o["strategy"], "val_fraction": o["val_fraction"], "seed": seed},
+            {"strategy": o["strategy"], **asdict(split_cfg)},
             (pool_path,),
             (train_path, val_path),
         ),
         "train": (
-            {"weighting": o["weighting"], **asdict(tcfg), **asdict(fcfg)},
+            {**asdict(tcfg), **asdict(fcfg)},
             (train_path, val_path),
             (model_path, history_path),
         ),
@@ -552,7 +544,7 @@ def _cmd_pipeline(o: dict) -> int:
     _refuse_shared_names(stages, given)
     ds = load_dataset(data_path, schema)
     if carving:
-        carve = _split_dataset(ds, o["eval_fraction"], seed, o["strategy"])
+        carve = _split_dataset(ds, replace(split_cfg, val_fraction=o["eval_fraction"]), o["strategy"])
         pool, eval_ds = carve.train, carve.val
     else:
         eval_ds = _scorable(load_dataset(eval_path, schema), "--eval-data", eval_path)
@@ -564,14 +556,14 @@ def _cmd_pipeline(o: dict) -> int:
                 f"--eval-data {eval_path} shares id {shared!r} with --data {data_path}; "
                 "the run would score rows it trained on"
             )
-    split = _split_dataset(pool, o["val_fraction"], seed, o["strategy"])
+    split = _split_dataset(pool, split_cfg, o["strategy"])
     metrics_ = {}
     with _removed_on_failure(outdir, written):
         if carving:
             _run_split(carve, pool_path, eval_path)
         _run_split(split, train_path, val_path)
         model, metrics_["train"] = _run_train(
-            split.train, split.val, tcfg, fcfg, o["weighting"], model_path, history_path
+            split.train, split.val, tcfg, fcfg, model_path, history_path
         )
         val_probs = _run_predict(model, split.val, val_probs_path)
         tv, metrics_["tune"] = _run_tune(val_probs, split.val, thresholds_path)
@@ -600,25 +592,25 @@ def _add_schema_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_featurizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hash-dim", type=int, default=2**18)
-    p.add_argument("--ngrams", default="1,2", help="comma-separated n-gram orders")
-    p.add_argument("--tf-mode", choices=["count", "binary"], default="count")
-    p.add_argument("--no-l2-normalize", action="store_true")
+    p.add_argument("--hash-dim", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--ngrams", default=argparse.SUPPRESS, help="comma-separated n-gram orders")
+    p.add_argument("--tf-mode", choices=["count", "binary"], default=argparse.SUPPRESS)
+    p.add_argument("--no-l2-normalize", action="store_true", default=argparse.SUPPRESS)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learning-rate", type=float, default=2e-2)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--max-epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--accumulation-steps", type=int, default=2)
-    p.add_argument("--warmup-ratio", type=float, default=0.1)
-    p.add_argument("--warmup-steps", type=int, default=None)
-    p.add_argument("--max-grad-norm", type=float, default=1.0)
-    p.add_argument("--label-smoothing", type=float, default=None,
+    p.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--weight-decay", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-epochs", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--accumulation-steps", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--warmup-ratio", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--warmup-steps", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-grad-norm", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--label-smoothing", type=float, default=argparse.SUPPRESS,
                    help="default: 0.1 for binary schemas, 0.0 otherwise")
-    p.add_argument("--patience", type=int, default=3)
-    p.add_argument("--weighting", choices=["balanced", "none"], default="balanced")
+    p.add_argument("--patience", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--weighting", choices=["balanced", "none"], default=argparse.SUPPRESS)
 
 
 def _add_seed_flag(p: argparse.ArgumentParser) -> None:
@@ -635,7 +627,7 @@ def _split_args(p: argparse.ArgumentParser) -> None:
     _add_seed_flag(p)
     p.add_argument("data")
     _add_schema_flags(p)
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=float, default=argparse.SUPPRESS)
     p.add_argument("--strategy", choices=["auto", "stratified", "iterative"], default="auto")
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-val", required=True)
@@ -703,7 +695,7 @@ def _pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--outdir", required=True)
     p.add_argument("--eval-data", help="held-out file; omitted: carved from --data")
     p.add_argument("--eval-fraction", type=float, default=0.2)
-    p.add_argument("--val-fraction", type=float, default=0.2)
+    p.add_argument("--val-fraction", type=float, default=argparse.SUPPRESS)
     p.add_argument("--strategy", choices=["auto", "stratified", "iterative"], default="auto")
     _add_featurizer_flags(p)
     _add_train_flags(p)

@@ -236,8 +236,11 @@ class TrainConfig:
     label_smoothing: float | None = None  # None resolves to 0.1 binary / 0.0 multi-label
     patience: int = 3
     seed: int = 42
+    weighting: str = "balanced"  # "balanced" class or positive weights, or "none"
 
     def __post_init__(self):
+        if self.weighting not in ("balanced", "none"):
+            raise DataError(f"weighting must be 'balanced' or 'none', got {self.weighting!r}")
         if self.label_smoothing is not None and not 0.0 <= self.label_smoothing < 1.0:
             raise DataError("label_smoothing must lie in [0, 1)")
         if self.patience < 1:
@@ -319,11 +322,10 @@ def train(
     val_ds: Dataset,
     tcfg: TrainConfig | None = None,
     fcfg: FeaturizerConfig | None = None,
-    weighting_mode: str = "balanced",
 ) -> tuple[LinearModel, TrainReport]:
     """SGD training with early stopping on validation macro-F1 at 0.5.
 
-    The returned model carries the best epoch's parameters. Weighting mode
+    The returned model carries the best epoch's parameters. ``tcfg.weighting``
     ``balanced`` uses per-example class weights on the binary task and
     per-label positive weights otherwise; ``none`` trains unweighted.
     """
@@ -334,8 +336,6 @@ def train(
         tcfg = TrainConfig()
     if fcfg is None:
         fcfg = FeaturizerConfig()
-    if weighting_mode not in ("none", "balanced"):
-        raise DataError(f"weighting_mode must be 'none' or 'balanced', got {weighting_mode!r}")
     if len(train_ds) == 0:
         raise DataError("training set is empty")
     if len(val_ds) == 0:
@@ -359,7 +359,7 @@ def train(
 
     pw_arr = np.ones(n_labels, dtype=np.float64)
     sample_w = None
-    if weighting_mode == "balanced":
+    if tcfg.weighting == "balanced":
         if schema.is_binary:
             sample_w = class_weights(train_ds).per_example(y[:, 0])
         else:
@@ -494,7 +494,7 @@ def train(
         epoch_val_macro_f1=tuple(val_scores),
         best_epoch=best_epoch,
         stopped_early=stopped_early,
-        weighting_mode=weighting_mode,
+        weighting_mode=tcfg.weighting,
     )
     return model, report
 

@@ -44,13 +44,9 @@ def _val_target(n: int, fraction: float) -> int:
     return math.floor(n * fraction + 0.5)
 
 
-def stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> SplitResult:
-    """Split preserving the per-class distribution of full label vectors.
-
-    The validation size is ``round(N * val_fraction)``; per-class quotas are
-    the class share of that size, settled by largest remainder. Members of
-    each class quota are drawn by seeded shuffle.
-    """
+def _split_sizes(ds: Dataset, cfg: SplitConfig | None) -> tuple[SplitConfig, int, int]:
+    """``cfg`` (the default when ``None``), ``len(ds)`` and the validation size;
+    a ``DataError`` when either subset would be empty."""
     if cfg is None:
         cfg = SplitConfig()
     n = len(ds)
@@ -58,9 +54,18 @@ def stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> SplitResult
         raise DataError("need at least 2 instances to split")
     target = _val_target(n, cfg.val_fraction)
     if target == 0 or target == n:
-        raise DataError(
-            f"val_fraction {cfg.val_fraction} leaves an empty subset for {n} instances"
-        )
+        raise DataError(f"val_fraction {cfg.val_fraction} leaves an empty subset for {n} instances")
+    return cfg, n, target
+
+
+def stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> SplitResult:
+    """Split preserving the per-class distribution of full label vectors.
+
+    The validation size is ``round(N * val_fraction)``; per-class quotas are
+    the class share of that size, settled by largest remainder. Members of
+    each class quota are drawn by seeded shuffle.
+    """
+    cfg, n, target = _split_sizes(ds, cfg)
 
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, inst in enumerate(ds.instances):
@@ -104,17 +109,8 @@ def iterative_stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> S
     the requested fractions. Rows with no positive labels are distributed at
     the end by seeded shuffle.
     """
-    if cfg is None:
-        cfg = SplitConfig()
-    n = len(ds)
-    if n < 2:
-        raise DataError("need at least 2 instances to split")
+    cfg, n, target = _split_sizes(ds, cfg)
     width = ds.schema.n_labels
-    target = _val_target(n, cfg.val_fraction)
-    if target == 0 or target == n:
-        raise DataError(
-            f"val_fraction {cfg.val_fraction} leaves an empty subset for {n} instances"
-        )
 
     fractions = (1.0 - cfg.val_fraction, cfg.val_fraction)
     capacity = [n - target, target]

@@ -30,7 +30,6 @@ class PosWeights:
 
     weights: tuple[float, ...]
     capped: tuple[bool, ...]
-    cap: float = POS_WEIGHT_CAP
 
 
 def class_weights(ds: Dataset) -> ClassWeights:
@@ -56,16 +55,15 @@ def class_weights(ds: Dataset) -> ClassWeights:
     )
 
 
-def pos_weights(ds: Dataset, cap: float = POS_WEIGHT_CAP) -> PosWeights:
-    """Per-label ``n_neg / n_pos`` ratios, clipped into ``[1/cap, cap]``.
+def pos_weights(ds: Dataset) -> PosWeights:
+    """Per-label ``n_neg / n_pos`` ratios, clipped into ``[1/cap, cap]``, where
+    ``cap`` is ``POS_WEIGHT_CAP``.
 
     Labels with no positives take the cap itself (and are flagged); labels
     with no negatives take the floor ``1/cap`` so every weight stays positive.
     The ``capped`` flags mark labels whose raw ratio was clipped, a signal
     that the label is too rare (or too common) for the ratio to be trusted.
     """
-    if cap <= 1.0:
-        raise DataError("cap must exceed 1")
     n = len(ds)
     if n == 0:
         raise DataError("cannot weight an empty dataset")
@@ -75,11 +73,11 @@ def pos_weights(ds: Dataset, cap: float = POS_WEIGHT_CAP) -> PosWeights:
         n_pos = sum(inst.labels[l] for inst in ds.instances)
         n_neg = n - n_pos
         if n_pos == 0:
-            weights.append(cap)
+            weights.append(POS_WEIGHT_CAP)
             capped.append(True)
             continue
         ratio = n_neg / n_pos
-        clipped = min(max(ratio, 1.0 / cap), cap)
+        clipped = min(max(ratio, 1.0 / POS_WEIGHT_CAP), POS_WEIGHT_CAP)
         weights.append(clipped)
         capped.append(clipped != ratio)
-    return PosWeights(weights=tuple(weights), capped=tuple(capped), cap=cap)
+    return PosWeights(weights=tuple(weights), capped=tuple(capped))

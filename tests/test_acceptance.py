@@ -81,7 +81,7 @@ def test_criterion_02_tuning_gain_on_imbalanced_multilabel():
     )
     carve = iterative_stratified_split(ds, SplitConfig(val_fraction=0.2, seed=42))
     split = iterative_stratified_split(carve.train, SplitConfig(val_fraction=0.2, seed=42))
-    model, _ = train(split.train, split.val, weighting_mode="none")
+    model, _ = train(split.train, split.val, TrainConfig(weighting="none"))
 
     gold_val = np.array([inst.labels for inst in split.val.instances], dtype=np.int64)
     tv = tune(predict_proba(model, split.val), gold_val)
@@ -108,7 +108,7 @@ def test_criterion_03_class_weighting_gain_on_rare_binary():
     split = stratified_split(ds, SplitConfig(val_fraction=0.2, seed=42))
     scores = {}
     for mode in ("balanced", "none"):
-        model, _ = train(split.train, split.val, weighting_mode=mode)
+        model, _ = train(split.train, split.val, TrainConfig(weighting=mode))
         pm = predict_proba(model, split.val)
         scores[mode] = evaluate(pm, split.val, [0.5]).macro_f1
     elapsed = time.perf_counter() - t0

@@ -4,7 +4,7 @@ import random
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -13,9 +13,11 @@ from polarpipe.calibration import default_thresholds, load_thresholds
 from polarpipe import cli
 from polarpipe.cli import SCHEMA_PRESETS, run
 from polarpipe.corpus import LabelSchema, load_dataset
+from polarpipe.linear_model import FeaturizerConfig, TrainConfig
 from polarpipe.manifest import file_digest, load_manifest
 from polarpipe.metrics import evaluate
 from polarpipe.probs import ProbabilityMatrix, load_probabilities, save_probabilities
+from polarpipe.splitter import SplitConfig
 from polarpipe.synth import generate_synthetic
 from polarpipe.corpus import save_dataset
 
@@ -83,6 +85,11 @@ class TestExitCodes:
         assert "argument --seed: invalid int value: '1.5'" in capsys.readouterr().err
         assert run(split + ["--val-fraction", "abc"]) == 2
         assert "argument --val-fraction: invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_unknown_weighting_is_a_usage_error(self, capsys):
+        train = ["train", "--train", "t", "--val", "v", "--schema", "subtask1", "--out-model", "m"]
+        assert run(train + ["--weighting", "sqrt"]) == 2
+        assert "argument --weighting: invalid choice: 'sqrt'" in capsys.readouterr().err
 
     def test_data_errors_are_1(self, tmp_path, capsys):
         assert run(["stats", str(tmp_path / "missing.jsonl"), "--labels", "a"]) == 1
@@ -384,6 +391,18 @@ class TestPipeline:
         assert stages["train"].config.items() >= featurizer.items()
         lines = out_lines(capsys)
         assert any(l.startswith("eval_macro_f1\t") for l in lines)
+
+    def test_flags_not_given_take_the_config_defaults(self, tmp_path, capsys):
+        # the CLI states no default of its own: a run given no training flag
+        # records what the dataclasses default to
+        data = synth_file(tmp_path, "d.jsonl", 60, [0.4, 0.2], seed=3)
+        outdir = tmp_path / "run"
+        args = ["pipeline", "--data", str(data), "--labels", "label0,label1", "--outdir", str(outdir)]
+        assert run(args + ["--seed", "5"]) == 0
+        stages = {s.name: s.config for s in load_manifest(outdir / "manifest.json").stages}
+        expected = {**asdict(TrainConfig(seed=5)), **asdict(FeaturizerConfig())}
+        assert stages["train"] == json.loads(json.dumps(expected))  # tuples become lists
+        assert stages["split"] == {"strategy": "auto", **asdict(SplitConfig(seed=5))}
 
     def test_external_eval_data_skips_carve(self, tmp_path, capsys):
         data = synth_file(tmp_path, "d.jsonl", 100, [0.4], seed=11)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ class TestLossAndGrad:
         schema = LabelSchema(names=("y",))
         model = zero_model(FeaturizerConfig(hash_dim=2**10), schema)
         batch = _mk_batch(["some text"], [(0,)], schema.names)
-        pw = PosWeights(weights=(50.0,), capped=(False,), cap=100.0)
+        pw = PosWeights(weights=(50.0,), capped=(False,))
         loss, _, _ = loss_and_grad(model, batch, pw=pw)
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
 
@@ -244,7 +245,7 @@ class TestGradientCheck:
         texts = ["u v w", "w x", "y", "u y z z"]
         labels = [(1, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 1)]
         batch = _mk_batch(texts, labels, schema.names)
-        pw = PosWeights(weights=(2.0, 1.0, 0.7), capped=(False,) * 3, cap=100.0)
+        pw = PosWeights(weights=(2.0, 1.0, 0.7), capped=(False,) * 3)
 
         loss, gw, gb = loss_and_grad(
             model, batch, pw=pw, smoothing=0.1, weight_decay=0.01
@@ -314,6 +315,8 @@ class TestTrainConfig:
         TrainConfig(weight_decay=0.0)
         with pytest.raises(DataError, match="warmup_ratio"):
             TrainConfig(warmup_ratio=1.5)
+        with pytest.raises(DataError, match="weighting must be 'balanced' or 'none', got 'sqrt'"):
+            TrainConfig(weighting="sqrt")
 
     def test_smoothing_resolution(self):
         binary = LabelSchema(names=("y",))
@@ -399,7 +402,7 @@ class TestTrain:
         parts = stratified_split(ds, SplitConfig(val_fraction=0.25, seed=3))
         recalls = {}
         for mode in ("balanced", "none"):
-            model, _ = train(parts.train, parts.val, weighting_mode=mode)
+            model, _ = train(parts.train, parts.val, TrainConfig(weighting=mode))
             pm = predict_proba(model, parts.val)
             rep = evaluate(pm, parts.val, [0.5], binary_mode="positive-f1")
             recalls[mode] = rep.per_label[0].recall
@@ -409,7 +412,7 @@ class TestTrain:
         ds = generate_synthetic(80, [0.3, 0.2], seed=4)
         cfg = TrainConfig(max_epochs=1, warmup_steps=1)
         weighted, report = train(ds, ds, cfg)
-        unweighted, plain = train(ds, ds, cfg, weighting_mode="none")
+        unweighted, plain = train(ds, ds, replace(cfg, weighting="none"))
         assert not np.array_equal(weighted.weights, unweighted.weights)
         for mode, rep in (("balanced", report), ("none", plain)):
             assert rep.weighting_mode == mode
@@ -455,8 +458,6 @@ class TestTrain:
         other = mk_dataset([(0, 1)], names=("a", "b"))
         with pytest.raises(DataError, match="schemas differ"):
             train(ds, other)
-        with pytest.raises(DataError, match="weighting_mode"):
-            train(ds, ds, weighting_mode="sqrt")
 
 
 class TestPredictProba:

@@ -292,7 +292,7 @@ def scatter(model):
 
 def run_both(train_ds, val_ds, tcfg, hash_dim=2**10, weighting_mode="balanced"):
     fcfg = FeaturizerConfig(hash_dim=hash_dim)
-    model, report = train(train_ds, val_ds, tcfg, fcfg, weighting_mode)
+    model, report = train(train_ds, val_ds, dataclasses.replace(tcfg, weighting=weighting_mode), fcfg)
     got = (
         scatter(model),
         model.bias,
@@ -381,7 +381,7 @@ def bits(values):
 
 
 def assert_matches_dense_v(train_ds, val_ds, tcfg, fcfg, weighting_mode, new_ds):
-    model, report = train(train_ds, val_ds, tcfg, fcfg, weighting_mode)
+    model, report = train(train_ds, val_ds, dataclasses.replace(tcfg, weighting=weighting_mode), fcfg)
     W_d, b_d, losses_d, scores_d, best_epoch_d, stopped_d = dense_v_train(
         train_ds, val_ds, tcfg, fcfg, weighting_mode
     )

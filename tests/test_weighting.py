@@ -56,17 +56,8 @@ def test_pos_weights_ratios_and_caps():
 
 def test_pos_weights_cap_binds_on_extreme_imbalance():
     rows = [(1,)] + [(0,)] * 150
-    pw = pos_weights(mk_dataset(rows, names=("rare",)), cap=100.0)
-    assert pw.weights[0] == 100.0 and pw.capped[0]
-
-    pw2 = pos_weights(mk_dataset(rows, names=("rare",)), cap=200.0)
-    assert pw2.weights[0] == 150.0 and not pw2.capped[0]
-
-
-def test_pos_weights_cap_validation():
-    ds = mk_dataset([(1,), (0,)], names=("x",))
-    with pytest.raises(DataError):
-        pos_weights(ds, cap=1.0)
+    pw = pos_weights(mk_dataset(rows, names=("rare",)))
+    assert pw.weights[0] == POS_WEIGHT_CAP == 100.0 and pw.capped[0]
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40))
