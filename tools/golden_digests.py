@@ -24,9 +24,11 @@ which overrides the ratio, a ``split`` of the first, and a ``train`` on the
 stratified halves. Then decorated posts from
 ``perfbench/workloads.social_corpus``, scored with ``predict``, ``eval``
 (machine and table) and ``tune`` against a model that a ``pipeline`` trains
-on other posts from the same generator. A second
-``predict`` scores more posts from that generator, enough for several of
-``predict_proba``'s row blocks and a partial last one.
+on other posts from the same generator, and a ``train`` on that pipeline's
+``train.jsonl`` and ``val.jsonl``, whose raw texts differ from their
+normalized forms. A second ``predict`` scores more posts from that
+generator, enough for several of ``predict_proba``'s row blocks and a
+partial last one.
 """
 
 from __future__ import annotations
@@ -86,6 +88,11 @@ def _commands(workloads):
                     "--seed", "14", "--out", "merged.jsonl"], ["merged.jsonl"]
     yield "pipeline-social", ["pipeline", "--data", "social-train.jsonl", "--schema", "subtask2",
                               "--outdir", "model", "--seed", "9", *workloads.SOCIAL_TRAIN_FLAGS], ["model"]
+    # decorated posts whose raw and normalized texts differ, through the train command
+    yield "train-social", ["train", "--train", "model/train.jsonl", "--val", "model/val.jsonl", "--schema", "subtask2",
+                           "--seed", "9", *workloads.SOCIAL_TRAIN_FLAGS,
+                           "--out-model", "ts-model.bin", "--out-history", "ts-history.tsv"], [
+        "ts-model.bin", "ts-history.tsv"]
     yield "predict-social", ["predict", "--model", "model/model.bin", "--data", "social-score.jsonl",
                              "--out", "score.probs"], ["score.probs"]
     yield "predict-social-blocks", ["predict", "--model", "model/model.bin", "--data", "social-blocks.jsonl",
