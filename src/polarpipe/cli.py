@@ -256,9 +256,7 @@ def _run_eval(pm, gold, thresholds, binary_mode: str, path, format_: str = "tabl
 
 
 def _cmd_stats(o: dict) -> int:
-    schema = _resolve_schema(o)
-    ds = load_dataset(o["data"], schema)
-    stats = summarize(ds)
+    stats = summarize(load_labels(o["data"], _resolve_schema(o)))
     print(f"n_instances\t{stats.n_instances}")
     print(f"all_zero_rows\t{stats.all_zero_rows}")
     print("label\tpositives\tpositive_pct\tneg_pos_ratio")
@@ -307,8 +305,8 @@ def _cmd_train(o: dict) -> int:
     schema = _resolve_schema(o)
     tcfg = _train_config(o)
     fcfg = _featurizer_config(o)
-    train_ds = load_dataset(o["train"], schema)
-    val_ds = load_dataset(o["val"], schema)
+    train_ds = load_dataset(o["train"], schema, keep_raw=False)
+    val_ds = load_dataset(o["val"], schema, keep_raw=False)
     _, metrics_ = _run_train(train_ds, val_ds, tcfg, fcfg, o["out_model"], o["out_history"])
     _print_metrics(metrics_)
     return 0
@@ -317,7 +315,7 @@ def _cmd_train(o: dict) -> int:
 def _cmd_predict(o: dict) -> int:
     _check_outputs({"--model": o["model"], "--data": o["data"]}, {"--out": o["out"]})
     model = load_model(o["model"])
-    pm = _run_predict(model, load_dataset(o["data"], model.schema), o["out"])
+    pm = _run_predict(model, load_dataset(o["data"], model.schema, keep_raw=False), o["out"])
     print(f"probabilities\t{pm.n_instances}x{pm.n_labels}\t{o['out']}")
     return 0
 
@@ -542,12 +540,13 @@ def _cmd_pipeline(o: dict) -> int:
     written = [path for _, _, outputs in stages.values() for path in outputs] + [manifest_path]
     _refuse_overwriting(given, {path.name: path for path in written})
     _refuse_shared_names(stages, given)
+    # --data's records are written back to the split files; --eval-data's are only scored
     ds = load_dataset(data_path, schema)
     if carving:
         carve = _split_dataset(ds, replace(split_cfg, val_fraction=o["eval_fraction"]), o["strategy"])
         pool, eval_ds = carve.train, carve.val
     else:
-        eval_ds = _scorable(load_dataset(eval_path, schema), "--eval-data", eval_path)
+        eval_ds = _scorable(load_dataset(eval_path, schema, keep_raw=False), "--eval-data", eval_path)
         pool = ds
         pool_ids = set(pool.ids)
         shared = next((i for i in eval_ds.ids if i in pool_ids), None)

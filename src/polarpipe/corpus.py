@@ -120,7 +120,8 @@ class Instance:
 
     Slotted, so an instance carries no ``__dict__``. ``text`` may be the
     ``raw_text`` object itself, and ``labels`` may be shared with other
-    instances of the same file (both are immutable).
+    instances of the same file (both are immutable). An instance loaded
+    without its raw text holds the normalized text in both fields.
     """
 
     id: str
@@ -268,7 +269,8 @@ def _labels_from_record(record: dict, schema: LabelSchema, lineno: int) -> tuple
                 f"scalar 'label' at line {lineno} but schema has {width} labels"
             )
         value = record["label"]
-        if value not in (0, 1) or isinstance(value, bool):
+        # the JSON integer 0 or 1, as in a label vector: not 1.0, -0.0 or true
+        if type(value) is not int or value not in (0, 1):
             raise DataError(f"label must be 0 or 1 at line {lineno}, got {value!r}")
         return (int(value),)
     if "labels" not in record:
@@ -342,18 +344,24 @@ def _read_records(path: Path, schema: LabelSchema) -> Iterator[tuple[str, str, t
             raise DataError(f"{path}: {exc}") from None
 
 
-def load_dataset(path: str | Path, schema: LabelSchema) -> Dataset:
+def load_dataset(path: str | Path, schema: LabelSchema, *, keep_raw: bool = True) -> Dataset:
     """Read a JSONL dataset, normalizing text and mapping labels to the schema.
 
-    Raw text is preserved on each instance; ``text`` holds the normalized,
-    truncated form, and is the ``raw_text`` object itself when normalizing
-    changes nothing. Equal label vectors are one shared tuple. Line order is
-    preserved. Raises :class:`DataError` naming the file and the offending
-    line on malformed records, unknown label names, or duplicate ids.
+    ``text`` holds the normalized, truncated form. With ``keep_raw`` the raw
+    text is preserved on each instance for :func:`save_dataset`, and
+    ``text`` is the ``raw_text`` object itself when normalizing changes
+    nothing. Without it each raw string is dropped once it is normalized,
+    and ``raw_text`` is the ``text`` object: a reader that never writes the
+    dataset back holds each document once, where a raw text with an emoji
+    takes 4 bytes per character. Equal label vectors are one shared tuple.
+    Line order is preserved. Raises :class:`DataError` naming the file and
+    the offending line on malformed records, unknown label names, or
+    duplicate ids.
     """
     instances = tuple(
-        Instance(id=ident, raw_text=raw, text=preprocess(raw), labels=labels)
+        Instance(id=ident, raw_text=raw if keep_raw else text, text=text, labels=labels)
         for ident, raw, labels in _read_records(Path(path), schema)
+        for text in (preprocess(raw),)
     )
     return Dataset(schema=schema, instances=instances)
 
@@ -375,6 +383,8 @@ def load_labels(path: str | Path, schema: LabelSchema) -> GoldLabels:
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset back to JSONL, preserving raw text and label names.
+
+    A dataset loaded without its raw text writes its normalized text.
 
     Each line is built directly, with the C string encoder that
     ``json.dumps(record, ensure_ascii=False)`` applies to every str, and is
@@ -402,18 +412,21 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 # Statistics
 
 
-def summarize(ds: Dataset) -> CorpusStats:
-    """Per-label counts, positive rates, neg/pos ratios, and cardinality histogram."""
-    if len(ds) == 0:
+def summarize(ds: Dataset | GoldLabels) -> CorpusStats:
+    """Per-label counts, positive rates, neg/pos ratios, and cardinality histogram.
+
+    Reads only ``schema`` and ``labels``, so the labels of a file will do.
+    """
+    rows = ds.labels
+    if not rows:
         raise DataError("cannot summarize an empty dataset")
-    n = len(ds)
+    n = len(rows)
     width = ds.schema.n_labels
     positives = [0] * width
     cardinality: Counter[int] = Counter()
-    for inst in ds.instances:
-        active = sum(inst.labels)
-        cardinality[active] += 1
-        for i, bit in enumerate(inst.labels):
+    for bits in rows:
+        cardinality[sum(bits)] += 1
+        for i, bit in enumerate(bits):
             positives[i] += bit
     ratios = []
     for pos in positives:

@@ -25,6 +25,18 @@ from polarpipe.probs import ProbabilityMatrix
 from polarpipe.weighting import PosWeights
 
 
+# decorated posts: emoji (multi-codepoint ones too), URLs, @mentions, # tags
+# and empty texts
+RAW_POSTS = [
+    "",
+    "   ",
+    "Habari yako 😂😂 @rafiki123 https://t.co/xyz #siasa",
+    "🔥🔥🔥",
+    "wanasiasa 🇰🇪 ni wezi 👍🏽 kabisa",
+    "zzqunseen wwxnever qqvnothere",  # no feature a synth-trained model knows
+    "I can't believe this 🙄 #politics #fail",
+]
+
 FNV_BASIS = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 

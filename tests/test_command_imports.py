@@ -85,7 +85,7 @@ _NOT_LOADED = {
     "predict": ({"calibration", "metrics", "weighting", "splitter", "manifest", "synth"}, True, True),
     "eval": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False, False),
     "tune": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False, True),
-    "stats": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, True, False),
+    "stats": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, False, False),
     "synth": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, True, False),
     "split": ({"linear_model", "metrics", "calibration", "weighting", "manifest", "synth"}, True, False),
     "merge": ({"linear_model", "metrics", "calibration", "weighting", "manifest", "synth"}, True, False),

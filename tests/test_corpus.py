@@ -11,6 +11,7 @@ from polarpipe.corpus import (
     MAX_TOKENS,
     DataError,
     Dataset,
+    GoldLabels,
     Instance,
     LabelSchema,
     _parse_emoji_lines,
@@ -216,6 +217,17 @@ def test_load_dataset_error_lines(tmp_path):
     both_raise("'text' is not encodable as UTF-8 at line 1")
 
 
+@pytest.mark.parametrize("value", [1.0, 0.0, -0.0, True])
+def test_scalar_label_must_be_the_integer_0_or_1(tmp_path, value):
+    # as in a label vector, where [1.0] mixes types
+    p = tmp_path / "bin.jsonl"
+    write_jsonl(p, [{"id": "a", "text": "t", "label": 1}, {"id": "b", "text": "t", "label": value}])
+    for reader in (load_dataset, load_labels):
+        with pytest.raises(DataError) as info:
+            reader(p, LabelSchema(names=("pol",)))
+        assert str(info.value) == f"{p}: label must be 0 or 1 at line 2, got {value!r}"
+
+
 def test_save_load_round_trip(tmp_path):
     schema = LabelSchema(names=("x", "y"))
     p = tmp_path / "ds.jsonl"
@@ -387,6 +399,60 @@ def test_load_dataset_memory_per_document(tmp_path):
     assert retained / n < 350
 
 
+def _decorated_posts(n: int) -> list[dict]:
+    """``n`` binary records; each joins the decorated posts in a rotated order."""
+    from helpers import RAW_POSTS
+
+    k = len(RAW_POSTS)
+    return [
+        {"id": f"p{i:05d}", "text": " ".join(RAW_POSTS[(i + j) % k] for j in range(k)) + f" post{i}",
+         "label": i % 2}
+        for i in range(n)
+    ]
+
+
+def test_load_dataset_without_raw_text_holds_the_normalized_text_once(tmp_path):
+    from helpers import RAW_POSTS
+
+    schema = LabelSchema(names=("x", "y"))
+    p = tmp_path / "posts.jsonl"
+    write_jsonl(p, [{"id": f"p{i}", "text": text, "labels": [[], ["x"], ["y", "x"]][i % 3]}
+                    for i, text in enumerate(RAW_POSTS)])
+    full = load_dataset(p, schema)
+    lean = load_dataset(p, schema, keep_raw=False)
+    assert lean.ids == full.ids
+    assert [inst.text for inst in lean.instances] == [inst.text for inst in full.instances]
+    assert lean.labels == full.labels
+    assert all(inst.raw_text is inst.text for inst in lean.instances)
+    # every post but the empty and the plain one changes under normalization
+    assert sum(inst.raw_text != inst.text for inst in full.instances) == len(RAW_POSTS) - 2
+
+
+def test_load_dataset_without_raw_text_memory_per_document(tmp_path):
+    n = 2000
+    schema = LabelSchema(names=("pol",))
+    path = tmp_path / "posts.jsonl"
+    write_jsonl(path, _decorated_posts(n))
+    small = tmp_path / "small.jsonl"
+    write_jsonl(small, _decorated_posts(20))
+    load_dataset(small, schema)
+    # both loads stay alive, so nothing is freed while tracemalloc counts
+    loaded = []
+    retained = {}
+    tracemalloc.start()
+    try:
+        for keep_raw in (True, False):
+            before = tracemalloc.get_traced_memory()[0]
+            loaded.append(load_dataset(path, schema, keep_raw=keep_raw))
+            retained[keep_raw] = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert [len(ds) for ds in loaded] == [n, n]
+    # a raw post that holds an emoji takes 4 bytes a character beside its
+    # ASCII normalized form: ~1,155 B per document with it, ~414 B without
+    assert retained[False] < retained[True] / 2
+
+
 # ---------------------------------------------------------------------------
 # Statistics
 
@@ -403,6 +469,17 @@ def test_summarize_counts_and_ratios():
     assert stats.imbalance_ratio_per_label[1] == math.inf
     assert stats.all_zero_rows == 5
     assert stats.label_cardinality_histogram == {0: 5, 1: 3}
+
+
+def test_summarize_reads_only_the_labels(tmp_path):
+    p = tmp_path / "d.jsonl"
+    write_jsonl(p, [{"id": "a", "text": "t", "labels": ["x", "z"]},
+                    {"id": "b", "text": "😊 @u", "labels": []},
+                    {"id": "c", "text": "", "labels": ["z"]}])
+    schema = LabelSchema(names=("x", "y", "z"))
+    assert summarize(load_labels(p, schema)) == summarize(load_dataset(p, schema))
+    with pytest.raises(DataError, match="empty"):
+        summarize(GoldLabels(schema=schema, ids=(), labels=()))
 
 
 def test_summarize_empty_dataset_errors():

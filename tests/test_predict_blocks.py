@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import RAW_POSTS
 
 from polarpipe import _kernels as kernels
 from polarpipe.corpus import DataError, Dataset, preprocess
@@ -47,17 +48,6 @@ def oracle_predict_proba(model, ds):
     )
 
 
-_RAW_POSTS = [
-    "",
-    "   ",
-    "Habari yako 😂😂 @rafiki123 https://t.co/xyz #siasa",
-    "🔥🔥🔥",
-    "wanasiasa 🇰🇪 ni wezi 👍🏽 kabisa",
-    "zzqunseen wwxnever qqvnothere",  # no feature the model was trained on
-    "I can't believe this 🙄 #politics #fail",
-]
-
-
 @pytest.fixture(scope="module")
 def model():
     ds = generate_synthetic(240, [0.4, 0.25, 0.1], noise=0.05, seed=31)
@@ -72,7 +62,7 @@ def _score_set(n: int) -> Dataset:
     ds = generate_synthetic(max(n, 1), [0.4, 0.25, 0.1], noise=0.05, seed=32)
     instances = list(ds.instances[:n])
     for i in range(0, n, 37):
-        raw = _RAW_POSTS[(i // 37) % len(_RAW_POSTS)]
+        raw = RAW_POSTS[(i // 37) % len(RAW_POSTS)]
         instances[i] = replace(instances[i], raw_text=raw, text=preprocess(raw))
     return replace(ds, instances=tuple(instances))
 
