@@ -415,7 +415,8 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 def summarize(ds: Dataset | GoldLabels) -> CorpusStats:
     """Per-label counts, positive rates, neg/pos ratios, and cardinality histogram.
 
-    Reads only ``schema`` and ``labels``, so the labels of a file will do.
+    Reads only ``schema`` and ``labels``, so it takes a :class:`Dataset` or
+    the :class:`GoldLabels` that :func:`load_labels` reads without normalizing.
     """
     rows = ds.labels
     if not rows:
