@@ -11,8 +11,10 @@ Grid points are generated as integer counts of the step divided out at the
 end, never by repeated addition, so thresholds survive a 6-decimal file
 round-trip bit-exactly.
 
-Thresholds are Python floats and loading, saving and checking them never
-loads numpy; only the search in :func:`tune` does, for the mean over labels.
+Stage 1 averages each grid point's per-label F1 with :func:`metrics.mean_f1`,
+so it maximizes exactly the macro-F1 that ``metrics.score`` reports, and the
+inputs are checked by the rule the metrics use. Thresholds are Python floats
+and the module never loads numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from . import _kernels as kernels
 from .corpus import DataError, open_text
-from .metrics import _is_bits, f1_from_counts
+from .metrics import _check_matrices, f1_from_counts, mean_f1
 from .probs import ProbabilityMatrix, check_unit_interval
 
 # no command writes "oracle" thresholds, but files that carry it still load
@@ -81,14 +83,9 @@ def default_thresholds(label_names: tuple[str, ...]) -> ThresholdVector:
     )
 
 
-def _check_shapes(pm: ProbabilityMatrix, gold) -> list[tuple]:
-    """The gold matrix's label columns, checked against the probabilities."""
-    if len(gold) != pm.n_instances or any(len(row) != pm.n_labels for row in gold):
-        raise DataError(
-            f"gold shape does not match probabilities: {pm.n_instances} rows of {pm.n_labels} labels"
-        )
-    if not _is_bits(gold):
-        raise DataError("gold matrix must be 0/1")
+def _gold_columns(pm: ProbabilityMatrix, gold) -> list[tuple]:
+    """The gold matrix's label columns, checked as ``metrics.score`` checks them."""
+    _check_matrices(pm.values, gold, pm.n_labels)
     if pm.n_instances == 0:
         raise DataError("need at least one instance")
     return list(zip(*gold))
@@ -100,16 +97,12 @@ def _f1_per_candidate(probs_col, gold_col, thetas) -> list[float]:
 
 def coarse_search(pm: ProbabilityMatrix, gold) -> float:
     """Best single global threshold on the coarse grid; ties go low."""
-    import numpy as np
-
-    gold_cols = _check_shapes(pm, gold)
     per_label = [
         _f1_per_candidate(probs, golds, COARSE_GRID)
-        for probs, golds in zip(zip(*pm.values), gold_cols)
+        for probs, golds in zip(zip(*pm.values), _gold_columns(pm, gold))
     ]
-    # numpy's row mean over a (candidates, labels) array, as the search has always taken it
-    macro = np.array(list(zip(*per_label)), dtype=np.float64).mean(axis=1)
-    return COARSE_GRID[int(np.argmax(macro))]
+    macro = [mean_f1(row) for row in zip(*per_label)]
+    return COARSE_GRID[macro.index(max(macro))]  # the first best: ties go low
 
 
 def refine_per_label(pm: ProbabilityMatrix, gold, base: float) -> ThresholdVector:
@@ -122,7 +115,7 @@ def refine_per_label(pm: ProbabilityMatrix, gold, base: float) -> ThresholdVecto
     """
     if not 0.0 <= base <= 1.0:
         raise DataError(f"base threshold {base} outside [0, 1]")
-    gold_cols = _check_shapes(pm, gold)
+    gold_cols = _gold_columns(pm, gold)
     candidates = fine_candidates(base)
     theta = []
     for probs, golds in zip(zip(*pm.values), gold_cols):

@@ -90,11 +90,16 @@ def confusion(pred, gold, label_names: Sequence[str]) -> tuple[ConfusionCounts, 
     return _counts(pred, gold, (0.5,) * len(label_names), label_names)
 
 
+def mean_f1(values: Sequence[float]) -> float:
+    """Unweighted mean of F1 values, summed left to right."""
+    if not values:
+        raise DataError("macro_f1 needs at least one label")
+    return sum(values) / len(values)
+
+
 def macro_f1(counts: Sequence[ConfusionCounts]) -> float:
     """Unweighted mean of per-label F1."""
-    if not counts:
-        raise DataError("macro_f1 needs at least one label")
-    return sum(c.f1 for c in counts) / len(counts)
+    return mean_f1([c.f1 for c in counts])
 
 
 def micro_f1(counts: Sequence[ConfusionCounts]) -> float:

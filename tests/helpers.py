@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from polarpipe import _kernels as kernels
-from polarpipe.calibration import ThresholdVector, _check_shapes, _f1_per_candidate
+from polarpipe.calibration import ThresholdVector, _f1_per_candidate, _gold_columns
 from polarpipe.corpus import DataError, Dataset, Instance, LabelSchema
 from polarpipe.linear_model import (
     FeatureMatrix,
@@ -291,7 +291,7 @@ def oracle_best_thresholds(
     pattern. Macro-F1 splits into independent per-label terms, so the scan
     is per label. Guarded to small inputs.
     """
-    gold_cols = _check_shapes(pm, gold)
+    gold_cols = _gold_columns(pm, gold)
     if pm.n_instances > ORACLE_MAX_INSTANCES or pm.n_labels > ORACLE_MAX_LABELS:
         raise DataError(
             f"oracle guard: at most {ORACLE_MAX_INSTANCES} instances and "

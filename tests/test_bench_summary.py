@@ -13,11 +13,12 @@ _spec.loader.exec_module(bench_summary)
 
 
 def write_side(
-    root: Path, source: str, docs_per_s: dict[tuple[str, int], float], incorrect=frozenset()
+    root: Path, source: str, docs_per_s: dict[tuple[str, int], float], incorrect=frozenset(), failed=None
 ) -> Path:
     """One record per (workload, seed); every metric but docs_per_s is fixed.
 
-    The (workload, seed) keys in ``incorrect`` failed the benchmark's checks.
+    The (workload, seed) keys in ``incorrect`` failed the benchmark's checks;
+    ``failed`` maps a key to its count of failed ops, of 4 attempted (else 0).
     """
     root.mkdir()
     for (workload, seed), value in docs_per_s.items():
@@ -33,7 +34,7 @@ def write_side(
             "seed": seed,
             "trace": 0,
             "attempted": 4,
-            "failed": 0,
+            "failed": (failed or {}).get((workload, seed), 0),
             "correct": (workload, seed) not in incorrect,
             "failures": ["eval_macro_f1 out of band"] if (workload, seed) in incorrect else [],
             "environment": {"source_sha256": source},
@@ -76,6 +77,20 @@ def test_incorrect_runs_named(tmp_path, capsys):
     incorrect = json.loads(out.read_text())["incorrect_runs"]
     assert incorrect == {"parent": "0/3", "change": "2/3: score-social seed 1, w seed 2"}
     assert "change has incorrect runs: 2/3" in capsys.readouterr().err
+
+
+def test_larger_share_of_failed_ops_warned(tmp_path, capsys):
+    runs = {("w", 1): 10.0, ("w", 2): 10.0, ("score-social", 1): 5.0, ("score-social", 2): 5.0}
+    parent = write_side(tmp_path / "parent", "p", runs, failed={("score-social", 1): 1})
+    # w: 1 of 8 ops failed against none; score-social: the same share as the parent
+    change = write_side(tmp_path / "change", "c", runs, failed={("w", 2): 1, ("score-social", 2): 1})
+    out = tmp_path / "bench.json"
+    assert run_tool(parent, change, out) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    assert workloads["w"]["failed_ops"] == {"parent": "0/8", "change": "1/8"}
+    assert workloads["score-social"]["failed_ops"] == {"parent": "1/8", "change": "1/8"}
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert warnings == ["warning: change fails a larger share of w ops: 1/8 against the parent's 0/8"]
 
 
 def test_side_with_two_sources_rejected(tmp_path):

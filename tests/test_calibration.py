@@ -19,6 +19,7 @@ from polarpipe.calibration import (
     window,
 )
 from polarpipe.corpus import DataError
+from polarpipe.metrics import score
 from polarpipe.probs import ProbabilityMatrix
 
 from helpers import (
@@ -170,9 +171,27 @@ class TestCoarseSearch:
         expected = next(c for c, s in zip(grid, scores) if s == best)
         assert coarse_search(pm, gold) == expected
 
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 10),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_first_grid_point_maximizing_the_reported_macro_f1(self, n, labels, seed):
+        # the search maximizes the macro-F1 that tune reports, at every label
+        # count, including 8 and more, where numpy's pairwise row mean can differ
+        rng = np.random.RandomState(seed)
+        values = np.round(rng.rand(n, labels), rng.randint(1, 4))
+        gold = (rng.rand(n, labels) < rng.rand()).astype(int)
+        pm = mk_pm(values)
+        scores = [
+            score(pm.values, gold, (theta,) * labels, pm.label_names, "positive-f1").macro_f1
+            for theta in COARSE_GRID
+        ]
+        assert coarse_search(pm, gold) == COARSE_GRID[scores.index(max(scores))]
+
     def test_shape_and_content_checks(self):
         pm = mk_pm([[0.3], [0.6]])
-        with pytest.raises(DataError, match="gold shape"):
+        with pytest.raises(DataError, match="shape mismatch"):
             coarse_search(pm, np.array([[0]]))
         with pytest.raises(DataError, match="0/1"):
             coarse_search(pm, np.array([[0], [2]]))

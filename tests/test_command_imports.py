@@ -1,5 +1,5 @@
-"""Each command loads only the modules it runs, ``eval``, ``stats``,
-``synth``, ``split`` and ``merge`` run without numpy, no command loads
+"""Each command loads only the modules it runs, ``eval``, ``tune``,
+``stats``, ``synth``, ``split`` and ``merge`` run without numpy, no command loads
 ``numpy.random`` or OpenSSL's ``_hashlib``, and the benchmark's tracer still
 finds every layer.
 
@@ -84,7 +84,7 @@ def _commands(root: Path) -> dict[str, list[str]]:
 _NOT_LOADED = {
     "predict": ({"calibration", "metrics", "weighting", "splitter", "manifest", "synth"}, True, True),
     "eval": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False, False),
-    "tune": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False, True),
+    "tune": ({"linear_model", "weighting", "splitter", "manifest", "synth"}, False, False),
     "stats": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, False, False),
     "synth": ({"linear_model", "metrics", "calibration", "splitter", "manifest"}, True, False),
     "split": ({"linear_model", "metrics", "calibration", "weighting", "manifest", "synth"}, True, False),
@@ -129,25 +129,8 @@ sys.meta_path.insert(0, BlockNumpy())
 _RUN = "import sys\nfrom polarpipe import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
 
 
-@pytest.mark.parametrize("fmt", ["machine", "table"])
-def test_eval_runs_with_numpy_blocked(run_dir, fmt):
-    runs = {}
-    for blocked in (False, True):
-        report = run_dir / f"report-{fmt}-{blocked}.tsv"
-        argv = [*_commands(run_dir)["eval"][:-1], str(report), "--format", fmt]
-        code = (_BLOCK_NUMPY if blocked else "") + _RUN
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *argv], env=_ENV, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        runs[blocked] = (proc.stdout, report.read_bytes())
-    assert runs[True] == runs[False]
-
-
-@pytest.mark.parametrize("cmd", ["synth", "split", "merge"])
-def test_drawing_commands_run_with_numpy_blocked(run_dir, cmd):
-    argv = _commands(run_dir)[cmd]
-    outputs = [Path(argv[i + 1]) for i, flag in enumerate(argv) if flag in ("--out", "--out-train", "--out-val")]
+def _runs_with_and_without_numpy(argv: list[str], outputs: list[Path]) -> dict:
+    """The stdout and output bytes of a command, run as is (False) and with numpy blocked (True)."""
     runs = {}
     for blocked in (False, True):
         code = (_BLOCK_NUMPY if blocked else "") + _RUN
@@ -156,6 +139,28 @@ def test_drawing_commands_run_with_numpy_blocked(run_dir, cmd):
         )
         assert proc.returncode == 0, proc.stderr
         runs[blocked] = (proc.stdout, [path.read_bytes() for path in outputs])
+    return runs
+
+
+@pytest.mark.parametrize("fmt", ["machine", "table"])
+def test_eval_runs_with_numpy_blocked(run_dir, fmt):
+    report = run_dir / f"report-{fmt}.tsv"
+    argv = [*_commands(run_dir)["eval"][:-1], str(report), "--format", fmt]
+    runs = _runs_with_and_without_numpy(argv, [report])
+    assert runs[True] == runs[False]
+
+
+def test_tune_runs_with_numpy_blocked(run_dir):
+    argv = _commands(run_dir)["tune"]
+    runs = _runs_with_and_without_numpy(argv, [Path(argv[argv.index("--out") + 1])])
+    assert runs[True] == runs[False]
+
+
+@pytest.mark.parametrize("cmd", ["synth", "split", "merge"])
+def test_drawing_commands_run_with_numpy_blocked(run_dir, cmd):
+    argv = _commands(run_dir)[cmd]
+    outputs = [Path(argv[i + 1]) for i, flag in enumerate(argv) if flag in ("--out", "--out-train", "--out-val")]
+    runs = _runs_with_and_without_numpy(argv, outputs)
     assert runs[True] == runs[False]
 
 

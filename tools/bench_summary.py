@@ -12,6 +12,8 @@ count for neither) and a verdict (see ``verdict``). Traced runs give each side's
 environment block of each side is copied from its records, and
 ``incorrect_runs`` counts, per side, the records whose outputs failed the
 benchmark's checks (``correct`` not true), naming each one's workload and seed.
+A ``warning:`` line on stderr names each side with incorrect runs, and each
+workload on which the change fails a larger share of its ops than the parent.
 """
 
 from __future__ import annotations
@@ -151,6 +153,14 @@ def main(argv=None) -> int:
     for side, runs in summary["incorrect_runs"].items():
         if not runs.startswith("0/"):
             print(f"warning: {side} has incorrect runs: {runs}", file=sys.stderr)
+    for workload, entry in summary["workloads"].items():
+        parent, change = entry["failed_ops"]["parent"], entry["failed_ops"]["change"]
+        (pf, pa), (cf, ca) = (map(int, ops.split("/")) for ops in (parent, change))
+        if cf * pa > pf * ca:  # cf/ca > pf/pa without dividing by zero
+            print(
+                f"warning: change fails a larger share of {workload} ops: {change} against the parent's {parent}",
+                file=sys.stderr,
+            )
     return 0
 
 
