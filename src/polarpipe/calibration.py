@@ -12,9 +12,9 @@ end, never by repeated addition, so thresholds survive a 6-decimal file
 round-trip bit-exactly.
 
 Stage 1 averages each grid point's per-label F1 with :func:`metrics.mean_f1`,
-so it maximizes exactly the macro-F1 that ``metrics.score`` reports, and the
-inputs are checked by the rule the metrics use. Thresholds are Python floats
-and the module never loads numpy.
+so it maximizes exactly the macro-F1 that ``metrics.score`` reports in its
+``positive-f1`` view, and the inputs are checked by the rule the metrics use.
+Thresholds are Python floats and the module never loads numpy.
 """
 
 from __future__ import annotations
