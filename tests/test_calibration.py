@@ -189,6 +189,33 @@ class TestCoarseSearch:
         ]
         assert coarse_search(pm, gold) == COARSE_GRID[scores.index(max(scores))]
 
+    def test_eight_labels_take_the_reported_mean_not_numpys_pairwise_one(self):
+        # per label, on its own rows: positives at 0.27, positives at 0.22,
+        # negatives at 0.27, negatives at 0.22. The per-label F1 at 0.20 and
+        # at 0.25 are the same eight values in different orders, so the two
+        # macro-F1 differ only by rounding, and the two sums round them apart
+        blocks = [(1, 1, 0, 0), (2, 1, 0, 0), (1, 0, 0, 1), (1, 1, 1, 1),
+                  (2, 1, 0, 0), (1, 0, 1, 1), (2, 0, 0, 1), (2, 0, 0, 1)]
+        cells = []
+        for label, (p1, p2, n1, n2) in enumerate(blocks):
+            cells += [(label, 0.27, 1)] * p1 + [(label, 0.22, 1)] * p2
+            cells += [(label, 0.27, 0)] * n1 + [(label, 0.22, 0)] * n2
+        values = np.zeros((len(cells), len(blocks)))
+        gold = np.zeros(values.shape, dtype=int)
+        for row, (label, p, g) in enumerate(cells):
+            values[row, label], gold[row, label] = p, g
+        pm = mk_pm(values)
+        reports = [
+            score(pm.values, gold, (theta,) * len(blocks), pm.label_names, "positive-f1")
+            for theta in COARSE_GRID
+        ]
+        f1_rows = np.array([[c.f1 for c in r.per_label] for r in reports])
+        assert sorted(f1_rows[0]) == sorted(f1_rows[1])
+        assert int(np.argmax(f1_rows.mean(axis=1))) == 0  # numpy's pairwise mean
+        scores = [r.macro_f1 for r in reports]
+        assert scores.index(max(scores)) == 1  # the left-to-right mean tune reports
+        assert coarse_search(pm, gold) == COARSE_GRID[1] == 0.25
+
     def test_shape_and_content_checks(self):
         pm = mk_pm([[0.3], [0.6]])
         with pytest.raises(DataError, match="shape mismatch"):

@@ -133,6 +133,9 @@ def _runs_with_and_without_numpy(argv: list[str], outputs: list[Path]) -> dict:
     """The stdout and output bytes of a command, run as is (False) and with numpy blocked (True)."""
     runs = {}
     for blocked in (False, True):
+        # each side's bytes must come from its own run
+        for path in outputs:
+            path.unlink(missing_ok=True)
         code = (_BLOCK_NUMPY if blocked else "") + _RUN
         proc = subprocess.run(
             [sys.executable, "-c", code, *argv], env=_ENV, capture_output=True, text=True, timeout=120
