@@ -28,7 +28,10 @@ on other posts from the same generator, and a ``train`` on that pipeline's
 ``train.jsonl`` and ``val.jsonl``, whose raw texts differ from their
 normalized forms. A second ``predict`` scores more posts from that
 generator, enough for several of ``predict_proba``'s row blocks and a
-partial last one.
+partial last one. Last, a small hand-written multi-label corpus in which one
+label has no positives and one has no negatives: its ``stats`` prints an
+``inf`` and a ``0.00`` ratio, and a ``train`` on its two halves takes the
+positive-weight cap on the first label and the ``1/cap`` floor on the second.
 """
 
 from __future__ import annotations
@@ -50,6 +53,23 @@ SUBTASK3 = "stereotype,vilification,dehumanization,extreme_language,lack_of_empa
 SOCIAL_TRAIN_DOCS = 300
 SOCIAL_SCORE_DOCS = 200
 SOCIAL_BLOCKS_DOCS = 1000  # more than three scoring blocks of 256 rows, the last one partial
+
+# (text, labels): "never" has no positives and "always" no negatives
+EDGE_LABELS = "common,rare,never,always"
+EDGE_ROWS = (
+    ("the match was great fun", ["common", "always"]),
+    ("rain again on the weekend", ["always"]),
+    ("they never listen to anyone", ["common", "rare", "always"]),
+    ("a quiet morning with coffee", ["always"]),
+    ("what a loud and angry crowd", ["common", "always"]),
+    ("the bus came late today", ["always"]),
+    ("nobody asked for this nonsense", ["common", "always"]),
+    ("fresh bread from the market", ["always"]),
+    ("stop shouting at the referee", ["common", "rare", "always"]),
+    ("long walk by the river", ["always"]),
+    ("those people ruin everything", ["common", "always"]),
+    ("new books at the library", ["always"]),
+)
 
 
 def _workloads():
@@ -129,6 +149,10 @@ def _commands(workloads):
                           "--patience", "4",
                           "--out-model", "tf-model.bin", "--out-history", "tf-history.tsv"], [
         "tf-model.bin", "tf-history.tsv"]
+    yield "stats-edge", ["stats", "edge.jsonl", "--labels", EDGE_LABELS], []
+    yield "train-edge", ["train", "--train", "edge-train.jsonl", "--val", "edge-val.jsonl", "--labels", EDGE_LABELS,
+                         "--seed", "19", "--out-model", "te-model.bin", "--out-history", "te-history.tsv"], [
+        "te-model.bin", "te-history.tsv"]
 
 
 def _sha256(path: Path) -> str:
@@ -153,6 +177,12 @@ def run_cases(work: Path) -> dict[str, str]:
         for name, n_docs, seed in posts:
             corpus.save_dataset(workloads.social_corpus(n_docs, seed, seed, table)[0], name)
             digests[f"social-corpus/{name}"] = _sha256(Path(name))
+        half = len(EDGE_ROWS) // 2
+        for name, rows in (("edge.jsonl", EDGE_ROWS), ("edge-train.jsonl", EDGE_ROWS[:half]),
+                           ("edge-val.jsonl", EDGE_ROWS[half:])):
+            Path(name).write_text("".join(
+                json.dumps({"id": f"e{EDGE_ROWS.index(row)}", "text": row[0], "labels": row[1]}) + "\n"
+                for row in rows), encoding="utf-8")
         for case, argv, outputs in _commands(workloads):
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
