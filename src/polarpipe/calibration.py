@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import _kernels as kernels
-from .corpus import DataError, open_text
+from .corpus import BASE_KEY, PROVENANCE_KEY, DataError, open_text
 from .metrics import _check_matrices, f1_from_counts, mean_f1
 from .probs import ProbabilityMatrix, check_unit_interval
 
@@ -147,9 +147,9 @@ def tune(pm: ProbabilityMatrix, gold) -> ThresholdVector:
 
 def save_thresholds(tv: ThresholdVector, path: str | Path) -> None:
     """Text form: provenance, base threshold, then one label per line."""
-    lines = [f"__provenance__\t{tv.provenance}"]
+    lines = [f"{PROVENANCE_KEY}\t{tv.provenance}"]
     base = "none" if tv.base_theta is None else f"{tv.base_theta:.6f}"
-    lines.append(f"__base__\t{base}")
+    lines.append(f"{BASE_KEY}\t{base}")
     for name, t in zip(tv.label_names, tv.theta):
         lines.append(f"{name}\t{t:.6f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -172,9 +172,9 @@ def load_thresholds(path: str | Path) -> ThresholdVector:
                 raise DataError(f"{path}: malformed line {lineno}")
             key, value = parts
             try:
-                if key == "__provenance__":
+                if key == PROVENANCE_KEY:
                     provenance = value
-                elif key == "__base__":
+                elif key == BASE_KEY:
                     base_seen = True
                     base = None if value == "none" else float(value)
                 else:
@@ -183,7 +183,7 @@ def load_thresholds(path: str | Path) -> ThresholdVector:
             except ValueError:
                 raise DataError(f"{path}: bad threshold at line {lineno}") from None
     if provenance is None or not base_seen:
-        raise DataError(f"{path}: missing __provenance__ or __base__ line")
+        raise DataError(f"{path}: missing {PROVENANCE_KEY} or {BASE_KEY} line")
     try:
         return ThresholdVector(
             label_names=tuple(names),

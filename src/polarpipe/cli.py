@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, fields, replace
 from importlib import import_module
@@ -22,6 +23,7 @@ from .corpus import (
     Dataset,
     GoldLabels,
     LabelSchema,
+    count_positives,
     load_dataset,
     load_labels,
     save_dataset,
@@ -292,7 +294,7 @@ def _cmd_merge(o: dict) -> int:
     donor = load_dataset(o["donor"], schema)
     merged = balanced_merge(primary, donor, seed=o["seed"])
     save_dataset(merged, o["out"])
-    n_pos = sum(inst.labels[0] for inst in merged.instances)
+    (n_pos,) = count_positives(Counter(merged.labels), 1)
     print(f"merged\t{len(merged)}\tpositives\t{n_pos}\t{o['out']}")
     return 0
 

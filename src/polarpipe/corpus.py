@@ -41,6 +41,11 @@ def read_field(record: dict, name: str, path: Path, build):
         raise DataError(f"{path}: bad field {name!r}: {exc}") from None
 
 
+def is_json_int(value) -> bool:
+    """Whether ``value`` is a JSON integer as ``json`` reads it: an ``int``, not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @contextmanager
 def open_text(path: Path):
     """Open ``path`` for reading as UTF-8; bytes that do not decode raise DataError.
@@ -85,6 +90,10 @@ _DROPPED_PREFIXES = ("@", "http://", "https://", "www.")
 
 MAX_TOKENS = 128
 
+# the header keys of a thresholds file, so no label may be named after them
+PROVENANCE_KEY = "__provenance__"
+BASE_KEY = "__base__"
+
 
 @dataclass(frozen=True)
 class LabelSchema:
@@ -101,6 +110,8 @@ class LabelSchema:
                 raise DataError("empty label name")
             if "\t" in name or "\n" in name or "\r" in name:
                 raise DataError(f"label name {name!r} contains tab or line break")
+            if name in (PROVENANCE_KEY, BASE_KEY):
+                raise DataError(f"label name {name!r} is reserved for the thresholds file")
             if name in seen:
                 raise DataError(f"duplicate label name {name!r}")
             seen.add(name)
@@ -270,9 +281,9 @@ def _labels_from_record(record: dict, schema: LabelSchema, lineno: int) -> tuple
             )
         value = record["label"]
         # the JSON integer 0 or 1, as in a label vector: not 1.0, -0.0 or true
-        if type(value) is not int or value not in (0, 1):
+        if not is_json_int(value) or value not in (0, 1):
             raise DataError(f"label must be 0 or 1 at line {lineno}, got {value!r}")
-        return (int(value),)
+        return (value,)
     if "labels" not in record:
         raise DataError(f"missing 'label' or 'labels' at line {lineno}")
     values = record["labels"]
@@ -287,14 +298,14 @@ def _labels_from_record(record: dict, schema: LabelSchema, lineno: int) -> tuple
                 raise DataError(f"unknown label {name!r} at line {lineno}")
             bits[schema.names.index(name)] = 1
         return tuple(bits)
-    if all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+    if all(map(is_json_int, values)):
         if len(values) != width:
             raise DataError(
                 f"label vector of length {len(values)} at line {lineno}, expected {width}"
             )
         if any(v not in (0, 1) for v in values):
             raise DataError(f"label vector entries must be 0/1 at line {lineno}")
-        return tuple(int(v) for v in values)
+        return tuple(values)
     raise DataError(f"'labels' mixes types at line {lineno}")
 
 
@@ -412,34 +423,40 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 # Statistics
 
 
+def count_positives(patterns: Counter[tuple[int, ...]], width: int) -> list[int]:
+    """Each label's number of positive rows, from ``Counter(ds.labels)``.
+
+    Rows share few label vectors, so each distinct vector is read once and
+    counts as many rows as carry it. This is the one per-label count: the
+    corpus statistics, the loss weights and the splitters all take it.
+    """
+    positives = [0] * width
+    for row, count in patterns.items():
+        for l, bit in enumerate(row):
+            if bit:
+                positives[l] += count
+    return positives
+
+
 def summarize(ds: Dataset | GoldLabels) -> CorpusStats:
     """Per-label counts, positive rates, neg/pos ratios, and cardinality histogram.
 
     Reads only ``schema`` and ``labels``, so it takes a :class:`Dataset` or
     the :class:`GoldLabels` that :func:`load_labels` reads without normalizing.
     """
-    rows = ds.labels
-    if not rows:
+    patterns = Counter(ds.labels)
+    if not patterns:
         raise DataError("cannot summarize an empty dataset")
-    n = len(rows)
-    width = ds.schema.n_labels
-    positives = [0] * width
+    n = patterns.total()
+    positives = count_positives(patterns, ds.schema.n_labels)
     cardinality: Counter[int] = Counter()
-    for bits in rows:
-        cardinality[sum(bits)] += 1
-        for i, bit in enumerate(bits):
-            positives[i] += bit
-    ratios = []
-    for pos in positives:
-        if pos == 0:
-            ratios.append(math.inf)
-        else:
-            ratios.append((n - pos) / pos)
+    for row, count in patterns.items():
+        cardinality[sum(row)] += count
     return CorpusStats(
         n_instances=n,
         per_label_positive=positives,
         per_label_positive_pct=[p / n for p in positives],
-        imbalance_ratio_per_label=ratios,
+        imbalance_ratio_per_label=[(n - p) / p if p else math.inf for p in positives],
         all_zero_rows=cardinality.get(0, 0),
         label_cardinality_histogram=dict(sorted(cardinality.items())),
         label_names=list(ds.schema.names),

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels as kernels
 from ._rng import LegacyRandom
-from .corpus import DataError, Dataset, LabelSchema, read_field
+from .corpus import DataError, Dataset, LabelSchema, is_json_int, read_field
 from .probs import ProbabilityMatrix
 
 _MODEL_FORMAT = "polarpipe-model"
@@ -40,10 +40,6 @@ _PROB_FLOOR = 1e-15  # keeps predict_proba inside the open interval (0, 1)
 _SCALE_FLOOR = 1e-9  # the weight scale is folded into the weights below this
 _MAX_HASH_DIM = 2**62
 SCORE_BLOCK_ROWS = 256  # rows predict_proba featurizes and scores at a time
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -56,12 +52,12 @@ class FeaturizerConfig:
     def __post_init__(self):
         # the values may come from a model header, so their types are checked too;
         # hash ids are reduced in uint64 and stored as int64, hence the upper bound
-        if not _is_int(self.hash_dim):
+        if not is_json_int(self.hash_dim):
             raise DataError(f"hash_dim must be an integer, got {self.hash_dim!r}")
         if not 2**10 <= self.hash_dim <= _MAX_HASH_DIM or self.hash_dim & (self.hash_dim - 1):
             raise DataError(f"hash_dim must be a power of two in [2**10, 2**62], got {self.hash_dim}")
         if not isinstance(self.ngram_orders, (tuple, list)) or not all(
-            map(_is_int, self.ngram_orders)
+            map(is_json_int, self.ngram_orders)
         ):
             raise DataError(f"ngram_orders must be a sequence of integers, got {self.ngram_orders!r}")
         orders = tuple(sorted(set(self.ngram_orders)))
@@ -351,7 +347,7 @@ def train(
     fm = featurize_all([inst.text for inst in train_ds.instances], fcfg)
     # train on local column ids: one weight row per distinct train feature
     feature_ids = _distinct(fm.indices)
-    fm = FeatureMatrix(fm.indptr, np.searchsorted(feature_ids, fm.indices), fm.data, feature_ids.size)
+    fm = restrict(fm, feature_ids)
     y = np.array([inst.labels for inst in train_ds.instances], dtype=np.float64)
     fm_val = featurize_all([inst.text for inst in val_ds.instances], fcfg)
     fm_val = restrict(fm_val, feature_ids)

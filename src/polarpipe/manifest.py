@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import DataError, read_field
+from .corpus import DataError, is_json_int, read_field
 
 _MANIFEST_FORMAT = "polarpipe-manifest"
 _MANIFEST_VERSION = 1
@@ -130,7 +130,7 @@ def _stages_from_json(value) -> tuple[StageRecord, ...]:
 
 
 def _seed_from_json(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_json_int(value):
         raise DataError(f"must be an integer, got {value!r}")
     return value
 

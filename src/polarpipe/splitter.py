@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._rng import LegacyRandom
-from .corpus import DataError, Dataset, Instance
+from .corpus import DataError, Dataset, Instance, count_positives
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ def iterative_stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> S
     # plain Python containers: the loop below reads them one row and one
     # label at a time. Rows share few label vectors, so each distinct vector
     # gets one tuple of its positive labels.
-    patterns = Counter(inst.labels for inst in ds.instances)
-    totals = [sum(row[l] * count for row, count in patterns.items()) for l in range(width)]
+    patterns = Counter(ds.labels)
+    totals = count_positives(patterns, width)
     positive_labels = {row: tuple(l for l, bit in enumerate(row) if bit) for row in patterns}
     positives = [positive_labels[inst.labels] for inst in ds.instances]
     # desired positives per (subset, label): fractional demands, drawn down
@@ -130,15 +130,10 @@ def iterative_stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> S
     for i, row in enumerate(positives):
         for l in row:
             remaining_pos[l].add(i)
-    unassigned_with_labels = {i for i, row in enumerate(positives) if row}
 
-    while unassigned_with_labels:
-        counts = [
-            (len(remaining_pos[l]), l) for l in range(width) if remaining_pos[l]
-        ]
-        if not counts:
-            break
-        _, label = min(counts)  # scarcest label, ties to schema order
+    while any(remaining_pos):
+        # scarcest label, ties to schema order
+        _, label = min((len(rows), l) for l, rows in enumerate(remaining_pos) if rows)
         for i in sorted(remaining_pos[label]):
             open_subsets = [j for j in (0, 1) if capacity[j] > 0]
             if not open_subsets:
@@ -154,7 +149,6 @@ def iterative_stratified_split(ds: Dataset, cfg: SplitConfig | None = None) -> S
             for l in positives[i]:
                 demand[choice][l] -= 1.0
                 remaining_pos[l].discard(i)
-            unassigned_with_labels.discard(i)
 
     zero_rows = [i for i, side in enumerate(assigned) if side == -1]
     for j in rng.permutation(len(zero_rows)):
@@ -190,7 +184,7 @@ def balanced_merge(primary: Dataset, donor: Dataset, seed: int = 42) -> Dataset:
         if inst.id in primary_ids:
             raise DataError(f"id {inst.id!r} appears in both datasets")
 
-    n_pos = sum(inst.labels[0] for inst in primary.instances)
+    (n_pos,) = count_positives(Counter(primary.labels), 1)
     n_neg = len(primary) - n_pos
     donor_pos = [i for i, inst in enumerate(donor.instances) if inst.labels[0] == 1]
     donor_neg = [i for i, inst in enumerate(donor.instances) if inst.labels[0] == 0]
@@ -204,12 +198,8 @@ def balanced_merge(primary: Dataset, donor: Dataset, seed: int = 42) -> Dataset:
         )
 
     rng = LegacyRandom(seed)
-    take_neg = sorted(
-        donor_neg[j] for j in rng.permutation(len(donor_neg))[:n_pos]
-    )
-    take_pos = sorted(
-        donor_pos[j] for j in rng.permutation(len(donor_pos))[:n_neg]
-    )
+    take_neg = [donor_neg[j] for j in rng.permutation(len(donor_neg))[:n_pos]]
+    take_pos = [donor_pos[j] for j in rng.permutation(len(donor_pos))[:n_neg]]
     taken = sorted(take_neg + take_pos)
     merged: tuple[Instance, ...] = primary.instances + tuple(
         donor.instances[i] for i in taken

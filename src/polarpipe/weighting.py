@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import DataError, Dataset
+from .corpus import DataError, Dataset, summarize
 
 POS_WEIGHT_CAP = 100.0
 
@@ -43,7 +43,7 @@ def class_weights(ds: Dataset) -> ClassWeights:
     n = len(ds)
     if n == 0:
         raise DataError("cannot weight an empty dataset")
-    n_pos = sum(inst.labels[0] for inst in ds.instances)
+    n_pos = summarize(ds).per_label_positive[0]
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError(
@@ -56,28 +56,16 @@ def class_weights(ds: Dataset) -> ClassWeights:
 
 
 def pos_weights(ds: Dataset) -> PosWeights:
-    """Per-label ``n_neg / n_pos`` ratios, clipped into ``[1/cap, cap]``, where
-    ``cap`` is ``POS_WEIGHT_CAP``.
+    """The ``n_neg / n_pos`` ratios that :func:`summarize` gives, clipped into
+    ``[1/cap, cap]``, where ``cap`` is ``POS_WEIGHT_CAP``.
 
-    Labels with no positives take the cap itself (and are flagged); labels
+    Labels with no positives (an ``inf`` ratio) take the cap itself; labels
     with no negatives take the floor ``1/cap`` so every weight stays positive.
     The ``capped`` flags mark labels whose raw ratio was clipped, a signal
     that the label is too rare (or too common) for the ratio to be trusted.
     """
-    n = len(ds)
-    if n == 0:
+    if len(ds) == 0:
         raise DataError("cannot weight an empty dataset")
-    weights: list[float] = []
-    capped: list[bool] = []
-    for l in range(ds.schema.n_labels):
-        n_pos = sum(inst.labels[l] for inst in ds.instances)
-        n_neg = n - n_pos
-        if n_pos == 0:
-            weights.append(POS_WEIGHT_CAP)
-            capped.append(True)
-            continue
-        ratio = n_neg / n_pos
-        clipped = min(max(ratio, 1.0 / POS_WEIGHT_CAP), POS_WEIGHT_CAP)
-        weights.append(clipped)
-        capped.append(clipped != ratio)
-    return PosWeights(weights=tuple(weights), capped=tuple(capped))
+    ratios = summarize(ds).imbalance_ratio_per_label
+    weights = tuple(min(max(ratio, 1.0 / POS_WEIGHT_CAP), POS_WEIGHT_CAP) for ratio in ratios)
+    return PosWeights(weights=weights, capped=tuple(w != ratio for w, ratio in zip(weights, ratios)))

@@ -6,13 +6,15 @@ commands never call them.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from polarpipe import _kernels as kernels
 from polarpipe.calibration import ThresholdVector, _f1_per_candidate, _gold_columns
-from polarpipe.corpus import DataError, Dataset, Instance, LabelSchema
+from polarpipe.corpus import CorpusStats, DataError, Dataset, GoldLabels, Instance, LabelSchema
 from polarpipe.linear_model import (
     FeatureMatrix,
     FeaturizerConfig,
@@ -22,7 +24,7 @@ from polarpipe.linear_model import (
 )
 from polarpipe.metrics import score
 from polarpipe.probs import ProbabilityMatrix
-from polarpipe.weighting import PosWeights
+from polarpipe.weighting import POS_WEIGHT_CAP, ClassWeights, PosWeights
 
 
 # decorated posts: emoji (multi-codepoint ones too), URLs, @mentions, # tags
@@ -315,3 +317,76 @@ def oracle_best_thresholds(
         provenance="oracle",
     )
     return tv, sum(best_scores) / len(best_scores)
+
+
+# ---------------------------------------------------------------------------
+# Per-label counts: the corpus statistics and the loss weights as each
+# counted its own positives, row by row, before all of them took
+# ``corpus.count_positives``. Kept verbatim apart from their names.
+
+
+def oracle_summarize(ds: Dataset | GoldLabels) -> CorpusStats:
+    rows = ds.labels
+    if not rows:
+        raise DataError("cannot summarize an empty dataset")
+    n = len(rows)
+    width = ds.schema.n_labels
+    positives = [0] * width
+    cardinality: Counter[int] = Counter()
+    for bits in rows:
+        cardinality[sum(bits)] += 1
+        for i, bit in enumerate(bits):
+            positives[i] += bit
+    ratios = []
+    for pos in positives:
+        if pos == 0:
+            ratios.append(math.inf)
+        else:
+            ratios.append((n - pos) / pos)
+    return CorpusStats(
+        n_instances=n,
+        per_label_positive=positives,
+        per_label_positive_pct=[p / n for p in positives],
+        imbalance_ratio_per_label=ratios,
+        all_zero_rows=cardinality.get(0, 0),
+        label_cardinality_histogram=dict(sorted(cardinality.items())),
+        label_names=list(ds.schema.names),
+    )
+
+
+def oracle_class_weights(ds: Dataset) -> ClassWeights:
+    if not ds.schema.is_binary:
+        raise DataError("class_weights expects a binary dataset")
+    n = len(ds)
+    if n == 0:
+        raise DataError("cannot weight an empty dataset")
+    n_pos = sum(inst.labels[0] for inst in ds.instances)
+    n_neg = n - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DataError(
+            f"need both classes present, got {n_neg} negative / {n_pos} positive"
+        )
+    return ClassWeights(
+        weights=(n / (2.0 * n_neg), n / (2.0 * n_pos)),
+        counts=(n_neg, n_pos),
+    )
+
+
+def oracle_pos_weights(ds: Dataset) -> PosWeights:
+    n = len(ds)
+    if n == 0:
+        raise DataError("cannot weight an empty dataset")
+    weights: list[float] = []
+    capped: list[bool] = []
+    for l in range(ds.schema.n_labels):
+        n_pos = sum(inst.labels[l] for inst in ds.instances)
+        n_neg = n - n_pos
+        if n_pos == 0:
+            weights.append(POS_WEIGHT_CAP)
+            capped.append(True)
+            continue
+        ratio = n_neg / n_pos
+        clipped = min(max(ratio, 1.0 / POS_WEIGHT_CAP), POS_WEIGHT_CAP)
+        weights.append(clipped)
+        capped.append(clipped != ratio)
+    return PosWeights(weights=tuple(weights), capped=tuple(capped))

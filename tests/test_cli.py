@@ -602,6 +602,25 @@ class TestPipeline:
         )
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("labels, name", [("__base__,b", "__base__"), ("__provenance__", "__provenance__")])
+    def test_refuses_a_label_named_after_a_thresholds_key(self, tmp_path, monkeypatch, capsys, labels, name):
+        """Each label is a line of thresholds.tsv, after its two header lines:
+        a label named after a header key would write a file eval cannot read."""
+        data = synth_file(tmp_path, "d.jsonl", 60, [0.4] * labels.count(",") + [0.4], seed=18)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the run read a dataset before it refused")
+
+        monkeypatch.setattr(cli, "load_dataset", no_read)
+        outdir = tmp_path / "run"
+        args = ["pipeline", "--data", str(data), "--labels", labels, "--outdir", str(outdir),
+                "--max-epochs", "1", "--hash-dim", "1024"]
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: label name {name!r} is reserved for the thresholds file\n"
+        assert not outdir.exists()
+
     def test_inputs_may_share_a_name_with_another_stages_file(self, tmp_path, capsys):
         (tmp_path / "ext").mkdir()
         data = synth_file(tmp_path / "ext", "train.jsonl", 80, [0.4], seed=18)
