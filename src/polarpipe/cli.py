@@ -604,9 +604,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight-decay", type=float, default=argparse.SUPPRESS)
     p.add_argument("--max-epochs", type=int, default=argparse.SUPPRESS)
     p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--accumulation-steps", type=int, default=argparse.SUPPRESS)
     p.add_argument("--warmup-ratio", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--warmup-steps", type=int, default=argparse.SUPPRESS)
     p.add_argument("--max-grad-norm", type=float, default=argparse.SUPPRESS)
     p.add_argument("--label-smoothing", type=float, default=argparse.SUPPRESS,
                    help="default: 0.1 for binary schemas, 0.0 otherwise")

@@ -3,10 +3,10 @@
 Features are unigram/bigram counts hashed with 64-bit FNV-1a into a
 power-of-two space and L2-normalized. The classifier is one logistic output
 per label, trained with plain SGD: label smoothing, per-label positive
-weights (or per-example class weights on the binary task), gradient
-accumulation, global-norm clipping, linear warmup with cosine decay, and
-early stopping on validation macro-F1 at threshold 0.5. Weight decay is
-decoupled: the penalty never passes through the gradient clip.
+weights (or per-example class weights on the binary task), global-norm
+clipping, linear warmup with cosine decay, and early stopping on validation
+macro-F1 at threshold 0.5. Weight decay is decoupled: the penalty never
+passes through the gradient clip.
 
 A model holds weight rows only for the features that occur in its train set,
 ``feature_ids`` in increasing order, so its size and the memory training
@@ -224,10 +224,8 @@ class TrainConfig:
     learning_rate: float = 2e-2
     weight_decay: float = 0.01
     max_epochs: int = 10
-    batch_size: int = 32
-    accumulation_steps: int = 2
+    batch_size: int = 64  # rows per optimizer update
     warmup_ratio: float = 0.1
-    warmup_steps: int | None = None  # overrides warmup_ratio when set
     max_grad_norm: float = 1.0
     label_smoothing: float | None = None  # None resolves to 0.1 binary / 0.0 multi-label
     patience: int = 3
@@ -247,10 +245,10 @@ class TrainConfig:
             raise DataError("weight_decay must be finite and >= 0")
         if not self.max_grad_norm > 0:  # inf means never clip; NaN fails
             raise DataError("max_grad_norm must be positive")
-        if self.max_epochs < 0 or self.batch_size < 1 or self.accumulation_steps < 1:
-            raise DataError("bad epoch/batch configuration")
-        if self.warmup_steps is not None and self.warmup_steps < 0:
-            raise DataError("warmup_steps must be >= 0")
+        if self.max_epochs < 0:
+            raise DataError("max_epochs must be >= 0")
+        if self.batch_size < 1:
+            raise DataError("batch_size must be >= 1")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise DataError("warmup_ratio must lie in [0, 1]")
 
@@ -370,14 +368,9 @@ def train(
     scale = 1.0
     b = np.zeros(n_labels, dtype=np.float64)
 
-    batches_per_epoch = max(1, -(-n // tcfg.batch_size))
-    updates_per_epoch = -(-batches_per_epoch // tcfg.accumulation_steps)
-    total_updates = tcfg.max_epochs * updates_per_epoch
-    if tcfg.warmup_steps is not None:
-        warmup = min(tcfg.warmup_steps, total_updates)
-    else:
-        warmup = int(round(tcfg.warmup_ratio * total_updates))
-    update_size = tcfg.batch_size * tcfg.accumulation_steps
+    batch = tcfg.batch_size
+    total_updates = tcfg.max_epochs * -(-n // batch)
+    warmup = int(round(tcfg.warmup_ratio * total_updates))
 
     rng = LegacyRandom(tcfg.seed)
     losses: list[float] = []
@@ -400,10 +393,10 @@ def train(
         y_s_epoch = y[order] * (1.0 - smoothing) + smoothing / 2.0
         sw_epoch = None if sample_w is None else sample_w[order][:, None]
         epoch_losses: list[float] = []
-        for start in range(0, n, update_size):
-            # one optimizer update: accumulate up to accumulation_steps
-            # micro-batches on the weight rows they touch, in local column ids
-            rows = order[start : start + update_size]
+        for start in range(0, n, batch):
+            # one optimizer update over one batch, on the weight rows it
+            # touches, in local column ids
+            rows = order[start : start + batch]
             update = fm.take(rows)
             indptr, cols, data = update.indptr, update.indices, update.data
             touched = _distinct(cols)
@@ -411,50 +404,27 @@ def train(
             pos[touched] = np.arange(t)
             local = pos[cols]
             W_rows = scale * V[touched]
-            # logits, loss and logit gradient of every row of the update at
-            # once: all are rowwise, so each row's values are those of its
-            # micro-batch alone. The loss is pw*y'*softplus(-z) +
-            # (1-y')*softplus(z).
+            # the loss is pw*y'*softplus(-z) + (1-y')*softplus(z), averaged
+            # over the batch's rows x labels
             z = kernels.csr_logits(indptr, local, data, W_rows, b)
-            elem, dz = _loss_terms(z, y_s_epoch[start : start + update_size], pw_arr)
+            elem, dz = _loss_terms(z, y_s_epoch[start : start + batch], pw_arr)
             if sw_epoch is not None:
-                sw = sw_epoch[start : start + update_size]
+                sw = sw_epoch[start : start + batch]
                 elem *= sw
                 dz *= sw
-            # each micro-batch averages over its own rows x labels: scale its
-            # rows of dz, and give its entries their own block of t gradient
-            # rows (micro-batch m's columns are m*t + local). The loss and
-            # bias sums start from zero and run in micro-batch order, as
-            # separate per-micro-batch passes would.
-            acc_b = np.zeros_like(b)
-            acc_loss = 0.0
-            micro_starts = range(0, rows.size, tcfg.batch_size)
-            for lo in micro_starts:
-                hi = min(lo + tcfg.batch_size, rows.size)
-                inv = 1.0 / ((hi - lo) * n_labels)
-                acc_loss += float(elem[lo:hi].sum() * inv)
-                dz_micro = dz[lo:hi]
-                dz_micro *= inv
-                acc_b += dz_micro.sum(axis=0)
-                if lo:
-                    local[indptr[lo] :] += t
-            n_micro = len(micro_starts)
-            grads = np.zeros((n_micro * t, n_labels), dtype=np.float64)
-            kernels.csr_grad_weights(indptr, local, data, dz, grads)
-            # no bincount cell is -0.0, so the first block equals 0 + block
-            blocks = grads.reshape(n_micro, t, n_labels)
-            acc_w = blocks[0]
-            for block in blocks[1:]:
-                acc_w = acc_w + block
-            acc_w /= n_micro
-            acc_b /= n_micro
-            epoch_losses.append(acc_loss / n_micro)
+            inv = 1.0 / (rows.size * n_labels)
+            epoch_losses.append(float(elem.sum() * inv))
+            dz *= inv
+            # from +0.0, so a column that sums to -0.0 reads +0.0
+            grad_b = 0.0 + dz.sum(axis=0)
+            grad_w = np.zeros((t, n_labels), dtype=np.float64)
+            kernels.csr_grad_weights(indptr, local, data, dz, grad_w)
             # untouched rows have zero gradient, so this is the full norm
-            norm = math.sqrt(float((acc_w * acc_w).sum()) + float((acc_b * acc_b).sum()))
+            norm = math.sqrt(float((grad_w * grad_w).sum()) + float((grad_b * grad_b).sum()))
             if norm > tcfg.max_grad_norm:
                 clip = tcfg.max_grad_norm / norm
-                acc_w *= clip
-                acc_b *= clip
+                grad_w *= clip
+                grad_b *= clip
             step += 1
             lr = lr_at_step(step, total_updates, warmup, tcfg.learning_rate)
             scale *= 1.0 - lr * tcfg.weight_decay
@@ -462,8 +432,8 @@ def train(
                 # also taken when lr * weight_decay >= 1 makes the factor <= 0
                 V *= scale
                 scale = 1.0
-            V[touched] -= lr * acc_w / scale
-            b -= lr * acc_b
+            V[touched] -= lr * grad_w / scale
+            b -= lr * grad_b
 
         V *= scale
         scale = 1.0

@@ -106,9 +106,9 @@ def _loss_and_grad_csr(
 
     Elementwise loss is pw*y'*softplus(-z) + (1-y')*softplus(z) with smoothed
     target y' = y(1-eps) + eps/2, averaged over batch x labels; the decay
-    penalty weight_decay * ||W||^2 / 2 is added on top (bias excluded). The
-    trainer once called this per micro-batch; it now computes a whole update
-    in one pass, and must match this bit for bit.
+    penalty weight_decay * ||W||^2 / 2 is added on top (bias excluded). One
+    optimizer update of the trainer is one batch, and its loss and gradients
+    must match this bit for bit.
     """
     n, n_labels = y.shape
     z = kernels.csr_logits(fm.indptr, fm.indices, fm.data, weights, bias)

@@ -91,6 +91,20 @@ class TestExitCodes:
         assert run(train + ["--weighting", "sqrt"]) == 2
         assert "argument --weighting: invalid choice: 'sqrt'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--accumulation-steps", "2"], ["--warmup-steps", "3"]])
+    @pytest.mark.parametrize("cmd", ["train", "pipeline"])
+    def test_removed_training_flags_are_usage_errors(self, capsys, cmd, flag):
+        # an update is one batch of --batch-size rows, and --warmup-ratio
+        # alone sets the warmup
+        args = {
+            "train": ["train", "--train", "t", "--val", "v", "--schema", "subtask1", "--out-model", "m"],
+            "pipeline": ["pipeline", "--data", "d", "--schema", "subtask1", "--outdir", "o"],
+        }[cmd]
+        assert run(args + flag) == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        assert "Traceback" not in err
+
     def test_data_errors_are_1(self, tmp_path, capsys):
         assert run(["stats", str(tmp_path / "missing.jsonl"), "--labels", "a"]) == 1
         err = capsys.readouterr().err

@@ -93,9 +93,7 @@ _TRAIN_FLAGS = {
     "--weight-decay": (["0", "0.01"], _BAD_FLOAT),
     "--max-epochs": (["0", "1", "3"], ["-1", "nan", "inf", "1.5", "abc", ""]),  # at most 3
     "--batch-size": (["1", "8"], _BAD_INT),
-    "--accumulation-steps": (["1", "2"], _BAD_INT),
     "--warmup-ratio": (["0", "0.1", "1"], _BAD_FLOAT),
-    "--warmup-steps": (["0", "2"], _BAD_INT),
     "--max-grad-norm": (["1", "inf"], _BAD_FLOAT),
     "--label-smoothing": (["0", "0.1"], _BAD_FLOAT),
     "--patience": (["1", "3"], _BAD_INT),  # at most 3

@@ -286,7 +286,7 @@ def test_sparse_kernels_match_scipy_bytes(case):
 
 
 def test_sparse_kernels_match_scipy_at_scale():
-    # the shapes the pipeline produces: micro-batches, a wide hash_dim, and
+    # the shapes the pipeline produces: batches, a wide hash_dim, and
     # rows that are all empty
     rng = np.random.RandomState(7)
     shapes = [(32, 1500, 6, 40), (32, 1500, 1, 40), (100, 2**18, 6, 40), (3, 1024, 2, 0)]

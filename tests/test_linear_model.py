@@ -315,8 +315,17 @@ class TestTrainConfig:
         TrainConfig(weight_decay=0.0)
         with pytest.raises(DataError, match="warmup_ratio"):
             TrainConfig(warmup_ratio=1.5)
+        with pytest.raises(DataError, match=r"^max_epochs must be >= 0$"):
+            TrainConfig(max_epochs=-1)
+        TrainConfig(max_epochs=0)
+        for bad in (0, -3):
+            with pytest.raises(DataError, match=r"^batch_size must be >= 1$"):
+                TrainConfig(batch_size=bad)
         with pytest.raises(DataError, match="weighting must be 'balanced' or 'none', got 'sqrt'"):
             TrainConfig(weighting="sqrt")
+        for removed in ("accumulation_steps", "warmup_steps"):
+            with pytest.raises(TypeError, match=removed):
+                TrainConfig(**{removed: 2})
 
     def test_smoothing_resolution(self):
         binary = LabelSchema(names=("y",))
@@ -410,7 +419,8 @@ class TestTrain:
 
     def test_weighting_records(self, tmp_path):
         ds = generate_synthetic(80, [0.3, 0.2], seed=4)
-        cfg = TrainConfig(max_epochs=1, warmup_steps=1)
+        # 80 rows in two updates, the first of them warmup
+        cfg = TrainConfig(max_epochs=1, warmup_ratio=0.5)
         weighted, report = train(ds, ds, cfg)
         unweighted, plain = train(ds, ds, replace(cfg, weighting="none"))
         assert not np.array_equal(weighted.weights, unweighted.weights)
@@ -422,23 +432,24 @@ class TestTrain:
 
     def test_determinism_and_seed_sensitivity(self):
         ds = generate_synthetic(60, [0.4, 0.15], seed=2)
-        cfg = TrainConfig(max_epochs=3, patience=3)
+        # several updates per epoch, so the seed's order decides what each holds
+        cfg = TrainConfig(max_epochs=3, patience=3, batch_size=16)
         m1, r1 = train(ds, ds, cfg)
         m2, r2 = train(ds, ds, cfg)
         assert r1.epoch_train_loss == r2.epoch_train_loss
         assert m1.weights.tobytes() == m2.weights.tobytes()
         assert m1.bias.tobytes() == m2.bias.tobytes()
-        _, r3 = train(ds, ds, TrainConfig(max_epochs=3, patience=3, seed=43))
+        _, r3 = train(ds, ds, replace(cfg, seed=43))
         assert r1.epoch_train_loss != r3.epoch_train_loss
 
     def test_single_update_respects_clip_bound(self):
-        # one optimizer update at full lr from zero: ||delta|| <= lr * max_grad_norm
+        # one optimizer update, all warmup, so at full lr from zero:
+        # ||delta|| <= lr * max_grad_norm
         ds = generate_synthetic(40, [0.5], seed=9)
         cfg = TrainConfig(
             max_epochs=1,
             batch_size=64,
-            accumulation_steps=1,
-            warmup_steps=1,
+            warmup_ratio=1.0,
             max_grad_norm=1e-3,
             weight_decay=0.0,
         )

@@ -13,12 +13,11 @@ library now keeps rows for the train set's distinct features only and drops
 every other feature's entries (``restrict``); that must change no bit of the
 weights, losses, validation scores or probabilities.
 
-Both trainers run one full pass per micro-batch (``helpers._loss_and_grad_csr``).
-The library makes one logits and loss pass per optimizer update and reads each
-micro-batch's loss and gradients off its rows; that too must change no bit.
-Its loss pass and prediction share one ``exp(-|z|)`` between the softplus
-terms and the sigmoid; ``helpers._softplus`` and ``helpers._sigmoid`` are the
-separate functions they replaced, and the bits must not move.
+Both trainers make each optimizer update one full pass over one batch
+(``helpers._loss_and_grad_csr``). The library's loss pass and prediction
+share one ``exp(-|z|)`` between the softplus terms and the sigmoid;
+``helpers._softplus`` and ``helpers._sigmoid`` are the separate functions
+they replaced, and the bits must not move.
 
 ``loop_take`` is ``FeatureMatrix.take`` before it was vectorized.
 """
@@ -78,13 +77,8 @@ def dense_train(train_ds, val_ds, tcfg, fcfg, weighting_mode="balanced"):
     W = np.zeros((fcfg.hash_dim, n_labels), dtype=np.float64)
     b = np.zeros(n_labels, dtype=np.float64)
 
-    batches_per_epoch = max(1, -(-n // tcfg.batch_size))
-    updates_per_epoch = -(-batches_per_epoch // tcfg.accumulation_steps)
-    total_updates = tcfg.max_epochs * updates_per_epoch
-    if tcfg.warmup_steps is not None:
-        warmup = min(tcfg.warmup_steps, total_updates)
-    else:
-        warmup = int(round(tcfg.warmup_ratio * total_updates))
+    total_updates = tcfg.max_epochs * -(-n // tcfg.batch_size)
+    warmup = int(round(tcfg.warmup_ratio * total_updates))
 
     rng = np.random.RandomState(tcfg.seed)
     losses = []
@@ -99,37 +93,24 @@ def dense_train(train_ds, val_ds, tcfg, fcfg, weighting_mode="balanced"):
     for epoch in range(1, tcfg.max_epochs + 1):
         order = rng.permutation(n)
         epoch_losses = []
-        start = 0
-        while start < n:
-            acc_w = np.zeros_like(W)
-            acc_b = np.zeros_like(b)
-            acc_loss = 0.0
-            n_micro = 0
-            while n_micro < tcfg.accumulation_steps and start < n:
-                rows = order[start : start + tcfg.batch_size]
-                start += tcfg.batch_size
-                sw = None if sample_w is None else sample_w[rows]
-                loss, gw, gb = _loss_and_grad_csr(
-                    fm.take(rows), y[rows], W, b, pw_arr, smoothing, 0.0, sw
-                )
-                acc_w += gw
-                acc_b += gb
-                acc_loss += loss
-                n_micro += 1
-            acc_w /= n_micro
-            acc_b /= n_micro
-            epoch_losses.append(acc_loss / n_micro)
-            norm = math.sqrt(float(np.sum(acc_w * acc_w)) + float(np.sum(acc_b * acc_b)))
+        for start in range(0, n, tcfg.batch_size):
+            rows = order[start : start + tcfg.batch_size]
+            sw = None if sample_w is None else sample_w[rows]
+            loss, grad_w, grad_b = _loss_and_grad_csr(
+                fm.take(rows), y[rows], W, b, pw_arr, smoothing, 0.0, sw
+            )
+            epoch_losses.append(loss)
+            norm = math.sqrt(float(np.sum(grad_w * grad_w)) + float(np.sum(grad_b * grad_b)))
             if norm > tcfg.max_grad_norm:
                 clip = tcfg.max_grad_norm / norm
-                acc_w *= clip
-                acc_b *= clip
+                grad_w *= clip
+                grad_b *= clip
             step += 1
             lr = lr_at_step(step, total_updates, warmup, tcfg.learning_rate)
             if tcfg.weight_decay:
                 W *= 1.0 - lr * tcfg.weight_decay
-            W -= lr * acc_w
-            b -= lr * acc_b
+            W -= lr * grad_w
+            b -= lr * grad_b
 
         losses.append(float(np.mean(epoch_losses)))
         val_probs = _sigmoid(
@@ -172,14 +153,8 @@ def dense_v_train(train_ds, val_ds, tcfg, fcfg, weighting_mode="balanced"):
     scale = 1.0
     b = np.zeros(n_labels, dtype=np.float64)
 
-    batches_per_epoch = max(1, -(-n // tcfg.batch_size))
-    updates_per_epoch = -(-batches_per_epoch // tcfg.accumulation_steps)
-    total_updates = tcfg.max_epochs * updates_per_epoch
-    if tcfg.warmup_steps is not None:
-        warmup = min(tcfg.warmup_steps, total_updates)
-    else:
-        warmup = int(round(tcfg.warmup_ratio * total_updates))
-    update_size = tcfg.batch_size * tcfg.accumulation_steps
+    total_updates = tcfg.max_epochs * -(-n // tcfg.batch_size)
+    warmup = int(round(tcfg.warmup_ratio * total_updates))
 
     rng = np.random.RandomState(tcfg.seed)
     losses = []
@@ -194,42 +169,30 @@ def dense_v_train(train_ds, val_ds, tcfg, fcfg, weighting_mode="balanced"):
     for epoch in range(1, tcfg.max_epochs + 1):
         order = rng.permutation(n)
         epoch_losses = []
-        for start in range(0, n, update_size):
-            rows = order[start : start + update_size]
+        for start in range(0, n, tcfg.batch_size):
+            rows = order[start : start + tcfg.batch_size]
             update = fm.take(rows)
             touched, local = np.unique(update.indices, return_inverse=True)
             update = FeatureMatrix(update.indptr, local, update.data, touched.size)
             W_rows = scale * V[touched]
-            acc_w = np.zeros_like(W_rows)
-            acc_b = np.zeros_like(b)
-            acc_loss = 0.0
-            micro_starts = range(0, rows.size, tcfg.batch_size)
-            for lo in micro_starts:
-                batch = np.arange(lo, min(lo + tcfg.batch_size, rows.size))
-                sw = None if sample_w is None else sample_w[rows[batch]]
-                loss, gw, gb = _loss_and_grad_csr(
-                    update.take(batch), y[rows[batch]], W_rows, b, pw_arr, smoothing, 0.0, sw
-                )
-                acc_w += gw
-                acc_b += gb
-                acc_loss += loss
-            n_micro = len(micro_starts)
-            acc_w /= n_micro
-            acc_b /= n_micro
-            epoch_losses.append(acc_loss / n_micro)
-            norm = math.sqrt(float(np.sum(acc_w * acc_w)) + float(np.sum(acc_b * acc_b)))
+            sw = None if sample_w is None else sample_w[rows]
+            loss, grad_w, grad_b = _loss_and_grad_csr(
+                update, y[rows], W_rows, b, pw_arr, smoothing, 0.0, sw
+            )
+            epoch_losses.append(loss)
+            norm = math.sqrt(float(np.sum(grad_w * grad_w)) + float(np.sum(grad_b * grad_b)))
             if norm > tcfg.max_grad_norm:
                 clip = tcfg.max_grad_norm / norm
-                acc_w *= clip
-                acc_b *= clip
+                grad_w *= clip
+                grad_b *= clip
             step += 1
             lr = lr_at_step(step, total_updates, warmup, tcfg.learning_rate)
             scale *= 1.0 - lr * tcfg.weight_decay
             if scale < _SCALE_FLOOR:
                 V *= scale
                 scale = 1.0
-            V[touched] -= lr * acc_w / scale
-            b -= lr * acc_b
+            V[touched] -= lr * grad_w / scale
+            b -= lr * grad_b
 
         V *= scale
         scale = 1.0
@@ -311,33 +274,29 @@ MULTI_VAL = generate_synthetic(40, [0.4, 0.12, 0.05], noise=0.05, seed=8)
 
 CASES = {
     # class weights per example, smoothing 0.1 resolved for the binary task
-    "binary-class-weights": (BINARY, BINARY_VAL, TrainConfig(max_epochs=4, batch_size=8)),
-    "multilabel-pos-weights": (MULTI, MULTI_VAL, TrainConfig(max_epochs=4, batch_size=8)),
-    # 90 rows in micro-batches of 7, three per update: the last update is ragged
-    "accumulation-ragged": (
-        MULTI,
-        MULTI_VAL,
-        TrainConfig(max_epochs=3, batch_size=7, accumulation_steps=3),
-    ),
-    "learning-rate-2": (MULTI, MULTI_VAL, TrainConfig(max_epochs=4, learning_rate=2.0, batch_size=8)),
+    "binary-class-weights": (BINARY, BINARY_VAL, TrainConfig(max_epochs=4, batch_size=16)),
+    "multilabel-pos-weights": (MULTI, MULTI_VAL, TrainConfig(max_epochs=4, batch_size=16)),
+    # 90 = 4 * 21 + 6: the last update holds 6 rows
+    "ragged-last-update": (MULTI, MULTI_VAL, TrainConfig(max_epochs=3, batch_size=21)),
+    "learning-rate-2": (MULTI, MULTI_VAL, TrainConfig(max_epochs=4, learning_rate=2.0, batch_size=16)),
     # a clip bound low enough to engage
-    "clipped": (BINARY, BINARY_VAL, TrainConfig(max_epochs=3, batch_size=8, max_grad_norm=0.05)),
+    "clipped": (BINARY, BINARY_VAL, TrainConfig(max_epochs=3, batch_size=16, max_grad_norm=0.05)),
     # lr * wd reaches 0.8: the scale drops below the floor inside an epoch
     "renormalization": (
         BINARY,
         BINARY_VAL,
-        TrainConfig(max_epochs=2, learning_rate=2.0, weight_decay=0.4, batch_size=4, warmup_steps=0),
+        TrainConfig(max_epochs=2, learning_rate=2.0, weight_decay=0.4, batch_size=4, warmup_ratio=0.0),
     ),
     # lr * wd = 1 on the first update zeroes the old weights; > 1 flips their sign
     "lr-wd-one": (
         MULTI,
         MULTI_VAL,
-        TrainConfig(max_epochs=2, learning_rate=2.0, weight_decay=0.5, batch_size=8, warmup_steps=0),
+        TrainConfig(max_epochs=2, learning_rate=2.0, weight_decay=0.5, batch_size=16, warmup_ratio=0.0),
     ),
     "lr-wd-above-one": (
         MULTI,
         MULTI_VAL,
-        TrainConfig(max_epochs=2, learning_rate=2.0, weight_decay=0.8, batch_size=8, warmup_steps=0),
+        TrainConfig(max_epochs=2, learning_rate=2.0, weight_decay=0.8, batch_size=16, warmup_ratio=0.0),
     ),
 }
 
@@ -425,27 +384,22 @@ MULTI_FEW = Dataset(schema=MULTI.schema, instances=MULTI.instances[:5])
 
 EDGE_CASES = {
     "batch-size-1": (MULTI, MULTI_VAL, TrainConfig(max_epochs=2, batch_size=1)),
-    # 5 rows, micro-batches of 8: every update is one short micro-batch
+    # 5 rows in batches of 8: every update is one short batch
     "fewer-rows-than-a-micro-batch": (MULTI_FEW, MULTI_VAL, TrainConfig(max_epochs=3, batch_size=8)),
-    # 90 = 4 * 22 + 2: the last update holds one micro-batch of 2 rows
-    "last-update-one-short-micro-batch": (MULTI, MULTI_VAL, TrainConfig(max_epochs=3, batch_size=11)),
+    # 90 = 4 * 22 + 2: the last update holds 2 rows
+    "last-update-one-short-micro-batch": (MULTI, MULTI_VAL, TrainConfig(max_epochs=3, batch_size=22)),
     "rows-without-tokens": (
         with_texts(MULTI, set(range(0, 90, 3))),
         with_texts(MULTI_VAL, {0, 1}),
-        TrainConfig(max_epochs=3, batch_size=4),
+        TrainConfig(max_epochs=3, batch_size=8),
     ),
     "no-tokens-at-all": (
         with_texts(MULTI_FEW, set(range(5))),
         MULTI_VAL,
-        TrainConfig(max_epochs=2, batch_size=2),
+        TrainConfig(max_epochs=2, batch_size=4),
     ),
-    # per-example class weights; 90 = 4 * 20 + 10, so the last update holds
-    # two of its four micro-batches
-    "binary-sample-weights": (
-        BINARY,
-        BINARY_VAL,
-        TrainConfig(max_epochs=3, batch_size=5, accumulation_steps=4),
-    ),
+    # per-example class weights; 90 = 4 * 20 + 10: the last update holds 10 rows
+    "binary-sample-weights": (BINARY, BINARY_VAL, TrainConfig(max_epochs=3, batch_size=20)),
     "max-epochs-0": (MULTI, MULTI_VAL, TrainConfig(max_epochs=0)),
 }
 
@@ -466,26 +420,24 @@ def test_compact_trainer_matches_dense_v_oracle_on_edge_cases(name, weight_decay
     learning_rate=st.sampled_from([0.02, 0.5, 2.0]),
     weight_decay=st.sampled_from([0.0, 0.01, 0.4, 0.8]),
     batch_size=st.integers(1, 16),
-    accumulation_steps=st.integers(1, 4),
     max_epochs=st.integers(0, 3),
     max_grad_norm=st.sampled_from([0.05, 1.0]),
-    warmup_steps=st.sampled_from([None, 0, 2]),
+    warmup_ratio=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     patience=st.integers(1, 3),
     seed=st.integers(0, 3),
     hash_dim=st.sampled_from([2**10, 2**14]),
     weighting_mode=st.sampled_from(["balanced", "none"]),
 )
-# binary runs (one label) of three and four micro-batches per update: 90 rows
-# in updates of 24 end with micro-batches of 8, 8 and 2; in updates of 28,
-# with one micro-batch of 6
-@example(binary=True, learning_rate=0.5, weight_decay=0.01, batch_size=8, accumulation_steps=3,
-         max_epochs=3, max_grad_norm=1.0, warmup_steps=None, patience=3, seed=1, hash_dim=2**10,
+# binary runs (one label) of batches wider than the draws: 90 rows in
+# batches of 24, 28 and 20 end with updates of 18, 6 and 10 rows
+@example(binary=True, learning_rate=0.5, weight_decay=0.01, batch_size=24,
+         max_epochs=3, max_grad_norm=1.0, warmup_ratio=0.1, patience=3, seed=1, hash_dim=2**10,
          weighting_mode="balanced")
-@example(binary=True, learning_rate=2.0, weight_decay=0.8, batch_size=7, accumulation_steps=4,
-         max_epochs=2, max_grad_norm=0.05, warmup_steps=0, patience=1, seed=2, hash_dim=2**14,
+@example(binary=True, learning_rate=2.0, weight_decay=0.8, batch_size=28,
+         max_epochs=2, max_grad_norm=0.05, warmup_ratio=0.0, patience=1, seed=2, hash_dim=2**14,
          weighting_mode="balanced")
-@example(binary=True, learning_rate=0.02, weight_decay=0.0, batch_size=5, accumulation_steps=4,
-         max_epochs=3, max_grad_norm=1.0, warmup_steps=2, patience=2, seed=3, hash_dim=2**10,
+@example(binary=True, learning_rate=0.02, weight_decay=0.0, batch_size=20,
+         max_epochs=3, max_grad_norm=1.0, warmup_ratio=0.5, patience=2, seed=3, hash_dim=2**10,
          weighting_mode="none")
 def test_compact_trainer_matches_dense_v_oracle_on_drawn_configs(
     binary, hash_dim, weighting_mode, **config
@@ -512,7 +464,7 @@ def test_renormalization_case_crosses_the_floor():
 
 def test_gradients_cover_only_touched_rows(monkeypatch):
     # at hash_dim 2^20 each update makes one gradient call whose buffer holds
-    # one block per micro-batch of exactly the rows the update touches
+    # exactly the rows the update touches
     heights = []
     grad = kernels.csr_grad_weights
 
@@ -525,13 +477,11 @@ def test_gradients_cover_only_touched_rows(monkeypatch):
     train(MULTI, MULTI_VAL, tcfg, fcfg)
     fm = featurize_all([inst.text for inst in MULTI.instances], fcfg)
     order = np.random.RandomState(tcfg.seed).permutation(len(MULTI))
-    update_size = tcfg.batch_size * tcfg.accumulation_steps
-    expected = []
-    for start in range(0, len(MULTI), update_size):
-        rows = order[start : start + update_size]
-        n_micro = -(-rows.size // tcfg.batch_size)
-        expected.append(n_micro * np.unique(fm.take(rows).indices).size)
-    # 90 rows in updates of 64 and 26: two micro-batches, then one
+    expected = [
+        np.unique(fm.take(order[start : start + tcfg.batch_size]).indices).size
+        for start in range(0, len(MULTI), tcfg.batch_size)
+    ]
+    # 90 rows in updates of 64 and 26
     assert len(expected) == 2
     assert heights == expected
 
