@@ -119,7 +119,7 @@ def csr_logits(indptr, indices, data, weights, bias):
 
     n, n_labels = indptr.shape[0] - 1, weights.shape[1]
     cells = (_entry_rows(indptr)[:, None] * n_labels + np.arange(n_labels)).ravel()
-    products = weights[indices]
+    products = weights.take(indices, axis=0)
     products *= data[:, None]
     return np.bincount(cells, products.ravel(), minlength=n * n_labels).reshape(n, n_labels) + bias
 
@@ -130,7 +130,7 @@ def csr_grad_weights(indptr, indices, data, dlogits, out):
 
     n_features, n_labels = out.shape
     cells = (indices[:, None] * n_labels + np.arange(n_labels)).ravel()
-    products = dlogits[_entry_rows(indptr)]
+    products = dlogits.take(_entry_rows(indptr), axis=0)
     products *= data[:, None]
     out += np.bincount(cells, products.ravel(), minlength=n_features * n_labels).reshape(out.shape)
     return out

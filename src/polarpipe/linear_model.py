@@ -402,8 +402,8 @@ def train(
             touched = _distinct(cols)
             t = touched.size
             pos[touched] = np.arange(t)
-            local = pos[cols]
-            W_rows = scale * V[touched]
+            local = pos.take(cols)
+            W_rows = scale * V.take(touched, axis=0)
             # the loss is pw*y'*softplus(-z) + (1-y')*softplus(z), averaged
             # over the batch's rows x labels
             z = kernels.csr_logits(indptr, local, data, W_rows, b)
