@@ -59,8 +59,8 @@ def _fnv_continue(states, buf, starts, lengths):
     return states
 
 
-def hash_ngrams(token_ids, words, doc_lengths, unigrams: bool, bigrams: bool, hash_dim: int):
-    """Hashed n-gram ids of a whole corpus, as ``(rows, ids)`` int64 arrays.
+def hash_ngrams(token_ids, words, doc_lengths, hash_dim: int):
+    """Hashed unigram and bigram ids of a whole corpus, as ``(rows, ids)`` int64 arrays.
 
     ``token_ids`` lists every document's tokens in order, as indices into
     ``words``, the distinct tokens; ``doc_lengths`` counts each document's
@@ -86,24 +86,17 @@ def hash_ngrams(token_ids, words, doc_lengths, unigrams: bool, bigrams: bool, ha
     states = _fnv_continue(np.full(len(words), FNV_BASIS, dtype=np.uint64), buf, starts, lengths)
     dim = np.uint64(hash_dim)
     rows = np.repeat(np.arange(doc_lengths.size, dtype=np.int64), doc_lengths)
-    out_rows, out_ids = [], []
-    if unigrams:
-        out_rows.append(rows)
-        out_ids.append((states % dim).astype(np.int64)[token_ids])
-    if bigrams:
-        # every token but a document's last starts a bigram
-        first = np.ones(token_ids.size, dtype=bool)
-        first[np.cumsum(doc_lengths)[doc_lengths > 0] - 1] = False
-        first = np.flatnonzero(first)
-        left, right = token_ids[first], token_ids[first + 1]
-        pair_states = _fnv_continue(
-            (states[left] ^ np.uint64(0x20)) * np.uint64(FNV_PRIME), buf, starts[right], lengths[right]
-        )
-        out_rows.append(rows[first])
-        out_ids.append((pair_states % dim).astype(np.int64))
-    if not out_rows:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(out_rows), np.concatenate(out_ids)
+    unigram_ids = (states % dim).astype(np.int64)[token_ids]
+    # every token but a document's last starts a bigram
+    first = np.ones(token_ids.size, dtype=bool)
+    first[np.cumsum(doc_lengths)[doc_lengths > 0] - 1] = False
+    first = np.flatnonzero(first)
+    left, right = token_ids[first], token_ids[first + 1]
+    pair_states = _fnv_continue(
+        (states[left] ^ np.uint64(0x20)) * np.uint64(FNV_PRIME), buf, starts[right], lengths[right]
+    )
+    bigram_ids = (pair_states % dim).astype(np.int64)
+    return np.concatenate((rows, rows[first])), np.concatenate((unigram_ids, bigram_ids))
 
 
 def _entry_rows(indptr):

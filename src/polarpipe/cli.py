@@ -119,13 +119,6 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
         raise DataError(f"expected comma-separated numbers, got {raw!r}") from None
 
 
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise DataError(f"expected comma-separated integers, got {raw!r}") from None
-
-
 def _resolve_schema(options: dict) -> LabelSchema:
     preset = options.get("schema")
     labels = options.get("labels")
@@ -138,19 +131,16 @@ def _resolve_schema(options: dict) -> LabelSchema:
     raise DataError("a schema is required: pass --schema <preset> or --labels a,b,c")
 
 
-def _config(cls, options: dict, **translated):
-    """A ``cls`` from ``translated`` and the options named after its fields; a
-    flag that was not given is not an option, so its field keeps its default."""
-    return cls(**{f.name: options[f.name] for f in fields(cls) if f.name in options}, **translated)
+def _config(cls, options: dict):
+    """A ``cls`` from the options named after its fields; a flag that was not
+    given is not an option, so its field keeps its default."""
+    return cls(**{f.name: options[f.name] for f in fields(cls) if f.name in options})
 
 
 def _featurizer_config(options: dict) -> FeaturizerConfig:
     from .linear_model import FeaturizerConfig
 
-    translated = {"l2_normalize": False} if "no_l2_normalize" in options else {}
-    if "ngrams" in options:
-        translated["ngram_orders"] = _parse_ints(options["ngrams"])
-    return _config(FeaturizerConfig, options, **translated)
+    return _config(FeaturizerConfig, options)
 
 
 def _train_config(options: dict) -> TrainConfig:
@@ -594,9 +584,6 @@ def _add_schema_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_featurizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hash-dim", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--ngrams", default=argparse.SUPPRESS, help="comma-separated n-gram orders")
-    p.add_argument("--tf-mode", choices=["count", "binary"], default=argparse.SUPPRESS)
-    p.add_argument("--no-l2-normalize", action="store_true", default=argparse.SUPPRESS)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:

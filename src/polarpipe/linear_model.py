@@ -35,7 +35,7 @@ from .corpus import DataError, Dataset, LabelSchema, is_json_int, read_field
 from .probs import ProbabilityMatrix
 
 _MODEL_FORMAT = "polarpipe-model"
-_MODEL_VERSION = 2
+_MODEL_VERSION = 3
 _PROB_FLOOR = 1e-15  # keeps predict_proba inside the open interval (0, 1)
 _SCALE_FLOOR = 1e-9  # the weight scale is folded into the weights below this
 _MAX_HASH_DIM = 2**62
@@ -45,29 +45,14 @@ SCORE_BLOCK_ROWS = 256  # rows predict_proba featurizes and scores at a time
 @dataclass(frozen=True)
 class FeaturizerConfig:
     hash_dim: int = 2**18
-    ngram_orders: tuple[int, ...] = (1, 2)
-    tf_mode: str = "count"
-    l2_normalize: bool = True
 
     def __post_init__(self):
-        # the values may come from a model header, so their types are checked too;
+        # the value may come from a model header, so its type is checked too;
         # hash ids are reduced in uint64 and stored as int64, hence the upper bound
         if not is_json_int(self.hash_dim):
             raise DataError(f"hash_dim must be an integer, got {self.hash_dim!r}")
         if not 2**10 <= self.hash_dim <= _MAX_HASH_DIM or self.hash_dim & (self.hash_dim - 1):
             raise DataError(f"hash_dim must be a power of two in [2**10, 2**62], got {self.hash_dim}")
-        if not isinstance(self.ngram_orders, (tuple, list)) or not all(
-            map(is_json_int, self.ngram_orders)
-        ):
-            raise DataError(f"ngram_orders must be a sequence of integers, got {self.ngram_orders!r}")
-        orders = tuple(sorted(set(self.ngram_orders)))
-        if not orders or any(o not in (1, 2) for o in orders):
-            raise DataError(f"ngram_orders must be a non-empty subset of {{1, 2}}, got {self.ngram_orders}")
-        object.__setattr__(self, "ngram_orders", orders)
-        if not isinstance(self.tf_mode, str) or self.tf_mode not in ("binary", "count"):
-            raise DataError(f"tf_mode must be 'binary' or 'count', got {self.tf_mode!r}")
-        if not isinstance(self.l2_normalize, bool):
-            raise DataError(f"l2_normalize must be true or false, got {self.l2_normalize!r}")
 
 
 @dataclass(frozen=True)
@@ -124,10 +109,9 @@ def restrict(fm: FeatureMatrix, feature_ids: np.ndarray) -> FeatureMatrix:
 def featurize_all(texts: Sequence[str], cfg: FeaturizerConfig | None = None) -> FeatureMatrix:
     """Featurize a batch of texts into one row-compressed matrix.
 
-    Each row holds its text's distinct hashed n-gram ids in increasing order,
-    valued by count (or 1 under ``tf_mode="binary"``), then optionally divided
-    by the row's L2 norm. The whole batch is hashed in one kernel call and
-    grouped by one sort.
+    Each row holds its text's distinct hashed unigram and bigram ids in
+    increasing order, valued by count divided by the row's L2 norm. The whole
+    batch is hashed in one kernel call and grouped by one sort.
     """
     if cfg is None:
         cfg = FeaturizerConfig()
@@ -148,9 +132,7 @@ def featurize_all(texts: Sequence[str], cfg: FeaturizerConfig | None = None) -> 
     # would keep the vocabulary alive until the next cyclic collection
     vocab.default_factory = None
     n_rows = len(doc_lengths)
-    rows, hashed = kernels.hash_ngrams(
-        ids, list(vocab), doc_lengths, 1 in cfg.ngram_orders, 2 in cfg.ngram_orders, cfg.hash_dim
-    )
+    rows, hashed = kernels.hash_ngrams(ids, list(vocab), doc_lengths, cfg.hash_dim)
     # each run of equal (row, id) pairs, once sorted, is one entry; its
     # length is the count
     n_pairs = rows.size
@@ -181,15 +163,11 @@ def featurize_all(texts: Sequence[str], cfg: FeaturizerConfig | None = None) -> 
         del rows, hashed
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(row_counts, out=indptr[1:])
-    if cfg.tf_mode == "binary":
-        data = np.ones(starts.size, dtype=np.float64)
-    else:
-        data = np.diff(np.append(starts, n_pairs)).astype(np.float64)
-    if cfg.l2_normalize and data.size:
-        # squared counts are integers, so every summation order gives the same sum
-        row_sizes = np.diff(indptr)
-        norms = np.sqrt(np.add.reduceat(data * data, indptr[:-1][row_sizes > 0]))
-        data = data / np.repeat(norms, row_sizes[row_sizes > 0])
+    data = np.diff(np.append(starts, n_pairs)).astype(np.float64)
+    # squared counts are integers, so every summation order gives the same sum
+    row_sizes = np.diff(indptr)
+    norms = np.sqrt(np.add.reduceat(data * data, indptr[:-1][row_sizes > 0]))
+    data = data / np.repeat(norms, row_sizes[row_sizes > 0])
     return FeatureMatrix(indptr=indptr, indices=indices, data=data, n_features=cfg.hash_dim)
 
 

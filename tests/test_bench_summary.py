@@ -44,6 +44,24 @@ def write_side(
     return root
 
 
+def add_traced(root: Path, source: str, csr_logits_s: dict[tuple[str, int], float | None]) -> None:
+    """One traced record per (workload, seed) holding ``kernels.csr_logits.s``;
+    a None value leaves the metric out of that record."""
+    for (workload, seed), value in csr_logits_s.items():
+        metrics = {"kernels.hash_ngrams.calls": {"value": 3}}
+        if value is not None:
+            metrics["kernels.csr_logits.s"] = {"value": value}
+        record = {
+            "workload": workload,
+            "seed": seed,
+            "trace": 1,
+            "correct": True,
+            "environment": {"source_sha256": source},
+            "metrics": metrics,
+        }
+        (root / f"{workload}-{seed}-1.json").write_text(json.dumps(record), encoding="utf-8")
+
+
 def run_tool(parent: Path, change: Path, out: Path) -> int:
     return bench_summary.main(["--parent", str(parent), "--change", str(change), "--out", str(out)])
 
@@ -158,3 +176,22 @@ def test_verdict_lower_is_better(change, expected):
     parent = [90.0 + i / 10 for i in range(10)]
     wins = sum(c < p for p, c in zip(parent, change))
     assert bench_summary.verdict(metric, parent, change, wins) == expected
+
+
+def test_per_layer_values_are_medians_over_every_common_traced_seed(tmp_path):
+    runs = {("w", s): 10.0 for s in range(1, 5)}
+    parent = write_side(tmp_path / "parent", "p", runs)
+    change = write_side(tmp_path / "change", "c", runs)
+    # seed 1 is traced on the parent only and seed 4 on the change only
+    add_traced(parent, "p", {("w", 1): 100.0, ("w", 2): 1.0, ("w", 3): 3.0})
+    add_traced(change, "c", {("w", 2): 2.0, ("w", 3): None, ("w", 4): 100.0})
+    out = tmp_path / "bench.json"
+    assert run_tool(parent, change, out) == 0
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert entry["per_layer_seeds"] == [2, 3]
+    layers = entry["per_layer"]
+    # the median of seeds 2 and 3 on each side; a run that lacks the metric is left out
+    assert layers["kernels.csr_logits.s"] == {"parent": 2.0, "change": 2.0}
+    assert layers["kernels.hash_ngrams.calls"] == {"parent": 3, "change": 3}
+    assert layers["linear_model.train.s"] == {"parent": None, "change": None}
+    assert json.loads(out.read_text())["incorrect_runs"] == {"parent": "0/7", "change": "0/7"}

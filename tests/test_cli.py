@@ -91,11 +91,21 @@ class TestExitCodes:
         assert run(train + ["--weighting", "sqrt"]) == 2
         assert "argument --weighting: invalid choice: 'sqrt'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--accumulation-steps", "2"], ["--warmup-steps", "3"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--accumulation-steps", "2"],
+            ["--warmup-steps", "3"],
+            ["--ngrams", "1"],
+            ["--tf-mode", "binary"],
+            ["--no-l2-normalize"],
+        ],
+    )
     @pytest.mark.parametrize("cmd", ["train", "pipeline"])
     def test_removed_training_flags_are_usage_errors(self, capsys, cmd, flag):
-        # an update is one batch of --batch-size rows, and --warmup-ratio
-        # alone sets the warmup
+        # an update is one batch of --batch-size rows, --warmup-ratio alone
+        # sets the warmup, and the one featurizer is L2-normalized unigram and
+        # bigram counts
         args = {
             "train": ["train", "--train", "t", "--val", "v", "--schema", "subtask1", "--out-model", "m"],
             "pipeline": ["pipeline", "--data", "d", "--schema", "subtask1", "--outdir", "o"],
@@ -236,6 +246,27 @@ class TestTrainPredictTuneEval:
         lines = out_lines(capsys)
         assert lines[0].startswith("macro_f1\t")
         assert report_f.read_text().startswith("label\ttp\tfp\tfn")
+
+    def test_predict_refuses_a_version_2_model(self, corpus, tmp_path, capsys):
+        # a version-2 header may name a featurizer other than the one there is
+        train_f, val_f = corpus
+        model_f = tmp_path / "model.bin"
+        status = run([
+            "train", "--train", str(train_f), "--val", str(val_f), "--labels", "label0,label1",
+            "--max-epochs", "1", "--hash-dim", "4096", "--out-model", str(model_f),
+        ])
+        assert status == 0
+        line, body = model_f.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        header["version"] = 2
+        header["featurizer"].update(ngram_orders=[1, 2], tf_mode="binary", l2_normalize=True)
+        model_f.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        capsys.readouterr()
+        probs_f = tmp_path / "val.probs"
+        assert run(["predict", "--model", str(model_f), "--data", str(val_f), "--out", str(probs_f)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {model_f}: unsupported model version 2\n"
+        assert not probs_f.exists()
 
     def test_eval_defaults_to_half_thresholds(self, corpus, tmp_path, capsys):
         train_f, val_f = corpus
@@ -397,9 +428,7 @@ class TestPipeline:
         ]
         # both predict stages record the featurizer config they scored with
         stages = {s.name: s for s in manifest.stages}
-        featurizer = {
-            "hash_dim": 4096, "ngram_orders": [1, 2], "tf_mode": "count", "l2_normalize": True,
-        }
+        featurizer = {"hash_dim": 4096}
         for name in ("predict_val", "predict_eval"):
             assert stages[name].config == featurizer
         assert stages["train"].config.items() >= featurizer.items()
@@ -997,8 +1026,8 @@ _MODULE_CASES = {
     "model-hash-dim-2**70": (
         1,
         {"d.jsonl": _GOOD, "m.bin": json.dumps({
-            "format": "polarpipe-model", "version": 2, "schema": ["polarized"], "shape": [0, 1],
-            "featurizer": {"hash_dim": 2**70, "ngram_orders": [1, 2], "tf_mode": "count", "l2_normalize": True},
+            "format": "polarpipe-model", "version": 3, "schema": ["polarized"], "shape": [0, 1],
+            "featurizer": {"hash_dim": 2**70},
         }).encode() + b"\n" + bytes(8)},
         ["predict", "--model", "m.bin", "--data", "d.jsonl", "--out", "p.probs"],
     ),

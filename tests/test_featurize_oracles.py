@@ -22,30 +22,22 @@ from helpers import FNV_PRIME, featurize, fnv1a64
 # Oracles
 
 
-def oracle_hash_ngrams(tokens: list[str], unigrams: bool, bigrams: bool, hash_dim: int) -> np.ndarray:
+def oracle_hash_ngrams(tokens: list[str], hash_dim: int) -> np.ndarray:
     states = [fnv1a64(t.encode("utf-8")) for t in tokens]
-    out: list[int] = []
-    if unigrams:
-        out.extend(h % hash_dim for h in states)
-    if bigrams:
-        for h, second in zip(states, tokens[1:]):
-            start = ((h ^ 0x20) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-            out.append(fnv1a64(second.encode("utf-8"), start) % hash_dim)
+    out = [h % hash_dim for h in states]
+    for h, second in zip(states, tokens[1:]):
+        start = ((h ^ 0x20) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+        out.append(fnv1a64(second.encode("utf-8"), start) % hash_dim)
     return np.asarray(out, dtype=np.int64)
 
 
 def oracle_featurize(text: str, cfg: FeaturizerConfig) -> tuple[np.ndarray, np.ndarray]:
-    raw = oracle_hash_ngrams(text.split(), 1 in cfg.ngram_orders, 2 in cfg.ngram_orders, cfg.hash_dim)
+    raw = oracle_hash_ngrams(text.split(), cfg.hash_dim)
     if raw.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
     indices, counts = np.unique(raw, return_counts=True)
-    if cfg.tf_mode == "binary":
-        values = np.ones_like(counts, dtype=np.float64)
-    else:
-        values = counts.astype(np.float64)
-    if cfg.l2_normalize:
-        values = values / np.sqrt(np.sum(values * values))
-    return indices, values
+    values = counts.astype(np.float64)
+    return indices, values / np.sqrt(np.sum(values * values))
 
 
 def oracle_featurize_all(texts: list[str], cfg: FeaturizerConfig):
@@ -85,13 +77,7 @@ joined = st.lists(st.tuples(separators, tokens), max_size=12).map(
     lambda parts: "".join(sep + tok for sep, tok in parts)
 )
 texts = st.one_of(st.text(), joined, tokens, st.just(""))
-configs = st.builds(
-    FeaturizerConfig,
-    hash_dim=st.sampled_from([2**10, 2**18, 2**62]),
-    ngram_orders=st.sampled_from([(1,), (2,), (1, 2)]),
-    tf_mode=st.sampled_from(["count", "binary"]),
-    l2_normalize=st.booleans(),
-)
+configs = st.builds(FeaturizerConfig, hash_dim=st.sampled_from([2**10, 2**18, 2**62]))
 
 
 @settings(max_examples=300)
@@ -126,7 +112,7 @@ def test_long_tokens_among_many_words_match_oracle():
     words = [chr(0x61 + k % 26) * (1 + k) for k in range(40)]
     long_tokens = ["é" * 3000, "x" * 5001, "日" * 2500]
     texts = [" ".join(words[:20] + long_tokens[:2]), " ".join(long_tokens + words[20:]), "é" * 3000]
-    for cfg in (FeaturizerConfig(), FeaturizerConfig(hash_dim=2**62, ngram_orders=(2,))):
+    for cfg in (FeaturizerConfig(), FeaturizerConfig(hash_dim=2**62)):
         assert_same_matrix(texts, cfg)
 
 

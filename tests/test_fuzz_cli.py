@@ -78,15 +78,12 @@ _BAD_FLOAT = ["0", "1", "nan", "inf", "-0.5", "abc", ""]
 _BAD_CHOICE = ["bogus", ""]
 
 # a flag's values: (valid values, or the name of the kind's valid files;
-# other values), or None for a switch
+# other values)
 _DATA = ("data", _INPUTS)
 _OUT = (["out", "out.jsonl"], [".", "no/such/out", ""])
 _FRACTION = (["0.2", "0.5"], _BAD_FLOAT)
 _FEATURIZER_FLAGS = {
     "--hash-dim": (["1024", "4096"], ["1000", "512", str(2**62), str(2**64), "-1024", "nan", "1024.0", ""]),
-    "--ngrams": (["1,2", "1", "2"], ["3", "0", "-1", "1,,2", "abc", ""]),
-    "--tf-mode": (["count", "binary"], _BAD_CHOICE),
-    "--no-l2-normalize": None,
 }
 _TRAIN_FLAGS = {
     "--learning-rate": (["0.02", "0.5"], _BAD_FLOAT),
@@ -165,19 +162,14 @@ def invocations(draw):
         for name, values in flags.items():
             if not draw(present):
                 continue
-            if values is None:
-                parts.append(([name], None, None))
-            else:
-                good, bad = values
-                parts.append(([name], kind[good] if isinstance(good, str) else good, bad))
+            good, bad = values
+            parts.append(([name], kind[good] if isinstance(good, str) else good, bad))
     n_odd = draw(st.sampled_from([0, 1, 1, 2])) if parts else 0
     odd = {draw(st.integers(0, len(parts) - 1)) for _ in range(n_odd)}
     argv = [cmd]
     for i, (tokens, good, bad) in enumerate(parts):
-        argv += tokens
-        if good is not None:
-            value = draw(st.sampled_from(bad if i in odd else good))
-            argv += value if isinstance(value, list) else [value]
+        value = draw(st.sampled_from(bad if i in odd else good))
+        argv += tokens + (value if isinstance(value, list) else [value])
     return argv
 
 

@@ -38,11 +38,11 @@ def kernel_fnv(data: bytes, h: int = 0xCBF29CE484222325) -> int:
     return int(states[0])
 
 
-def doc_ngrams(tokens: list[str], unigrams: bool, bigrams: bool, dim: int) -> np.ndarray:
+def doc_ngrams(tokens: list[str], dim: int) -> np.ndarray:
     """The kernel's hashed ids of one document, in the kernel's order."""
     words = list(dict.fromkeys(tokens))
     token_ids = np.array([words.index(t) for t in tokens], dtype=np.int64)
-    rows, ids = kernels.hash_ngrams(token_ids, words, [len(tokens)], unigrams, bigrams, dim)
+    rows, ids = kernels.hash_ngrams(token_ids, words, [len(tokens)], dim)
     assert rows.tolist() == [0] * ids.size
     return ids
 
@@ -82,17 +82,15 @@ def test_fnv_many_spans_match_reference(spans):
 
 def test_hash_ngrams_layout():
     dim = 2**12
-    got = doc_ngrams(["aa", "bb", "cc"], True, True, dim)
+    got = doc_ngrams(["aa", "bb", "cc"], dim)
     uni = [reference_fnv1a64(t.encode()) % dim for t in ["aa", "bb", "cc"]]
     bi = [
         reference_fnv1a64(b"aa bb") % dim,
         reference_fnv1a64(b"bb cc") % dim,
     ]
     assert got.tolist() == uni + bi
-    assert doc_ngrams([], True, True, dim).tolist() == []
-    assert doc_ngrams(["x"], True, True, dim).size == 1
-    only_bi = doc_ngrams(["aa", "bb"], False, True, dim)
-    assert only_bi.tolist() == [reference_fnv1a64(b"aa bb") % dim]
+    assert doc_ngrams([], dim).tolist() == []
+    assert doc_ngrams(["x"], dim).size == 1
 
 
 # the kernel's words never hold a space: they come from str.split()
@@ -116,32 +114,24 @@ def test_hash_ngrams_matches_reference(tokens, dim):
     expected = [reference_fnv1a64(t.encode()) % dim for t in tokens] + [
         reference_fnv1a64(f"{a} {b}".encode()) % dim for a, b in zip(tokens, tokens[1:])
     ]
-    assert doc_ngrams(tokens, True, True, dim).tolist() == expected
-    assert doc_ngrams(tokens, True, False, dim).tolist() == expected[: len(tokens)]
-    assert doc_ngrams(tokens, False, True, dim).tolist() == expected[len(tokens) :]
+    assert doc_ngrams(tokens, dim).tolist() == expected
 
 
 @given(
     st.lists(st.lists(st.sampled_from(["a", "bb", "ccc", "é", "x" * 130]), max_size=5), max_size=6),
-    st.booleans(),
-    st.booleans(),
 )
-def test_hash_ngrams_corpus_pairs(docs, unigrams, bigrams):
+def test_hash_ngrams_corpus_pairs(docs):
     # one call over the corpus: every document's unigrams, then every
     # document's bigrams, each tagged with its document's row
     words = sorted({t for doc in docs for t in doc})
     token_ids = np.array([words.index(t) for doc in docs for t in doc], dtype=np.int64)
-    rows, ids = kernels.hash_ngrams(token_ids, words, [len(d) for d in docs], unigrams, bigrams, 2**62)
+    rows, ids = kernels.hash_ngrams(token_ids, words, [len(d) for d in docs], 2**62)
     assert rows.dtype == ids.dtype == np.int64
-    expected = []
-    if unigrams:
-        expected += [(i, reference_fnv1a64(t.encode()) % 2**62) for i, d in enumerate(docs) for t in d]
-    if bigrams:
-        expected += [
-            (i, reference_fnv1a64(f"{a} {b}".encode()) % 2**62)
-            for i, d in enumerate(docs)
-            for a, b in zip(d, d[1:])
-        ]
+    expected = [(i, reference_fnv1a64(t.encode()) % 2**62) for i, d in enumerate(docs) for t in d] + [
+        (i, reference_fnv1a64(f"{a} {b}".encode()) % 2**62)
+        for i, d in enumerate(docs)
+        for a, b in zip(d, d[1:])
+    ]
     assert list(zip(rows.tolist(), ids.tolist())) == expected
 
 

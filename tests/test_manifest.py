@@ -43,7 +43,7 @@ def test_config_digest_is_sha256_of_canonical_json(config):
 def saved_manifest(tmp_path):
     stage = StageRecord(
         name="train",
-        config={"seed": 1, "ngram_orders": (1, 2)},
+        config={"seed": 1, "sizes": (1, 2)},
         inputs={"train.jsonl": "ab" * 32},
         outputs={"model.bin": "cd" * 32},
         metrics={"best_epoch": 2},
@@ -65,7 +65,7 @@ def test_round_trip(tmp_path):
     assert back.seed == 1
     (stage,) = back.stages
     assert stage.name == "train"
-    assert stage.config == {"seed": 1, "ngram_orders": [1, 2]}
+    assert stage.config == {"seed": 1, "sizes": [1, 2]}
     assert stage.metrics == {"best_epoch": 2}
 
 

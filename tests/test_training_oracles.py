@@ -23,6 +23,7 @@ they replaced, and the bits must not move.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -89,6 +90,7 @@ def dense_train(train_ds, val_ds, tcfg, fcfg, weighting_mode="balanced"):
     best_b = b.copy()
     stopped_early = False
     step = 0
+    clipped = False
 
     for epoch in range(1, tcfg.max_epochs + 1):
         order = rng.permutation(n)
@@ -102,6 +104,7 @@ def dense_train(train_ds, val_ds, tcfg, fcfg, weighting_mode="balanced"):
             epoch_losses.append(loss)
             norm = math.sqrt(float(np.sum(grad_w * grad_w)) + float(np.sum(grad_b * grad_b)))
             if norm > tcfg.max_grad_norm:
+                clipped = True
                 clip = tcfg.max_grad_norm / norm
                 grad_w *= clip
                 grad_b *= clip
@@ -127,7 +130,7 @@ def dense_train(train_ds, val_ds, tcfg, fcfg, weighting_mode="balanced"):
             stopped_early = True
             break
 
-    return best_W, best_b, tuple(losses), tuple(val_scores), best_epoch, stopped_early
+    return best_W, best_b, tuple(losses), tuple(val_scores), best_epoch, stopped_early, clipped
 
 
 def dense_v_train(train_ds, val_ds, tcfg, fcfg, weighting_mode="balanced"):
@@ -275,6 +278,8 @@ MULTI_VAL = generate_synthetic(40, [0.4, 0.12, 0.05], noise=0.05, seed=8)
 CASES = {
     # class weights per example, smoothing 0.1 resolved for the binary task
     "binary-class-weights": (BINARY, BINARY_VAL, TrainConfig(max_epochs=4, batch_size=16)),
+    # 8-row updates: the default clip bound of 1.0 engages
+    "binary-class-weights-batch-8": (BINARY, BINARY_VAL, TrainConfig(max_epochs=4, batch_size=8)),
     "multilabel-pos-weights": (MULTI, MULTI_VAL, TrainConfig(max_epochs=4, batch_size=16)),
     # 90 = 4 * 21 + 6: the last update holds 6 rows
     "ragged-last-update": (MULTI, MULTI_VAL, TrainConfig(max_epochs=3, batch_size=21)),
@@ -301,17 +306,22 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-@pytest.mark.parametrize("weight_decay", ["config", 0.0])
-def test_trainer_matches_dense_oracle(name, weight_decay):
+@functools.cache
+def oracle_case(name, weight_decay):
     train_ds, val_ds, tcfg = CASES[name]
     if weight_decay == 0.0:
         tcfg = dataclasses.replace(tcfg, weight_decay=0.0)
-    got, expected = run_both(train_ds, val_ds, tcfg)
+    return run_both(train_ds, val_ds, tcfg)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("weight_decay", ["config", 0.0])
+def test_trainer_matches_dense_oracle(name, weight_decay):
+    got, expected = oracle_case(name, weight_decay)
     W, b, losses, scores, best_epoch, stopped = got
-    W_d, b_d, losses_d, scores_d, best_epoch_d, stopped_d = expected
+    W_d, b_d, losses_d, scores_d, best_epoch_d, stopped_d, clipped = expected
     assert (best_epoch, stopped, len(losses)) == (best_epoch_d, stopped_d, len(losses_d))
-    if weight_decay == 0.0 and name != "clipped":
+    if weight_decay == 0.0 and not clipped:
         # no decay to fold and no clip: the same arithmetic on the same values.
         # A clip norm summed over the touched rows alone pairs its terms
         # differently from one summed over all rows, so it may differ by an ulp.
@@ -324,6 +334,13 @@ def test_trainer_matches_dense_oracle(name, weight_decay):
         assert_close(b, b_d)
         assert_close(losses, losses_d)
         assert_close(scores, scores_d)
+
+
+def test_oracle_cases_cover_clipped_and_exact_comparisons():
+    # whether an update clipped decides the comparison above, not a case's name
+    clipped = {name: oracle_case(name, 0.0)[1][-1] for name in CASES}
+    assert clipped["clipped"] and clipped["binary-class-weights-batch-8"]
+    assert not all(clipped.values())
 
 
 # ---------------------------------------------------------------------------
@@ -511,11 +528,12 @@ def test_loss_terms_match_separate_softplus_and_sigmoid(n_labels):
 
 
 def test_predict_proba_matches_separate_sigmoid_at_the_edges():
-    # one distinct word per document, valued 1.0, so each logit is its word's weight
+    # one word per document, so no bigram: a count of 1 over a norm of 1 is
+    # 1.0, and each logit is its word's weight
     n_labels = 6
     z = edge_and_random_logits(n_labels)
     ds = mk_dataset([(0,) * n_labels] * z.shape[0], texts=[f"word{i}" for i in range(z.shape[0])])
-    fcfg = FeaturizerConfig(ngram_orders=(1,), tf_mode="binary")
+    fcfg = FeaturizerConfig()
     fm = featurize_all([inst.text for inst in ds.instances], fcfg)
     feature_ids, rows_of = np.unique(fm.indices, return_inverse=True)
     assert feature_ids.size == z.shape[0]

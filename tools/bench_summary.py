@@ -8,8 +8,10 @@ workload, seed and trace setting. Every directory must come from one source
 tree (one ``source_sha256``). For each workload the output lists the seeds,
 and for every end-to-end metric in ``BENCHMARK.json`` the median and
 quartiles of each side, how many same-seed pairs the change won (ties
-count for neither) and a verdict (see ``verdict``). Traced runs give each side's per-layer values. The
-environment block of each side is copied from its records, and
+count for neither) and a verdict (see ``verdict``). Traced runs give each
+side's per-layer values: the median over every seed both sides traced, which
+``per_layer_seeds`` lists. The environment block of each side is copied
+from its records, and
 ``incorrect_runs`` counts, per side, the records whose outputs failed the
 benchmark's checks (``correct`` not true), naming each one's workload and seed.
 A ``warning:`` line on stderr names each side with incorrect runs, and each
@@ -84,6 +86,12 @@ def verdict(metric: dict, parent: list[float], change: list[float], wins: int) -
     return "within_bound"
 
 
+def layer_median(runs: list[dict], name: str) -> float | None:
+    """Median of one per-layer metric over traced runs' metrics; None if no run reports it."""
+    values = [run[name]["value"] for run in runs if run.get(name, {}).get("value") is not None]
+    return statistics.median(values) if values else None
+
+
 def by_key(records: list[dict], trace: int) -> dict[tuple[str, int], dict]:
     return {(r["workload"], r["seed"]): r for r in records if r["trace"] == trace}
 
@@ -124,11 +132,10 @@ def summarize(spec: dict, records: dict[str, list[dict]]) -> dict:
             }
         layer_seeds = common_seeds(traced, workload)
         if layer_seeds:
-            seed = layer_seeds[0]
-            layers = {side: traced[side][(workload, seed)]["metrics"] for side in traced}
-            entry["per_layer_seed"] = seed
+            layers = {side: [traced[side][(workload, s)]["metrics"] for s in layer_seeds] for side in traced}
+            entry["per_layer_seeds"] = layer_seeds
             entry["per_layer"] = {
-                m["name"]: {side: layers[side].get(m["name"], {}).get("value") for side in layers}
+                m["name"]: {side: layer_median(layers[side], m["name"]) for side in layers}
                 for m in spec["per_layer"]
             }
         out[workload] = entry

@@ -16,9 +16,9 @@ iterative ``split`` of the first corpus and a ``train`` on its two halves, a
 stratified ``split`` of the second, and a ``merge`` of the second with a
 synth donor; two ``eval`` runs of the first pipeline's held-out
 probabilities, one at the 0.5 default thresholds and one at its tuned
-``--thresholds``, some of which differ from 0.5. Four cases give every
-featurizer and train flag, and ``--val-fraction``, a value other than its
-default: a ``pipeline`` of the first corpus with ``--warmup-ratio`` and
+``--thresholds``, some of which differ from 0.5. Four cases give
+``--hash-dim``, every train flag and ``--val-fraction`` a value other than
+its default: a ``pipeline`` of the first corpus with ``--warmup-ratio`` and
 ``--weighting none``, a ``pipeline`` of the second with ``--warmup-ratio 0``
 (no warmup), a ``split`` of the first, and a ``train`` on the stratified
 halves. Then decorated posts from
@@ -127,11 +127,10 @@ def _commands(workloads):
     yield "tune-social", ["tune", *gold, "--out", "tuned.tsv"], ["tuned.tsv"]
     yield "eval-tuned", ["eval", "--probs", "run3/eval.probs", "--gold", "run3/eval.jsonl", "--schema", "subtask3",
                          "--thresholds", "run3/thresholds.tsv", "--out", "report-tuned.tsv"], ["report-tuned.tsv"]
-    # every featurizer and train flag, and --val-fraction, away from its default
+    # --hash-dim, every train flag and --val-fraction away from its default
     yield "pipeline-flags", ["pipeline", "--data", "c3.jsonl", "--schema", "subtask3", "--outdir", "run-flags",
-                             "--seed", "15", "--val-fraction", "0.3", "--hash-dim", "4096", "--ngrams", "1",
-                             "--tf-mode", "binary", "--no-l2-normalize", "--learning-rate", "0.5",
-                             "--weight-decay", "0.001", "--max-epochs", "6", "--batch-size", "16",
+                             "--seed", "15", "--val-fraction", "0.3", "--hash-dim", "4096",
+                             "--learning-rate", "0.5", "--weight-decay", "0.001", "--max-epochs", "6", "--batch-size", "16",
                              "--warmup-ratio", "0.25", "--max-grad-norm", "0.5",
                              "--label-smoothing", "0.05", "--patience", "2", "--weighting", "none"], ["run-flags"]
     # the binary task with no warmup: the first update takes the full rate
@@ -142,10 +141,9 @@ def _commands(workloads):
                                  "--seed", "17", "--out-train", "v3-train.jsonl", "--out-val", "v3-val.jsonl"], [
         "v3-train.jsonl", "v3-val.jsonl"]
     yield "train-flags", ["train", "--train", "s1-train.jsonl", "--val", "s1-val.jsonl", "--schema", "subtask1",
-                          "--seed", "18", "--hash-dim", "2048", "--ngrams", "2", "--tf-mode", "binary",
-                          "--no-l2-normalize", "--learning-rate", "0.1", "--weight-decay", "0.0",
-                          "--max-epochs", "5", "--batch-size", "8", "--warmup-ratio", "0.02",
-                          "--max-grad-norm", "2.0", "--label-smoothing", "0.2",
+                          "--seed", "18", "--hash-dim", "2048",
+                          "--learning-rate", "0.1", "--weight-decay", "0.0", "--max-epochs", "5", "--batch-size", "8",
+                          "--warmup-ratio", "0.02", "--max-grad-norm", "2.0", "--label-smoothing", "0.2",
                           "--patience", "4",
                           "--out-model", "tf-model.bin", "--out-history", "tf-history.tsv"], [
         "tf-model.bin", "tf-history.tsv"]
