@@ -16,7 +16,10 @@ iterative ``split`` of the first corpus and a ``train`` on its two halves, a
 stratified ``split`` of the second, and a ``merge`` of the second with a
 synth donor; two ``eval`` runs of the first pipeline's held-out
 probabilities, one at the 0.5 default thresholds and one at its tuned
-``--thresholds``, some of which differ from 0.5. Four cases give
+``--thresholds``, some of which differ from 0.5, and a machine-format
+``eval`` of the second pipeline's held-out probabilities at its tuned
+thresholds, whose ``polarized=1`` row is the figure ``tune`` maximizes on the
+binary task. Four cases give
 ``--hash-dim``, every train flag and ``--val-fraction`` a value other than
 its default: a ``pipeline`` of the first corpus with ``--warmup-ratio`` and
 ``--weighting none``, a ``pipeline`` of the second with ``--warmup-ratio 0``
@@ -125,6 +128,10 @@ def _commands(workloads):
     yield "eval-default", ["eval", "--probs", "run3/eval.probs", "--gold", "run3/eval.jsonl", "--schema", "subtask3",
                            "--out", "report-default.tsv"], ["report-default.tsv"]
     yield "tune-social", ["tune", *gold, "--out", "tuned.tsv"], ["tuned.tsv"]
+    # the binary report's "polarized=1" row is the figure that tune maximizes
+    yield "eval-binary-machine", ["eval", "--probs", "run1/eval.probs", "--gold", "run1/eval.jsonl",
+                                  "--schema", "subtask1", "--thresholds", "run1/thresholds.tsv",
+                                  "--format", "machine", "--out", "report-binary.txt"], ["report-binary.txt"]
     yield "eval-tuned", ["eval", "--probs", "run3/eval.probs", "--gold", "run3/eval.jsonl", "--schema", "subtask3",
                          "--thresholds", "run3/thresholds.tsv", "--out", "report-tuned.tsv"], ["report-tuned.tsv"]
     # --hash-dim, every train flag and --val-fraction away from its default
