@@ -11,9 +11,10 @@ Grid points are generated as integer counts of the step divided out at the
 end, never by repeated addition, so thresholds survive a 6-decimal file
 round-trip bit-exactly.
 
-Stage 1 averages each grid point's per-label F1 with :func:`metrics.mean_f1`,
-so it maximizes exactly the macro-F1 that ``metrics.score`` reports in its
-``positive-f1`` view, and the inputs are checked by the rule the metrics use.
+What the tuner maximizes is :func:`objective`: the mean, by
+:func:`metrics.mean_f1`, of each label's F1 at its threshold. On the binary
+task that is the ``<label>=1`` row of the ``metrics.score`` report. The
+inputs are checked by the rule the metrics use.
 Thresholds are Python floats and the module never loads numpy.
 """
 
@@ -93,6 +94,17 @@ def _gold_columns(pm: ProbabilityMatrix, gold) -> list[tuple]:
 
 def _f1_per_candidate(probs_col, gold_col, thetas) -> list[float]:
     return [f1_from_counts(*counts) for counts in kernels.sweep_confusion(probs_col, gold_col, thetas)]
+
+
+def objective(pm: ProbabilityMatrix, gold, theta) -> float:
+    """The figure ``tune`` maximizes: the mean of each label's F1 at its threshold."""
+    theta = tuple(map(float, theta))
+    if len(theta) != pm.n_labels:
+        raise DataError(f"expected {pm.n_labels} thresholds, got {len(theta)}")
+    return mean_f1([
+        _f1_per_candidate(probs, golds, (t,))[0]
+        for probs, golds, t in zip(zip(*pm.values), _gold_columns(pm, gold), theta)
+    ])
 
 
 def coarse_search(pm: ProbabilityMatrix, gold) -> float:

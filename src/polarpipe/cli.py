@@ -32,7 +32,6 @@ from .corpus import (
 from .probs import ProbabilityMatrix, load_probabilities, save_probabilities
 
 if TYPE_CHECKING:
-    from .linear_model import FeaturizerConfig, TrainConfig
     from .manifest import StageRecord
     from .splitter import SplitConfig
 
@@ -137,24 +136,6 @@ def _config(cls, options: dict):
     return cls(**{f.name: options[f.name] for f in fields(cls) if f.name in options})
 
 
-def _featurizer_config(options: dict) -> FeaturizerConfig:
-    from .linear_model import FeaturizerConfig
-
-    return _config(FeaturizerConfig, options)
-
-
-def _train_config(options: dict) -> TrainConfig:
-    from .linear_model import TrainConfig
-
-    return _config(TrainConfig, options)
-
-
-def _split_config(options: dict) -> SplitConfig:
-    from .splitter import SplitConfig
-
-    return _config(SplitConfig, options)
-
-
 def _split_dataset(ds: Dataset, cfg: SplitConfig, strategy: str):
     if strategy == "auto":
         strategy = "stratified" if ds.schema.is_binary else "iterative"
@@ -163,16 +144,17 @@ def _split_dataset(ds: Dataset, cfg: SplitConfig, strategy: str):
     return iterative_stratified_split(ds, cfg)
 
 
-def _scorable(gold: Dataset | GoldLabels, flag: str, path: str | Path):
-    """``gold``, or a ``DataError`` naming ``flag`` when it has no instances."""
-    if not gold.ids:
-        raise DataError(f"{flag} {path} has no instances; there is nothing to score")
-    return gold
+def _nonempty(ds: Dataset | GoldLabels, source: str, work: str = "score"):
+    """``ds``, or a ``DataError`` naming ``source`` (the flag and path, or the
+    path of a positional) when it has no instances."""
+    if not ds.ids:
+        raise DataError(f"{source} has no instances; there is nothing to {work}")
+    return ds
 
 
 def _load_gold(path: str, schema: LabelSchema) -> GoldLabels:
     """``--gold``'s ids and labels; a file with no instances raises DataError."""
-    return _scorable(load_labels(path, schema), "--gold", path)
+    return _nonempty(load_labels(path, schema), f"--gold {path}")
 
 
 def _print_metrics(metrics_: dict) -> None:
@@ -221,23 +203,22 @@ def _run_predict(model, ds: Dataset, path) -> ProbabilityMatrix:
 
 
 def _run_tune(pm: ProbabilityMatrix, gold: Dataset | GoldLabels, path):
-    """Tuned thresholds, and the macro-F1 the tuner maximizes at 0.5 and at them."""
+    """Tuned thresholds, and the tuner's objective at 0.5 and at them."""
     from . import calibration, metrics
 
     pm, labels = metrics.align(pm, gold)
     tv = calibration.tune(pm, labels)
     before, after = (
-        metrics.score(pm.values, labels, thetas, pm.label_names, "positive-f1").macro_f1
-        for thetas in ((0.5,) * pm.n_labels, tv.theta)
+        calibration.objective(pm, labels, theta) for theta in ((0.5,) * pm.n_labels, tv.theta)
     )
     calibration.save_thresholds(tv, path)
     return tv, {"macro_f1_before": before, "macro_f1_after": after, "base_theta": tv.base_theta}
 
 
-def _run_eval(pm, gold, thresholds, binary_mode: str, path, format_: str = "table") -> dict:
+def _run_eval(pm, gold, thresholds, path, format_: str = "table") -> dict:
     from . import metrics
 
-    report = metrics.evaluate(pm, gold, thresholds, binary_mode=binary_mode)
+    report = metrics.evaluate(pm, gold, thresholds)
     render = metrics.format_machine if format_ == "machine" else metrics.format_report
     Path(path).write_text(render(report), encoding="utf-8")
     return {"macro_f1": report.macro_f1, "micro_f1": report.micro_f1}
@@ -248,7 +229,7 @@ def _run_eval(pm, gold, thresholds, binary_mode: str, path, format_: str = "tabl
 
 
 def _cmd_stats(o: dict) -> int:
-    stats = summarize(load_labels(o["data"], _resolve_schema(o)))
+    stats = summarize(_nonempty(load_labels(o["data"], _resolve_schema(o)), o["data"], "summarize"))
     print(f"n_instances\t{stats.n_instances}")
     print(f"all_zero_rows\t{stats.all_zero_rows}")
     print("label\tpositives\tpositive_pct\tneg_pos_ratio")
@@ -267,10 +248,12 @@ def _cmd_stats(o: dict) -> int:
 
 
 def _cmd_split(o: dict) -> int:
+    from .splitter import SplitConfig
+
     _check_outputs({"data": o["data"]}, {"--out-train": o["out_train"], "--out-val": o["out_val"]})
     schema = _resolve_schema(o)
-    ds = load_dataset(o["data"], schema)
-    result = _split_dataset(ds, _split_config(o), o["strategy"])
+    ds = _nonempty(load_dataset(o["data"], schema), o["data"], "split")
+    result = _split_dataset(ds, _config(SplitConfig, o), o["strategy"])
     _run_split(result, o["out_train"], o["out_val"])
     print(f"train\t{len(result.train)}\t{o['out_train']}")
     print(f"val\t{len(result.val)}\t{o['out_val']}")
@@ -290,15 +273,19 @@ def _cmd_merge(o: dict) -> int:
 
 
 def _cmd_train(o: dict) -> int:
+    from .linear_model import FeaturizerConfig, TrainConfig
+
     _check_outputs(
         {"--train": o["train"], "--val": o["val"]},
         {"--out-model": o["out_model"], "--out-history": o["out_history"]},
     )
     schema = _resolve_schema(o)
-    tcfg = _train_config(o)
-    fcfg = _featurizer_config(o)
-    train_ds = load_dataset(o["train"], schema, keep_raw=False)
-    val_ds = load_dataset(o["val"], schema, keep_raw=False)
+    tcfg = _config(TrainConfig, o)
+    fcfg = _config(FeaturizerConfig, o)
+    train_ds = _nonempty(
+        load_dataset(o["train"], schema, keep_raw=False), f"--train {o['train']}", "train on"
+    )
+    val_ds = _nonempty(load_dataset(o["val"], schema, keep_raw=False), f"--val {o['val']}")
     _, metrics_ = _run_train(train_ds, val_ds, tcfg, fcfg, o["out_model"], o["out_history"])
     _print_metrics(metrics_)
     return 0
@@ -339,7 +326,7 @@ def _cmd_eval(o: dict) -> int:
             )
     else:
         tv = calibration.default_thresholds(schema.names)
-    _print_metrics(_run_eval(pm, gold, tv.theta, o["binary_mode"], o["out"], o["format"]))
+    _print_metrics(_run_eval(pm, gold, tv.theta, o["out"], o["format"]))
     return 0
 
 
@@ -475,13 +462,19 @@ def _removed_on_failure(outdir: Path, outputs: list[Path]):
 
 
 def _cmd_pipeline(o: dict) -> int:
+    from .linear_model import FeaturizerConfig, TrainConfig
     from .manifest import PipelineManifest
+    from .splitter import SplitConfig, _val_target
 
     schema = _resolve_schema(o)
-    tcfg = _train_config(o)
-    fcfg = _featurizer_config(o)
-    split_cfg = _split_config(o)
-    seed = o["seed"]
+    tcfg = _config(TrainConfig, o)
+    fcfg = _config(FeaturizerConfig, o)
+    split_cfg = _config(SplitConfig, o)
+    fraction = o["eval_fraction"]
+    try:
+        carve_cfg = replace(split_cfg, val_fraction=fraction)
+    except DataError:
+        raise DataError(f"--eval-fraction {fraction} must be strictly between 0 and 1") from None
     if not o["outdir"]:
         # Path("") is the working directory
         raise DataError("--outdir is empty")
@@ -502,7 +495,7 @@ def _cmd_pipeline(o: dict) -> int:
     # name: (config, inputs, outputs), in the order the stages run
     stages = {
         "carve": (
-            {"strategy": o["strategy"], "eval_fraction": o["eval_fraction"], "seed": seed},
+            {"strategy": o["strategy"], **asdict(carve_cfg)},
             (data_path,),
             (pool_path, eval_path),
         ),
@@ -519,11 +512,7 @@ def _cmd_pipeline(o: dict) -> int:
         "predict_val": (asdict(fcfg), (model_path, val_path), (val_probs_path,)),
         "tune": ({}, (val_probs_path, val_path), (thresholds_path,)),
         "predict_eval": (asdict(fcfg), (model_path, eval_path), (eval_probs_path,)),
-        "eval": (
-            {"binary_mode": o["binary_mode"]},
-            (eval_probs_path, eval_path, thresholds_path),
-            (report_path,),
-        ),
+        "eval": ({}, (eval_probs_path, eval_path, thresholds_path), (report_path,)),
     }
     given = {"--data": data_path}
     if not carving:
@@ -533,12 +522,14 @@ def _cmd_pipeline(o: dict) -> int:
     _refuse_overwriting(given, {path.name: path for path in written})
     _refuse_shared_names(stages, given)
     # --data's records are written back to the split files; --eval-data's are only scored
-    ds = load_dataset(data_path, schema)
+    ds = _nonempty(load_dataset(data_path, schema), f"--data {data_path}", "split")
     if carving:
-        carve = _split_dataset(ds, replace(split_cfg, val_fraction=o["eval_fraction"]), o["strategy"])
+        if _val_target(len(ds), fraction) in (0, len(ds)):
+            raise DataError(f"--eval-fraction {fraction} leaves an empty subset for {len(ds)} instances")
+        carve = _split_dataset(ds, carve_cfg, o["strategy"])
         pool, eval_ds = carve.train, carve.val
     else:
-        eval_ds = _scorable(load_dataset(eval_path, schema, keep_raw=False), "--eval-data", eval_path)
+        eval_ds = _nonempty(load_dataset(eval_path, schema, keep_raw=False), f"--eval-data {eval_path}")
         pool = ds
         pool_ids = set(pool.ids)
         shared = next((i for i in eval_ds.ids if i in pool_ids), None)
@@ -559,12 +550,12 @@ def _cmd_pipeline(o: dict) -> int:
         val_probs = _run_predict(model, split.val, val_probs_path)
         tv, metrics_["tune"] = _run_tune(val_probs, split.val, thresholds_path)
         eval_probs = _run_predict(model, eval_ds, eval_probs_path)
-        metrics_["eval"] = _run_eval(eval_probs, eval_ds, tv.theta, o["binary_mode"], report_path)
+        metrics_["eval"] = _run_eval(eval_probs, eval_ds, tv.theta, report_path)
         digests: dict[Path, str] = {}
         records = tuple(
             _stage(digests, name, *files, metrics_.get(name)) for name, files in stages.items()
         )
-        save_manifest(PipelineManifest(seed=seed, stages=records), manifest_path)
+        save_manifest(PipelineManifest(seed=o["seed"], stages=records), manifest_path)
     for record in records:
         print(f"stage\t{record.name}\tok")
     print(f"eval_macro_f1\t{metrics_['eval']['macro_f1']:.6f}")
@@ -652,13 +643,10 @@ def _tune_args(p: argparse.ArgumentParser) -> None:
 
 
 def _eval_args(p: argparse.ArgumentParser) -> None:
-    from .metrics import BINARY_MODES
-
     p.add_argument("--probs", required=True)
     p.add_argument("--gold", required=True)
     _add_schema_flags(p)
     p.add_argument("--thresholds", help="thresholds file; omitted: 0.5 everywhere")
-    p.add_argument("--binary-mode", choices=list(BINARY_MODES), default="two-class-macro")
     p.add_argument("--format", choices=["table", "machine"], default="table")
     p.add_argument("--out", required=True)
 
@@ -673,8 +661,6 @@ def _synth_args(p: argparse.ArgumentParser) -> None:
 
 
 def _pipeline_args(p: argparse.ArgumentParser) -> None:
-    from .metrics import BINARY_MODES
-
     _add_seed_flag(p)
     p.add_argument("--data", required=True)
     _add_schema_flags(p)
@@ -685,7 +671,6 @@ def _pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", choices=["auto", "stratified", "iterative"], default="auto")
     _add_featurizer_flags(p)
     _add_train_flags(p)
-    p.add_argument("--binary-mode", choices=list(BINARY_MODES), default="two-class-macro")
 
 
 # name: (help line, arguments, handler), in the order ``--help`` lists them

@@ -3,9 +3,9 @@
 Every count comes from the threshold-sweep kernel, one call per label at that
 label's threshold. Macro-F1 averages per-label F1 scores without weighting;
 micro-F1 pools the counts first. Any F1 with an empty denominator is defined
-as 0. For the binary task the default view scores the negative and the
-positive class as two separate rows ("two-class macro"); ``positive-f1``
-scores only the positive class, which is what threshold tuning maximizes.
+as 0. A single label is scored as two class rows, ``<label>=0`` and
+``<label>=1`` ("two-class macro"); the ``=1`` row's F1 is the figure that
+threshold tuning maximizes (``calibration.objective``).
 Matrices are sequences of rows (lists, tuples or 2-d arrays); the module
 works on Python values and never loads numpy.
 """
@@ -18,8 +18,6 @@ from typing import Sequence
 from . import _kernels as kernels
 from .corpus import DataError, Dataset, GoldLabels
 from .probs import ProbabilityMatrix
-
-BINARY_MODES = ("two-class-macro", "positive-f1")
 
 
 @dataclass(frozen=True)
@@ -112,27 +110,19 @@ def micro_f1(counts: Sequence[ConfusionCounts]) -> float:
     return f1_from_counts(tp, fp, fn)
 
 
-def score(
-    probs,
-    gold,
-    thresholds: Sequence[float],
-    label_names: Sequence[str],
-    binary_mode: str = "two-class-macro",
-) -> MetricsReport:
+def score(probs, gold, thresholds: Sequence[float], label_names: Sequence[str]) -> MetricsReport:
     """Score ``probs >= theta`` per label against row-aligned 0/1 gold.
 
-    ``probs`` and ``gold`` are sequences of rows, one value per label.
-    ``binary_mode`` only applies to a single label.
+    ``probs`` and ``gold`` are sequences of rows, one value per label. A
+    single label is reported as its negative and its positive class.
     """
-    if binary_mode not in BINARY_MODES:
-        raise DataError(f"binary_mode must be one of {BINARY_MODES}, got {binary_mode!r}")
     _check_matrices(probs, gold, len(label_names))
     thetas = tuple(map(float, thresholds))
     if len(thetas) != len(label_names):
         raise DataError(f"expected {len(label_names)} thresholds, got {len(thetas)}")
     counts = _counts(probs, gold, thetas, label_names)
     binary = len(label_names) == 1
-    if binary and binary_mode == "two-class-macro":
+    if binary:
         (c,) = counts  # class 0's row is class 1's mirrored
         counts = (
             ConfusionCounts(label=f"{c.label}=0", tp=c.tn, fp=c.fn, fn=c.fp, tn=c.tp),
@@ -143,7 +133,7 @@ def score(
         macro_f1=macro_f1(counts),
         micro_f1=micro_f1(counts),
         n_instances=len(probs),
-        mode=binary_mode if binary else "multi-label",
+        mode="two-class-macro" if binary else "multi-label",
     )
 
 
@@ -172,18 +162,10 @@ def align(
     return aligned, ds.labels
 
 
-def evaluate(
-    pm: ProbabilityMatrix,
-    ds: Dataset | GoldLabels,
-    thresholds: Sequence[float],
-    binary_mode: str = "two-class-macro",
-) -> MetricsReport:
-    """:func:`align` probabilities to gold labels by id, then :func:`score` them.
-
-    ``binary_mode`` only applies to single-label schemas.
-    """
+def evaluate(pm: ProbabilityMatrix, ds: Dataset | GoldLabels, thresholds: Sequence[float]) -> MetricsReport:
+    """:func:`align` probabilities to gold labels by id, then :func:`score` them."""
     aligned, gold = align(pm, ds)
-    return score(aligned.values, gold, thresholds, ds.schema.names, binary_mode)
+    return score(aligned.values, gold, thresholds, ds.schema.names)
 
 
 def format_report(report: MetricsReport) -> str:

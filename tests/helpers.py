@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from polarpipe import _kernels as kernels
-from polarpipe.calibration import ThresholdVector, _f1_per_candidate, _gold_columns
+from polarpipe.calibration import ThresholdVector, _f1_per_candidate, _gold_columns, objective
 from polarpipe.corpus import CorpusStats, DataError, Dataset, GoldLabels, Instance, LabelSchema
 from polarpipe.linear_model import (
     FeatureMatrix,
@@ -22,7 +22,6 @@ from polarpipe.linear_model import (
     featurize_all,
     restrict,
 )
-from polarpipe.metrics import score
 from polarpipe.probs import ProbabilityMatrix
 from polarpipe.weighting import POS_WEIGHT_CAP, ClassWeights, PosWeights
 
@@ -65,8 +64,8 @@ def mk_dataset(label_rows, names=None, texts=None) -> Dataset:
 
 
 def tuned_macro_f1(pm, gold, tv) -> float:
-    """The macro-F1 threshold tuning maximizes: per-label F1, the positive class on binary."""
-    return score(pm.values, gold, tv.theta, pm.label_names, "positive-f1").macro_f1
+    """The figure threshold tuning maximizes, at ``tv``'s thresholds."""
+    return objective(pm, gold, tv.theta)
 
 
 def random_prob_matrix_values(rng: np.random.RandomState, n: int, width: int, distinct: int):

@@ -13,6 +13,7 @@ from polarpipe.calibration import (
     default_thresholds,
     fine_candidates,
     load_thresholds,
+    objective,
     refine_per_label,
     save_thresholds,
     tune,
@@ -183,10 +184,7 @@ class TestCoarseSearch:
         values = np.round(rng.rand(n, labels), rng.randint(1, 4))
         gold = (rng.rand(n, labels) < rng.rand()).astype(int)
         pm = mk_pm(values)
-        scores = [
-            score(pm.values, gold, (theta,) * labels, pm.label_names, "positive-f1").macro_f1
-            for theta in COARSE_GRID
-        ]
+        scores = [objective(pm, gold, (theta,) * labels) for theta in COARSE_GRID]
         assert coarse_search(pm, gold) == COARSE_GRID[scores.index(max(scores))]
 
     def test_eight_labels_take_the_reported_mean_not_numpys_pairwise_one(self):
@@ -206,7 +204,7 @@ class TestCoarseSearch:
             values[row, label], gold[row, label] = p, g
         pm = mk_pm(values)
         reports = [
-            score(pm.values, gold, (theta,) * len(blocks), pm.label_names, "positive-f1")
+            score(pm.values, gold, (theta,) * len(blocks), pm.label_names)
             for theta in COARSE_GRID
         ]
         f1_rows = np.array([[c.f1 for c in r.per_label] for r in reports])

@@ -9,13 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from polarpipe.calibration import default_thresholds, load_thresholds
+from polarpipe.calibration import default_thresholds, load_thresholds, objective
 from polarpipe import cli
 from polarpipe.cli import SCHEMA_PRESETS, run
 from polarpipe.corpus import LabelSchema, load_dataset
 from polarpipe.linear_model import FeaturizerConfig, TrainConfig
 from polarpipe.manifest import file_digest, load_manifest
-from polarpipe.metrics import evaluate
 from polarpipe.probs import ProbabilityMatrix, load_probabilities, save_probabilities
 from polarpipe.splitter import SplitConfig
 from polarpipe.synth import generate_synthetic
@@ -115,10 +114,49 @@ class TestExitCodes:
         assert f"unrecognized arguments: {' '.join(flag)}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd", ["eval", "pipeline"])
+    def test_removed_binary_mode_is_a_usage_error(self, capsys, cmd):
+        # a single label is always scored as two class rows; the positive
+        # class's F1 is the report's "<label>=1" row
+        args = {
+            "eval": ["eval", "--probs", "p", "--gold", "g", "--schema", "subtask1", "--out", "r"],
+            "pipeline": ["pipeline", "--data", "d", "--schema", "subtask1", "--outdir", "o"],
+        }[cmd]
+        assert run(args + ["--binary-mode", "positive-f1"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --binary-mode positive-f1" in err
+        assert "Traceback" not in err
+
     def test_data_errors_are_1(self, tmp_path, capsys):
         assert run(["stats", str(tmp_path / "missing.jsonl"), "--labels", "a"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["stats", "{empty}"], "{empty} has no instances; there is nothing to summarize"),
+            (["split", "{empty}", "--out-train", "{tmp}/t.jsonl", "--out-val", "{tmp}/v.jsonl"],
+             "{empty} has no instances; there is nothing to split"),
+            (["train", "--train", "{empty}", "--val", "{data}", "--out-model", "{tmp}/m.bin"],
+             "--train {empty} has no instances; there is nothing to train on"),
+            (["train", "--train", "{data}", "--val", "{empty}", "--out-model", "{tmp}/m.bin"],
+             "--val {empty} has no instances; there is nothing to score"),
+            (["pipeline", "--data", "{empty}", "--outdir", "{tmp}/run"],
+             "--data {empty} has no instances; there is nothing to split"),
+        ],
+        ids=["stats", "split", "train-train", "train-val", "pipeline-data"],
+    )
+    def test_empty_input_names_its_file(self, tmp_path, capsys, args, message):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        paths = {"empty": empty, "data": synth_file(tmp_path, "d.jsonl", 20, [0.4]), "tmp": tmp_path}
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run([arg.format(**paths) for arg in args] + ["--labels", "label0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(**paths)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_help_is_0(self, capsys):
         assert run(["--help"]) == 0
@@ -483,9 +521,11 @@ class TestPipeline:
         "flags, message",
         [
             (["--val-fraction", "0.01"], "val_fraction 0.01 leaves an empty subset for 32 instances"),
-            (["--eval-fraction", "0.99"], "val_fraction 0.99 leaves an empty subset for 40 instances"),
+            (["--eval-fraction", "0.99"], "--eval-fraction 0.99 leaves an empty subset for 40 instances"),
+            (["--eval-fraction", "0.001"], "--eval-fraction 0.001 leaves an empty subset for 40 instances"),
+            (["--eval-fraction", "1.5"], "--eval-fraction 1.5 must be strictly between 0 and 1"),
         ],
-        ids=["val-fraction", "eval-fraction"],
+        ids=["val-fraction", "eval-fraction", "eval-fraction-too-small", "eval-fraction-outside-0-1"],
     )
     def test_refused_split_leaves_no_run_dir(self, tmp_path, capsys, flags, message):
         data = synth_file(tmp_path, "d.jsonl", 40, [0.4, 0.2], seed=3)
@@ -905,13 +945,11 @@ def test_commands_check_output_directories_first(run_files, tmp_path, monkeypatc
 
 
 class TestTunedMetricIsEvaluated:
-    """``tune`` reports the same macro-F1 that ``eval`` computes on the same rows."""
+    """``tune`` reports ``calibration.objective``: on the binary task the F1 of
+    ``eval``'s ``<label>=1`` row, on the multi-label task its macro-F1."""
 
-    @pytest.mark.parametrize(
-        "rates, names, binary_mode",
-        [([0.3], "label0", "positive-f1"), ([0.4, 0.15, 0.05], "a,b,c", "two-class-macro")],
-    )
-    def test_pipeline_tune_stage_matches_evaluate(self, tmp_path, capsys, rates, names, binary_mode):
+    @pytest.mark.parametrize("rates, names", [([0.3], "label0"), ([0.4, 0.15, 0.05], "a,b,c")])
+    def test_pipeline_tune_stage_matches_evaluate(self, tmp_path, capsys, rates, names):
         data = synth_file(tmp_path, "d.jsonl", 200, rates, noise=0.1, seed=21, label_names=names.split(","))
         outdir = tmp_path / "run"
         status = run([
@@ -923,10 +961,23 @@ class TestTunedMetricIsEvaluated:
         pm = load_probabilities(outdir / "val.probs")
         val = load_dataset(outdir / "val.jsonl", LabelSchema(names=tuple(names.split(","))))
         tuned = load_thresholds(outdir / "thresholds.tsv")
-        after = evaluate(pm, val, tuned.theta, binary_mode=binary_mode).macro_f1
-        before = evaluate(pm, val, default_thresholds(pm.label_names).theta, binary_mode=binary_mode).macro_f1
+        after = objective(pm, val.labels, tuned.theta)
+        before = objective(pm, val.labels, default_thresholds(pm.label_names).theta)
         assert tune_stage.metrics["macro_f1_after"] == after
         assert tune_stage.metrics["macro_f1_before"] == before
+
+        # the machine report prints the same float, bit for bit: the positive
+        # row's F1 on the binary task, the macro-F1 otherwise
+        key = f"{names}=1.f1" if pm.n_labels == 1 else "macro_f1"
+        for thresholds, expected in ((["--thresholds", str(outdir / "thresholds.tsv")], after), ([], before)):
+            report = tmp_path / "report.txt"
+            status = run([
+                "eval", "--probs", str(outdir / "val.probs"), "--gold", str(outdir / "val.jsonl"),
+                "--labels", names, *thresholds, "--format", "machine", "--out", str(report),
+            ])
+            assert status == 0
+            machine = dict(line.split("\t") for line in report.read_text().splitlines())
+            assert float(machine[key]) == expected
 
         capsys.readouterr()
         status = run([

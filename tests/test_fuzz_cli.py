@@ -98,7 +98,6 @@ _TRAIN_FLAGS = {
 }
 _SEED = {"--seed": (["0", "42", str(2**32 - 1)], [str(2**32), "-1", "1.5", "nan", ""])}
 _STRATEGY = {"--strategy": (["auto", "stratified", "iterative"], _BAD_CHOICE)}
-_BINARY_MODE = {"--binary-mode": (["two-class-macro", "positive-f1"], _BAD_CHOICE)}
 
 # command: (whether it takes a data file as its positional, whether it takes
 # a schema, its required flags, its optional flags)
@@ -121,7 +120,7 @@ _COMMANDS = {
         False, True,
         {"--probs": ("probs", _INPUTS), "--gold": _DATA, "--out": _OUT},
         {
-            "--thresholds": ("thresholds", _INPUTS), **_BINARY_MODE,
+            "--thresholds": ("thresholds", _INPUTS),
             "--format": (["table", "machine"], _BAD_CHOICE),
         },
     ),
@@ -139,7 +138,7 @@ _COMMANDS = {
         {"--data": _DATA, "--outdir": (["run"], _OUT[1])},
         {
             **_SEED, "--eval-data": _DATA, "--eval-fraction": _FRACTION, "--val-fraction": _FRACTION,
-            **_STRATEGY, **_FEATURIZER_FLAGS, **_TRAIN_FLAGS, **_BINARY_MODE,
+            **_STRATEGY, **_FEATURIZER_FLAGS, **_TRAIN_FLAGS,
         },
     ),
 }

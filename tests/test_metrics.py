@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from polarpipe.corpus import DataError, Dataset, GoldLabels, Instance, LabelSchema
 from polarpipe.metrics import (
-    BINARY_MODES,
     align,
     confusion,
     evaluate,
@@ -188,8 +187,8 @@ class TestEvaluate:
 
     def test_threshold_is_closed(self):
         ds = mk_dataset([(1,)], names=("a",))
-        report = evaluate(_pm_for(ds, np.array([[0.5]])), ds, [0.5], binary_mode="positive-f1")
-        assert report.per_label[0].tp == 1
+        report = evaluate(_pm_for(ds, np.array([[0.5]])), ds, [0.5])
+        assert report.per_label[1].tp == 1
 
     def test_alignment_by_id(self):
         ds = mk_dataset([(1,), (0,)], names=("a",))
@@ -199,9 +198,9 @@ class TestEvaluate:
             label_names=("a",),
             values=np.array([[0.1], [0.9]]),
         )
-        report = evaluate(pm, ds, [0.5], binary_mode="positive-f1")
-        assert report.per_label[0].tp == 1
-        assert report.per_label[0].fp == 0
+        report = evaluate(pm, ds, [0.5])
+        assert report.per_label[1].tp == 1
+        assert report.per_label[1].fp == 0
 
     def test_missing_id_rejected(self):
         ds = mk_dataset([(1,), (0,)], names=("a",))
@@ -262,11 +261,6 @@ class TestEvaluate:
         two = evaluate(pm, ds, [0.5])
         assert [c.label for c in two.per_label] == ["hate=0", "hate=1"]
         assert two.mode == "two-class-macro"
-        pos = evaluate(pm, ds, [0.5], binary_mode="positive-f1")
-        assert [c.label for c in pos.per_label] == ["hate"]
-        assert pos.mode == "positive-f1"
-        with pytest.raises(DataError, match="binary_mode"):
-            evaluate(pm, ds, [0.5], binary_mode="macro")
 
     def test_threshold_count_checked(self):
         ds = mk_dataset([(1, 0)], names=("a", "b"))
@@ -310,6 +304,3 @@ class TestFormatting:
         assert "b.f1\t0.5" in lines
         assert "macro_f1\t0.75" in lines
         assert "mode\tmulti-label" in lines
-
-    def test_modes_constant(self):
-        assert BINARY_MODES == ("two-class-macro", "positive-f1")

@@ -2,7 +2,8 @@
 
 The oracles below are the earlier implementations, kept verbatim apart from
 names: ``metrics.confusion``, ``metrics.binary_two_class_counts``,
-``calibration.macro_f1_at``, ``calibration._f1_per_candidate`` and the
+``calibration.macro_f1_at`` (now ``calibration.objective``),
+``calibration._f1_per_candidate`` and the
 trainer's ``_val_macro_f1_at_half``. Each counted tp/fp/fn on its own; the
 library now takes every count from the sweep kernel. Counts must match as
 Python ints and F1 values as the identical Python floats.
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from polarpipe.calibration import ThresholdVector, _f1_per_candidate
+from polarpipe.calibration import ThresholdVector, _f1_per_candidate, objective
 from polarpipe.corpus import LabelSchema
 from polarpipe.metrics import ConfusionCounts, confusion, score
 from polarpipe.probs import ProbabilityMatrix
@@ -139,18 +140,20 @@ def test_binary_views_match_oracles(case):
     probs, gold, thetas, names = case
     pred = (probs >= thetas).astype(np.int64)
 
-    two = score(probs, gold, thetas, names, "two-class-macro")
+    two = score(probs, gold, thetas, names)
     expected = oracle_binary_two_class_counts(pred, gold, names[0])
     assert_same_rows(two.per_label, expected)
     assert_same_float(two.macro_f1, oracle_macro_f1(expected))
     assert_same_float(two.micro_f1, oracle_micro_f1(expected))
     assert two.mode == "two-class-macro"
 
-    pos = score(probs, gold, thetas, names, "positive-f1")
-    expected = oracle_confusion(pred, gold, names)
-    assert_same_rows(pos.per_label, expected)
-    assert_same_float(pos.macro_f1, oracle_macro_f1(expected))
-    assert pos.mode == "positive-f1"
+    # the "=1" row is the positive class's own count, and the tuner's objective
+    (positive,) = oracle_confusion(pred, gold, names)
+    row = two.per_label[1]
+    assert (row.tp, row.fp, row.fn) == (positive.tp, positive.fp, positive.fn)
+    pm = ProbabilityMatrix(ids=tuple(f"i{k}" for k in range(len(probs))), label_names=names, values=probs)
+    assert_same_float(objective(pm, gold, thetas), row.f1)
+    assert_same_float(objective(pm, gold, thetas), oracle_f1(positive))
 
 
 @given(cases(min_labels=2))
@@ -158,13 +161,12 @@ def test_multilabel_score_matches_oracle(case):
     probs, gold, thetas, names = case
     pred = (probs >= thetas).astype(np.int64)
     expected = oracle_confusion(pred, gold, names)
-    for mode in ("two-class-macro", "positive-f1"):
-        report = score(probs, gold, thetas, names, mode)
-        assert_same_rows(report.per_label, expected)
-        assert_same_float(report.macro_f1, oracle_macro_f1(expected))
-        assert_same_float(report.micro_f1, oracle_micro_f1(expected))
-        assert report.mode == "multi-label"
-        assert report.n_instances == probs.shape[0]
+    report = score(probs, gold, thetas, names)
+    assert_same_rows(report.per_label, expected)
+    assert_same_float(report.macro_f1, oracle_macro_f1(expected))
+    assert_same_float(report.micro_f1, oracle_micro_f1(expected))
+    assert report.mode == "multi-label"
+    assert report.n_instances == probs.shape[0]
 
 
 @given(cases())
@@ -172,8 +174,7 @@ def test_tuning_metric_matches_macro_f1_at(case):
     probs, gold, thetas, names = case
     pm = ProbabilityMatrix(ids=tuple(f"i{k}" for k in range(len(probs))), label_names=names, values=probs)
     tv = ThresholdVector(label_names=names, theta=thetas, base_theta=None, provenance="oracle")
-    got = score(probs, gold, thetas, names, "positive-f1").macro_f1
-    assert_same_float(got, oracle_macro_f1_at(pm, gold, tv))
+    assert_same_float(objective(pm, gold, tv.theta), oracle_macro_f1_at(pm, gold, tv))
 
 
 @given(cases())
