@@ -263,7 +263,7 @@ def _cmd_split(o: dict) -> int:
 def _cmd_merge(o: dict) -> int:
     _check_outputs({"--primary": o["primary"], "--donor": o["donor"]}, {"--out": o["out"]})
     schema = _resolve_schema(o)
-    primary = load_dataset(o["primary"], schema)
+    primary = _nonempty(load_dataset(o["primary"], schema), f"--primary {o['primary']}", "balance")
     donor = load_dataset(o["donor"], schema)
     merged = balanced_merge(primary, donor, seed=o["seed"])
     save_dataset(merged, o["out"])

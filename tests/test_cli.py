@@ -142,10 +142,12 @@ class TestExitCodes:
              "--train {empty} has no instances; there is nothing to train on"),
             (["train", "--train", "{data}", "--val", "{empty}", "--out-model", "{tmp}/m.bin"],
              "--val {empty} has no instances; there is nothing to score"),
+            (["merge", "--primary", "{empty}", "--donor", "{data}", "--out", "{tmp}/m.jsonl"],
+             "--primary {empty} has no instances; there is nothing to balance"),
             (["pipeline", "--data", "{empty}", "--outdir", "{tmp}/run"],
              "--data {empty} has no instances; there is nothing to split"),
         ],
-        ids=["stats", "split", "train-train", "train-val", "pipeline-data"],
+        ids=["stats", "split", "train-train", "train-val", "merge-primary", "pipeline-data"],
     )
     def test_empty_input_names_its_file(self, tmp_path, capsys, args, message):
         empty = tmp_path / "empty.jsonl"

@@ -344,7 +344,7 @@ MANIFEST = PipelineManifest(
         ),
         StageRecord(
             name="eval",
-            config={"binary_mode": "two-class-macro"},
+            config={},
             inputs={"eval.probs": _digest("probs"), "thresholds.tsv": _digest("thresholds")},
             outputs={"report.tsv": _digest("report")},
             metrics={"macro_f1": 0.5, "micro_f1": 0.625},
