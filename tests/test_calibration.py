@@ -224,6 +224,13 @@ class TestCoarseSearch:
         with pytest.raises(DataError, match="at least one"):
             coarse_search(empty, np.zeros((0, 1), dtype=int))
 
+    def test_objective_takes_one_threshold_per_label(self):
+        pm = mk_pm([[0.3, 0.7], [0.6, 0.2]])
+        gold = np.array([[0, 1], [1, 0]])
+        assert objective(pm, gold, (0.5, 0.5)) == 1.0
+        with pytest.raises(DataError, match="expected 2 thresholds, got 1"):
+            objective(pm, gold, (0.5,))
+
 
 class TestRefine:
     def test_single_label_equals_window_argmax(self):
